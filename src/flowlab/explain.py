@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evaluation import METRICS
-from .models import ForestModel, TreeModel, TreeNode
+from .models import ForestModel, Nodes, TreeModel
 
 
 @dataclass
@@ -52,17 +52,12 @@ class ImportanceTable:
                             repr(r.std), self.method, self.repeats])
 
 
-def _tree_importances(root: TreeNode, n_features: int) -> np.ndarray:
-    imp = np.zeros(n_features)
-
-    def walk(node: TreeNode):
-        if node.is_leaf:
-            return
-        imp[node.feature] += node.importance
-        walk(node.left)
-        walk(node.right)
-
-    walk(root)
+def _tree_importances(nodes: Nodes, n_features: int) -> np.ndarray:
+    # bincount adds the weights in preorder, as a walk of the tree would
+    internal = nodes.feature >= 0
+    imp = np.bincount(nodes.feature[internal],
+                      weights=nodes.importance[internal],
+                      minlength=n_features)
     total = imp.sum()
     return imp / total if total > 0 else imp
 
@@ -70,9 +65,9 @@ def _tree_importances(root: TreeNode, n_features: int) -> np.ndarray:
 def gini_importance(model, feature_names: Sequence[str]) -> ImportanceTable:
     """Normalized total impurity decrease per feature; forest = tree mean."""
     if isinstance(model, TreeModel):
-        values = _tree_importances(model.root, model.n_features)
+        values = _tree_importances(model.nodes, model.n_features)
     elif isinstance(model, ForestModel):
-        per_tree = [_tree_importances(t.root, model.n_features)
+        per_tree = [_tree_importances(t.nodes, model.n_features)
                     for t in model.trees]
         values = np.mean(per_tree, axis=0)
     else:

@@ -1,10 +1,24 @@
 """From-scratch supervised baselines: CART decision tree, bagged random
 forest, and brute-force k-NN, plus exhaustive grid search over k-fold CV.
 
-Everything is deterministic: split ties break on the lowest feature index
-then lowest threshold, distance ties on the lowest train row index, vote
-ties on the lowest class index, and all randomness flows from explicit
-seeds.
+A tree is a set of flat per-node arrays (`Nodes`) in preorder: a node, then
+its whole left subtree, then its right subtree. A leaf has feature -1 and
+its `left`/`right` point to itself. A forest concatenates its trees' nodes
+and records where each tree's root is; predict moves every (tree, row)
+pair down one level per numpy step.
+
+Split search (Gini decrease, Breiman et al., CART): for each sampled
+feature the node's rows are sorted stably, and prefix sums of one-hot
+labels give the class counts left of every cut between distinct values.
+Cuts are scanned feature by feature in ascending id, then by ascending
+threshold, and a cut replaces the best so far only if its decrease is
+larger by more than 1e-15: ties within 1e-15 go to the lowest feature,
+then the lowest threshold. The threshold is the midpoint of the two values
+a cut separates, or the lower one where the midpoint rounds up to the
+higher.
+
+Distance ties break on the lowest train row index, vote ties on the lowest
+class index, and all randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
@@ -12,14 +26,18 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, FitError, LeakageError, ShapeError
+from .errors import ConfigError, DataError, FitError, LeakageError, ShapeError
 from . import evaluation
 from .partition import kfold
+
+# floats per block of prefix class counts in _best_split (bounds its memory)
+_SPLIT_BLOCK = 1 << 18
+_ROOT = np.zeros(1, dtype=np.int64)
 
 
 def _encode_labels(y) -> tuple[np.ndarray, list[str]]:
@@ -36,46 +54,132 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - (p ** 2).sum())
 
 
+class _Classifier:
+    """Shape check and predict() shared by every model."""
+
+    def _rows(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ShapeError(f"expected {self.n_features} features, "
+                             f"got shape {X.shape}")
+        return X
+
+    def predict(self, X) -> np.ndarray:
+        """The most probable class per row (lowest class index on ties)."""
+        probs = self.predict_proba(X)
+        return np.asarray([self.classes[i] for i in probs.argmax(axis=1)],
+                          dtype=object)
+
+
 @dataclass
-class TreeNode:
-    impurity: float
-    n_samples: int
-    probabilities: np.ndarray               # class-frequency vector
-    feature: int = -1                       # -1 for leaves
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    # sample-weighted impurity decrease credited to self.feature
-    importance: float = 0.0
+class Nodes:
+    """The nodes of one tree, or of a forest's trees one after another."""
+    feature: np.ndarray      # int64; -1 at leaves
+    threshold: np.ndarray    # rows with x[feature] <= threshold go left
+    left: np.ndarray         # int64 node index; a leaf points to itself
+    right: np.ndarray
+    probs: np.ndarray        # (nodes, classes) class frequencies
+    impurity: np.ndarray
+    n_samples: np.ndarray
+    importance: np.ndarray   # sample-weighted impurity decrease of the split
+
+    def __len__(self) -> int:
+        return len(self.feature)
+
+    def slice(self, a: int, b: int) -> "Nodes":
+        """Nodes a..b-1 as a tree of their own (child indices shifted)."""
+        cols = {f.name: getattr(self, f.name)[a:b] for f in fields(self)}
+        cols["left"] = cols["left"] - a
+        cols["right"] = cols["right"] - a
+        return Nodes(**cols)
+
+
+class _Builder:
+    """Appends nodes in preorder; `finish` freezes them into Nodes."""
+
+    def __init__(self):
+        self.cols = {f.name: [] for f in fields(Nodes)}
+
+    def __len__(self) -> int:
+        return len(self.cols["feature"])
+
+    def leaf(self, parent: int, side: str, probs, impurity: float,
+             n: int) -> int:
+        """Add a leaf as parent's `side` ("left"/"right") child; its index."""
+        i = len(self)
+        if parent >= 0:
+            self.cols[side][parent] = i
+        for name, value in (("feature", -1), ("threshold", 0.0), ("left", i),
+                            ("right", i), ("probs", probs),
+                            ("impurity", impurity), ("n_samples", n),
+                            ("importance", 0.0)):
+            self.cols[name].append(value)
+        return i
+
+    def split(self, i: int, feature: int, threshold: float,
+              importance: float) -> None:
+        self.cols["feature"][i] = feature
+        self.cols["threshold"][i] = threshold
+        self.cols["importance"][i] = importance
+
+    def finish(self, n_classes: int) -> Nodes:
+        ints = ("feature", "left", "right", "n_samples")
+        cols = {name: np.asarray(values, dtype=np.int64 if name in ints
+                                 else np.float64)
+                for name, values in self.cols.items()}
+        cols["probs"] = cols["probs"].reshape(-1, n_classes)
+        return Nodes(**cols)
+
+
+def _depth(nodes: Nodes, roots: np.ndarray) -> int:
+    """Number of levels below the roots down to the deepest leaf."""
+    level, depth = roots, 0
+    while True:
+        level = level[nodes.left[level] != level]
+        if not level.size:
+            return depth
+        level = np.concatenate([nodes.left[level], nodes.right[level]])
+        depth += 1
+
+
+def _mean_leaf_probs(nodes: Nodes, roots: np.ndarray, depth: int,
+                     X: np.ndarray) -> np.ndarray:
+    """Walk every (tree, row) pair down together, one level per step, then
+    average the leaves' probabilities, adding them up in tree order."""
+    n, d = X.shape
+    cells = X.ravel()
+    row_start = np.tile(np.arange(n) * d, len(roots))
+    node = np.repeat(roots, n)
+    # children[2i] is node i's right child, children[2i + 1] its left
+    children = np.stack([nodes.right, nodes.left], axis=1).ravel()
+    for _ in range(depth):
+        # a leaf reads column -1 (any valid cell) and steps to itself
+        go_left = cells[row_start + nodes.feature[node]] \
+            <= nodes.threshold[node]
+        node = children[2 * node + go_left]
+    n_classes = nodes.probs.shape[1]
+    acc = np.zeros((n, n_classes))
+    for leaf_probs in nodes.probs[node].reshape(len(roots), n, n_classes):
+        acc += leaf_probs
+    return acc / len(roots)
+
+
+class NodeView(NamedTuple):
+    """One node of a tree, for code that walks a tree node by node."""
+    nodes: Nodes
+    index: int
 
     @property
     def is_leaf(self) -> bool:
-        return self.feature < 0
+        return bool(self.nodes.left[self.index] == self.index)
 
     @property
-    def majority(self) -> int:
-        return int(np.argmax(self.probabilities))
+    def left(self) -> "NodeView":
+        return NodeView(self.nodes, int(self.nodes.left[self.index]))
 
-    def to_dict(self) -> dict:
-        d = {"impurity": self.impurity, "n": self.n_samples,
-             "probs": self.probabilities.tolist()}
-        if not self.is_leaf:
-            d.update(feature=self.feature, threshold=self.threshold,
-                     importance=self.importance,
-                     left=self.left.to_dict(), right=self.right.to_dict())
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        node = cls(impurity=d["impurity"], n_samples=d["n"],
-                   probabilities=np.asarray(d["probs"]))
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.importance = d.get("importance", 0.0)
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
+    @property
+    def right(self) -> "NodeView":
+        return NodeView(self.nodes, int(self.nodes.right[self.index]))
 
 
 @dataclass
@@ -86,94 +190,98 @@ class TreeParams:
 
 
 @dataclass
-class TreeModel:
-    root: TreeNode
+class TreeModel(_Classifier):
+    nodes: Nodes
     classes: list[str]
     n_features: int
+    depth: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.depth = _depth(self.nodes, _ROOT)
+
+    @property
+    def root(self) -> NodeView:
+        return NodeView(self.nodes, 0)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ShapeError(f"expected {self.n_features} features, "
-                             f"got shape {X.shape}")
-        out = np.empty((len(X), len(self.classes)))
-        for i, x in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold \
-                    else node.right
-            out[i] = node.probabilities
-        return out
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        probs = self.predict_proba(X)
-        return np.asarray([self.classes[i] for i in probs.argmax(axis=1)],
-                          dtype=object)
+        return _mean_leaf_probs(self.nodes, _ROOT, self.depth, self._rows(X))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int,
-                feature_ids: Sequence[int]) -> Optional[tuple]:
-    """(weighted-impurity decrease, feature, threshold) or None.
+def _best_split(Xf: np.ndarray, onehot: np.ndarray, counts: np.ndarray,
+                parent: float) -> Optional[tuple]:
+    """(weighted-impurity decrease, column, threshold) of the best cut of a
+    node, or None. Xf holds the node's rows in the candidate features'
+    columns, by ascending feature id; onehot its one-hot labels; counts and
+    parent its class counts and Gini impurity.
 
-    Per-feature sorted scan with prefix class counts; ties resolved by
-    (lowest feature id, lowest threshold) via strict-improvement compare
-    over features iterated in ascending order.
+    Every cut's decrease is computed at once, with the same float
+    operations as a scalar per-cut Gini. Only a cut whose decrease beats
+    every earlier cut of its column can pass the sequential
+    `dec > best + 1e-15` rule, so only those go through it.
     """
-    n = len(y)
-    parent_counts = np.bincount(y, minlength=n_classes)
-    parent_imp = _gini(parent_counts)
+    n, k = Xf.shape
+    if n < 2:
+        return None
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
     best = None
-    for f in sorted(feature_ids):
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = y[order]
-        left = np.zeros(n_classes)
-        right = parent_counts.astype(np.float64).copy()
-        for i in range(n - 1):
-            c = ys_sorted[i]
-            left[c] += 1
-            right[c] -= 1
-            if xs_sorted[i] == xs_sorted[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            dec = parent_imp - (nl * _gini(left) + nr * _gini(right)) / n
-            thr = (xs_sorted[i] + xs_sorted[i + 1]) / 2.0
-            if best is None or dec > best[0] + 1e-15:
-                best = (float(dec), int(f), float(thr))
+    step = max(1, _SPLIT_BLOCK // (n * onehot.shape[1]))
+    for lo in range(0, k, step):
+        cols = Xf[:, lo:lo + step]
+        order = np.argsort(cols, axis=0, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=0)
+        left = np.cumsum(onehot[order[:-1]], axis=0)
+        gl = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=2)
+        gr = 1.0 - (((counts - left) / nr[..., None]) ** 2).sum(axis=2)
+        dec = parent - (nl * gl + nr * gr) / n
+        # no cut between equal values; NaN (sorted last) counts as one value
+        same = (xs[:-1] == xs[1:]) | (np.isnan(xs[:-1]) & np.isnan(xs[1:]))
+        dec[same] = -np.inf
+        record = dec > -np.inf
+        record[1:] &= dec[1:] > np.maximum.accumulate(dec, axis=0)[:-1]
+        for j, i in zip(*np.nonzero(record.T)):
+            if best is None or dec[i, j] > best[0] + 1e-15:
+                a, b = xs[i, j], xs[i + 1, j]
+                mid = (a + b) / 2.0   # may round up to b: then use a
+                best = (float(dec[i, j]), lo + int(j),
+                        float(mid if mid < b else a))
     return best
 
 
-def _grow(X: np.ndarray, y: np.ndarray, n_classes: int, depth: int,
-          params: TreeParams, n_total: int,
-          rng: Optional[np.random.Generator], m: Optional[int]) -> TreeNode:
-    counts = np.bincount(y, minlength=n_classes)
-    node = TreeNode(impurity=_gini(counts), n_samples=len(y),
-                    probabilities=counts / len(y))
-    if (node.impurity == 0.0
-            or len(y) < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)):
-        return node
-    if m is not None and rng is not None and m < X.shape[1]:
-        feature_ids = np.sort(rng.permutation(X.shape[1])[:m])
-    else:
-        feature_ids = range(X.shape[1])
-    found = _best_split(X, y, n_classes, feature_ids)
-    if found is None:
-        return node
-    dec, f, thr = found
-    if dec <= 0.0 or dec < params.min_impurity_decrease:
-        return node
-    mask = X[:, f] <= thr
-    node.feature = f
-    node.threshold = thr
-    node.importance = (len(y) / n_total) * dec
-    node.left = _grow(X[mask], y[mask], n_classes, depth + 1, params,
-                      n_total, rng, m)
-    node.right = _grow(X[~mask], y[~mask], n_classes, depth + 1, params,
-                       n_total, rng, m)
-    return node
+def _grow(tree: _Builder, X: np.ndarray, y: np.ndarray, n_classes: int,
+          params: TreeParams, rng: Optional[np.random.Generator],
+          m: Optional[int]) -> None:
+    """Grow one tree on (X, y) into `tree`, node by node in preorder, so
+    the feature samples are drawn from rng in preorder."""
+    n_total, d = X.shape
+    onehot = np.eye(n_classes)[y]
+    stack = [(np.arange(n_total), 0, -1, "")]
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        counts = np.bincount(y[rows], minlength=n_classes)
+        impurity = _gini(counts)
+        i = tree.leaf(parent, side, counts / len(rows), impurity, len(rows))
+        if (impurity == 0.0
+                or len(rows) < params.min_samples_split
+                or (params.max_depth is not None
+                    and depth >= params.max_depth)):
+            continue
+        if m is not None and rng is not None and m < d:
+            feature_ids = np.sort(rng.permutation(d)[:m])
+        else:
+            feature_ids = np.arange(d)
+        found = _best_split(X[np.ix_(rows, feature_ids)], onehot[rows],
+                            counts, impurity)
+        if found is None:
+            continue
+        dec, j, thr = found
+        if dec <= 0.0 or dec < params.min_impurity_decrease:
+            continue
+        f = int(feature_ids[j])
+        mask = X[rows, f] <= thr
+        tree.split(i, f, thr, (len(rows) / n_total) * dec)
+        stack.append((rows[~mask], depth + 1, i, "right"))
+        stack.append((rows[mask], depth + 1, i, "left"))
 
 
 def tree_fit(X: np.ndarray, y, params: Optional[TreeParams] = None
@@ -186,39 +294,37 @@ def tree_fit(X: np.ndarray, y, params: Optional[TreeParams] = None
     if len(X) != len(y):
         raise ShapeError("X and y length mismatch")
     y_enc, classes = _encode_labels(y)
-    root = _grow(X, y_enc, len(classes), 0, params, len(y_enc), None, None)
-    return TreeModel(root=root, classes=classes, n_features=X.shape[1])
-
-
-def tree_predict(model: TreeModel, X) -> tuple[np.ndarray, np.ndarray]:
-    probs = model.predict_proba(np.asarray(X, dtype=np.float64))
-    return model.predict(X), probs
+    tree = _Builder()
+    _grow(tree, X, y_enc, len(classes), params, None, None)
+    return TreeModel(nodes=tree.finish(len(classes)), classes=classes,
+                     n_features=X.shape[1])
 
 
 @dataclass
-class ForestModel:
-    trees: list[TreeModel]
+class ForestModel(_Classifier):
+    nodes: Nodes             # every tree's nodes, in tree order
+    roots: np.ndarray        # index of each tree's root in nodes
     classes: list[str]
     n_features: int
     m: int
     seed: int
     oob_masks: list[np.ndarray] = field(default_factory=list)
+    depth: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.depth = _depth(self.nodes, self.roots)
+
+    @property
+    def trees(self) -> list[TreeModel]:
+        """Each tree as a model of its own, in tree order."""
+        ends = [*self.roots[1:].tolist(), len(self.nodes)]
+        return [TreeModel(self.nodes.slice(a, b), self.classes,
+                          self.n_features)
+                for a, b in zip(self.roots.tolist(), ends)]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ShapeError(f"expected {self.n_features} features, "
-                             f"got shape {X.shape}")
-        acc = np.zeros((len(X), len(self.classes)))
-        for tree in self.trees:
-            # trees share the forest-level class vocabulary
-            acc += tree.predict_proba(X)
-        return acc / len(self.trees)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        probs = self.predict_proba(X)
-        return np.asarray([self.classes[i] for i in probs.argmax(axis=1)],
-                          dtype=object)
+        return _mean_leaf_probs(self.nodes, self.roots, self.depth,
+                                self._rows(X))
 
 
 @dataclass
@@ -240,8 +346,10 @@ def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
     m = params.m if params.m is not None else max(1, math.ceil(math.sqrt(d)))
     if not (1 <= m <= d):
         raise ConfigError(f"m={m} out of [1, {d}]")
+    if params.n_trees < 1:
+        raise ConfigError(f"n_trees={params.n_trees} must be at least 1")
     rng = np.random.default_rng(seed)
-    trees, oob = [], []
+    forest, roots, oob = _Builder(), [], []
     for _ in range(params.n_trees):
         tree_rng = np.random.default_rng(rng.integers(2 ** 63))
         if params.bootstrap:
@@ -250,21 +358,18 @@ def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
             idx = np.arange(n)
         mask = np.ones(n, dtype=bool)
         mask[np.unique(idx)] = False
-        root = _grow(X[idx], y_enc[idx], len(classes), 0, params.tree,
-                     len(idx), tree_rng, m if m < d else None)
-        trees.append(TreeModel(root=root, classes=classes, n_features=d))
+        roots.append(len(forest))
+        _grow(forest, X[idx], y_enc[idx], len(classes), params.tree,
+              tree_rng, m if m < d else None)
         oob.append(mask)
-    return ForestModel(trees=trees, classes=classes, n_features=d, m=m,
-                       seed=seed, oob_masks=oob)
-
-
-def forest_predict(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
-    probs = model.predict_proba(np.asarray(X, dtype=np.float64))
-    return model.predict(X), probs
+    return ForestModel(nodes=forest.finish(len(classes)),
+                       roots=np.asarray(roots, dtype=np.int64),
+                       classes=classes, n_features=d, m=m, seed=seed,
+                       oob_masks=oob)
 
 
 @dataclass
-class KnnModel:
+class KnnModel(_Classifier):
     X: np.ndarray
     y: np.ndarray           # encoded
     classes: list[str]
@@ -275,10 +380,7 @@ class KnnModel:
         return self.X.shape[1]
 
     def predict_proba(self, Q: np.ndarray) -> np.ndarray:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim != 2 or Q.shape[1] != self.X.shape[1]:
-            raise ShapeError(f"expected {self.X.shape[1]} features, "
-                             f"got shape {Q.shape}")
+        Q = self._rows(Q)
         out = np.empty((len(Q), len(self.classes)))
         for i, q in enumerate(Q):
             d2 = ((self.X - q) ** 2).sum(axis=1)
@@ -287,11 +389,6 @@ class KnnModel:
             votes = np.bincount(self.y[nn], minlength=len(self.classes))
             out[i] = votes / self.k
         return out
-
-    def predict(self, Q: np.ndarray) -> np.ndarray:
-        probs = self.predict_proba(Q)
-        return np.asarray([self.classes[i] for i in probs.argmax(axis=1)],
-                          dtype=object)
 
 
 def knn_fit(X: np.ndarray, y, k: int) -> KnnModel:
@@ -302,22 +399,35 @@ def knn_fit(X: np.ndarray, y, k: int) -> KnnModel:
     return KnnModel(X=X, y=y_enc, classes=classes, k=k)
 
 
-def knn_predict(model: KnnModel, Q) -> tuple[np.ndarray, np.ndarray]:
-    probs = model.predict_proba(np.asarray(Q, dtype=np.float64))
-    return model.predict(Q), probs
-
-
 # -- serialization ----------------------------------------------------------------
+
+def _tree_to_dict(nodes: Nodes) -> dict:
+    """The nested JSON form of one tree, built from the last node back so
+    that both children exist before their parent."""
+    cols = {f.name: getattr(nodes, f.name).tolist() for f in fields(nodes)}
+    out = [None] * len(nodes)
+    for i in range(len(nodes) - 1, -1, -1):
+        d = {"impurity": cols["impurity"][i], "n": cols["n_samples"][i],
+             "probs": cols["probs"][i]}
+        if cols["feature"][i] >= 0:
+            d.update(feature=cols["feature"][i],
+                     threshold=cols["threshold"][i],
+                     importance=cols["importance"][i],
+                     left=out[cols["left"][i]], right=out[cols["right"][i]])
+        out[i] = d
+    return out[0]
+
 
 def model_to_json(model) -> str:
     if isinstance(model, TreeModel):
         d = {"kind": "tree", "classes": model.classes,
-             "n_features": model.n_features, "root": model.root.to_dict()}
+             "n_features": model.n_features,
+             "root": _tree_to_dict(model.nodes)}
     elif isinstance(model, ForestModel):
         d = {"kind": "forest", "classes": model.classes,
              "n_features": model.n_features, "m": model.m,
              "seed": model.seed,
-             "trees": [t.root.to_dict() for t in model.trees]}
+             "trees": [_tree_to_dict(t.nodes) for t in model.trees]}
     elif isinstance(model, KnnModel):
         d = {"kind": "knn", "classes": model.classes, "k": model.k,
              "X": model.X.tolist(), "y": model.y.tolist()}
@@ -326,22 +436,78 @@ def model_to_json(model) -> str:
     return json.dumps(d, sort_keys=True)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _add_tree(tree: _Builder, root: dict, n_features: int,
+              n_classes: int) -> None:
+    """Append one nested JSON tree to `tree` in preorder."""
+    stack = [(root, -1, "")]
+    while stack:
+        d, parent, side = stack.pop()
+        probs = [float(p) for p in d["probs"]]
+        if len(probs) != n_classes:
+            raise DataError(f"node has {len(probs)} class probabilities, "
+                            f"the model has {n_classes} classes")
+        i = tree.leaf(parent, side, probs, float(d["impurity"]),
+                      int(d["n"]))
+        if "feature" in d:
+            f = d["feature"]
+            if not _is_int(f) or not 0 <= f < n_features:
+                raise DataError(f"split feature {f!r} not in "
+                                f"[0, {n_features})")
+            tree.split(i, f, float(d["threshold"]), float(d["importance"]))
+            stack += [(d["right"], i, "right"), (d["left"], i, "left")]
+
+
 def model_from_json(text: str):
-    d = json.loads(text)
-    if d["kind"] == "tree":
-        return TreeModel(root=TreeNode.from_dict(d["root"]),
-                         classes=d["classes"], n_features=d["n_features"])
-    if d["kind"] == "forest":
-        trees = [TreeModel(root=TreeNode.from_dict(t), classes=d["classes"],
-                           n_features=d["n_features"]) for t in d["trees"]]
-        return ForestModel(trees=trees, classes=d["classes"],
-                           n_features=d["n_features"], m=d["m"],
-                           seed=d["seed"])
-    if d["kind"] == "knn":
-        return KnnModel(X=np.asarray(d["X"], dtype=np.float64),
-                        y=np.asarray(d["y"], dtype=np.int64),
-                        classes=d["classes"], k=d["k"])
-    raise ConfigError(f"unknown model kind {d['kind']!r}")
+    """The model `model_to_json` wrote; DataError on malformed input."""
+    try:
+        d = json.loads(text)
+        kind, classes = d["kind"], d["classes"]
+        if (not isinstance(classes, list) or not classes
+                or not all(isinstance(c, str) for c in classes)):
+            raise DataError("classes must be a nonempty list of strings")
+        if kind == "knn":
+            X = np.asarray(d["X"], dtype=np.float64)
+            y = np.asarray(d["y"])
+            k = d["k"]
+            if (X.ndim != 2 or not len(X) or y.shape != (len(X),)
+                    or y.dtype.kind != "i"
+                    or not ((0 <= y) & (y < len(classes))).all()
+                    or not _is_int(k) or not 1 <= k <= len(X)):
+                raise DataError("knn model needs rows X, class indices y "
+                                "and k in [1, rows]")
+            return KnnModel(X=X, y=y.astype(np.int64), classes=classes, k=k)
+        if kind not in ("tree", "forest"):
+            raise DataError(f"unknown model kind {kind!r}")
+        n_features = d["n_features"]
+        if not _is_int(n_features) or n_features < 1:
+            raise DataError(f"n_features {n_features!r} is not a positive "
+                            "integer")
+        tree_dicts = [d["root"]] if kind == "tree" else d["trees"]
+        if not isinstance(tree_dicts, list) or not tree_dicts:
+            raise DataError("trees must be a nonempty list")
+        nodes, roots = _Builder(), []
+        for root in tree_dicts:
+            roots.append(len(nodes))
+            _add_tree(nodes, root, n_features, len(classes))
+        frozen = nodes.finish(len(classes))
+        if kind == "tree":
+            return TreeModel(nodes=frozen, classes=classes,
+                             n_features=n_features)
+        m, seed = d["m"], d["seed"]
+        if not _is_int(m) or not _is_int(seed):
+            raise DataError("forest m and seed must be integers")
+        return ForestModel(nodes=frozen, roots=np.asarray(roots,
+                                                          dtype=np.int64),
+                           classes=classes, n_features=n_features, m=m,
+                           seed=seed)
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as e:
+        raise DataError(f"malformed model JSON: {type(e).__name__}: {e}"
+                        ) from None
 
 
 # -- grid search ----------------------------------------------------------------

@@ -113,3 +113,127 @@ def mann_whitney_auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+# -- CART reference: scalar split scan, recursive grow, per-row walk ----------
+
+def _labels_oracle(y):
+    classes = sorted({str(v) for v in y})
+    return np.asarray([classes.index(str(v)) for v in y]), classes
+
+
+def _gini_oracle(counts) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - (p ** 2).sum())
+
+
+def _split_oracle(X, y, n_classes, feature_ids):
+    """Sample-by-sample scan of every feature in ascending order; a cut
+    replaces the best only if it beats it by more than 1e-15."""
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes)
+    parent_imp = _gini_oracle(parent_counts)
+    best = None
+    for f in sorted(feature_ids):
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        ys_sorted = y[order]
+        left = np.zeros(n_classes)
+        right = parent_counts.astype(np.float64).copy()
+        for i in range(n - 1):
+            c = ys_sorted[i]
+            left[c] += 1
+            right[c] -= 1
+            if xs_sorted[i] == xs_sorted[i + 1] or (
+                    np.isnan(xs_sorted[i]) and np.isnan(xs_sorted[i + 1])):
+                continue
+            nl = i + 1
+            nr = n - nl
+            dec = parent_imp - (nl * _gini_oracle(left)
+                                + nr * _gini_oracle(right)) / n
+            thr = (xs_sorted[i] + xs_sorted[i + 1]) / 2.0
+            if not thr < xs_sorted[i + 1]:
+                thr = xs_sorted[i]   # the midpoint rounded up to the right
+            if best is None or dec > best[0] + 1e-15:
+                best = (float(dec), int(f), float(thr))
+    return best
+
+
+def _grow_oracle(X, y, n_classes, depth, params, n_total, rng, m) -> dict:
+    counts = np.bincount(y, minlength=n_classes)
+    node = {"impurity": _gini_oracle(counts), "n": len(y),
+            "probs": (counts / len(y)).tolist()}
+    if (node["impurity"] == 0.0 or len(y) < params["min_samples_split"]
+            or (params["max_depth"] is not None
+                and depth >= params["max_depth"])):
+        return node
+    if m is not None:
+        feature_ids = np.sort(rng.permutation(X.shape[1])[:m])
+    else:
+        feature_ids = range(X.shape[1])
+    found = _split_oracle(X, y, n_classes, feature_ids)
+    if found is None:
+        return node
+    dec, f, thr = found
+    if dec <= 0.0 or dec < params["min_impurity_decrease"]:
+        return node
+    mask = X[:, f] <= thr
+    node.update(feature=f, threshold=thr, importance=(len(y) / n_total) * dec,
+                left=_grow_oracle(X[mask], y[mask], n_classes, depth + 1,
+                                  params, n_total, rng, m),
+                right=_grow_oracle(X[~mask], y[~mask], n_classes, depth + 1,
+                                   params, n_total, rng, m))
+    return node
+
+
+def tree_oracle(X, y, max_depth=None, min_samples_split=2,
+                min_impurity_decrease=0.0) -> dict:
+    """The document `model_to_json` writes for `tree_fit`."""
+    X = np.asarray(X, dtype=np.float64)
+    y_enc, classes = _labels_oracle(y)
+    params = {"max_depth": max_depth, "min_samples_split": min_samples_split,
+              "min_impurity_decrease": min_impurity_decrease}
+    root = _grow_oracle(X, y_enc, len(classes), 0, params, len(y_enc), None,
+                        None)
+    return {"kind": "tree", "classes": classes, "n_features": X.shape[1],
+            "root": root}
+
+
+def forest_oracle(X, y, n_trees, seed, m=None, max_depth=None) -> dict:
+    """The document `model_to_json` writes for `forest_fit` (bootstrap on):
+    one seed per tree drawn from the forest seed, then the tree's bootstrap
+    rows and per-node feature samples from that tree's generator."""
+    X = np.asarray(X, dtype=np.float64)
+    y_enc, classes = _labels_oracle(y)
+    n, d = X.shape
+    m = m if m is not None else max(1, int(np.ceil(np.sqrt(d))))
+    params = {"max_depth": max_depth, "min_samples_split": 2,
+              "min_impurity_decrease": 0.0}
+    rng = np.random.default_rng(seed)
+    trees = []
+    for _ in range(n_trees):
+        tree_rng = np.random.default_rng(rng.integers(2 ** 63))
+        idx = tree_rng.integers(0, n, size=n)
+        trees.append(_grow_oracle(X[idx], y_enc[idx], len(classes), 0, params,
+                                  n, tree_rng, m if m < d else None))
+    return {"kind": "forest", "classes": classes, "n_features": d, "m": m,
+            "seed": seed, "trees": trees}
+
+
+def tree_proba_oracle(doc: dict, X) -> np.ndarray:
+    """Walk each row down each tree; average the leaves in tree order."""
+    trees = doc["trees"] if doc["kind"] == "forest" else [doc["root"]]
+    X = np.asarray(X, dtype=np.float64)
+    acc = np.zeros((len(X), len(doc["classes"])))
+    for root in trees:
+        for i, x in enumerate(X):
+            node = root
+            while "feature" in node:
+                node = node["left"] if x[node["feature"]] <= node["threshold"] \
+                    else node["right"]
+            acc[i] += np.asarray(node["probs"])
+    return acc / len(trees)

@@ -142,3 +142,24 @@ class TestExitCodes:
         path.write_text("\n".join(lines) + "\n")
         assert run(["train", "--config", str(config)]) == 1
         assert run(["evaluate", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["trees"][0].update(feature=10 ** 4),
+        lambda doc: doc["trees"][0]["probs"].append(0.5),
+        lambda doc: doc["trees"][0].pop("threshold"),
+        lambda doc: doc.pop("classes"),
+        None,
+    ], ids=["feature_out_of_range", "probs_length", "missing_threshold",
+            "missing_classes", "cut_short"])
+    def test_corrupted_model_is_2(self, config, corrupt):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        path = run_dir_for(cfg, h) / "model.json"
+        if corrupt is None:   # cut short
+            path.write_text(path.read_text()[:100])
+        else:
+            doc = json.loads(path.read_text())
+            corrupt(doc)
+            path.write_text(json.dumps(doc))
+        assert run(["evaluate", "--config", str(config)]) == 2
+        assert run(["explain", "--config", str(config)]) == 2
