@@ -23,8 +23,8 @@ import numpy as np
 from . import evaluation, explain, labeling, models, prep, transforms
 from .dataset import Dataset, UNKNOWN_LABEL
 from .errors import ConfigError, DataError, FlowlabError, LeakageError
-from .meter import (MeterConfig, column_kinds, feature_column_names,
-                    meter_stream, records_to_rows, validity_links)
+from .meter import (FlowCache, MeterConfig, column_kinds,
+                    feature_column_names, records_to_rows, validity_links)
 from .partition import SplitAssignment, SplitSpec, split
 from .pcap import FilterSpec, IngestConfig, parse_capture
 
@@ -138,13 +138,17 @@ def stage_meter(cfg, config_hash, run_dir: Path) -> Path:
                           mtu=ic["mtu"])
     meter_cfg = MeterConfig(**cfg["meter"])
     stream, summary = parse_capture(cfg["capture"], ingest)
-    records = meter_stream(stream, meter_cfg)
+    cache = FlowCache(meter_cfg)
+    records = cache.meter(stream)
     rows = records_to_rows(records, meter_cfg)
+    del records
     kinds = column_kinds(meter_cfg.splt_n)
     ds = Dataset.from_rows(rows, kinds,
                            validity_links=validity_links(meter_cfg.splt_n),
                            provenance={"capture": str(cfg["capture"]),
                                        "config_hash": config_hash})
+    # the writer's cell strings reuse the memory of the dead rows
+    del rows
     out = run_dir / "flows.csv"
     ds.to_csv(out, config_hash=config_hash)
     _write_manifest(run_dir, "meter", config_hash,
@@ -153,7 +157,7 @@ def stage_meter(cfg, config_hash, run_dir: Path) -> Path:
                      "meter_config": cfg["meter"],
                      "sample_n": ic["sample_n"],
                      "flow_count": len(ds),
-                     "dropped_late": 0,
+                     "dropped_late": cache.dropped_late,
                      "columns": feature_column_names(meter_cfg.splt_n)})
     return out
 

@@ -11,26 +11,52 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import re
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 KINDS = ("numeric", "categorical", "metadata", "label")
 UNKNOWN_LABEL = "UNKNOWN"
 
 
-def _format_value(v, kind: str) -> str:
-    if kind == "numeric":
-        f = float(v)
-        if f == int(f) and abs(f) < 1e15:
-            return str(int(f))
-        return repr(f)
-    return str(v)
+def _column_text(values, kind: str) -> list[str]:
+    """CSV cells of one column.
+
+    A numeric column formats each distinct value once and gathers the
+    strings by the inverse index: integral values below 1e15 in magnitude
+    as integers (so -0.0 is "0"), every other value by repr ("nan", "inf",
+    "1e+300").
+    """
+    if kind != "numeric":
+        return list(map(str, values))
+    uniq, inverse = np.unique(np.asarray(values, dtype=np.float64),
+                              return_inverse=True)
+    integral = (np.abs(uniq) < 1e15) & (uniq == np.trunc(uniq))
+    text = np.empty(len(uniq), dtype=object)
+    text[integral] = list(map(str, uniq[integral].astype(np.int64).tolist()))
+    text[~integral] = list(map(repr, uniq[~integral].tolist()))
+    return text[inverse].tolist()
+
+
+def _parse_cells(vals: list[str], parse, dtype, where: str,
+                 row_ids) -> np.ndarray:
+    """One column of CSV cells through parse; a cell it rejects is a
+    DataError naming where the column is and the row."""
+    try:
+        return np.asarray(list(map(parse, vals)), dtype=dtype)
+    except (ValueError, OverflowError) as e:
+        for rid, v in zip(row_ids, vals):
+            try:
+                parse(v)
+            except ValueError:
+                raise DataError(f"{where}, row_id {rid}: not a number: "
+                                f"{v!r}") from None
+        raise DataError(f"{where}: {e}") from None
 
 
 @dataclass
@@ -56,13 +82,19 @@ class Dataset:
         for n in names:
             if kinds.get(n) not in KINDS:
                 raise ConfigError(f"column {n!r} has no valid kind")
+        numeric = [n for n in names if kinds[n] == "numeric"]
         data = {}
+        if numeric:
+            # one tuple per row into one float64 block, transposed so that
+            # each column is a contiguous row of it
+            get = operator.itemgetter(*numeric)
+            block = np.asarray(list(map(get, rows)), dtype=np.float64)
+            block = np.ascontiguousarray(
+                block.reshape(len(rows), len(numeric)).T)
+            data = dict(zip(numeric, block))
         for n in names:
-            vals = [r[n] for r in rows]
-            if kinds[n] == "numeric":
-                data[n] = np.asarray(vals, dtype=np.float64)
-            else:
-                data[n] = np.asarray([str(v) for v in vals], dtype=object)
+            if kinds[n] != "numeric":
+                data[n] = np.asarray([str(r[n]) for r in rows], dtype=object)
         return cls(names=names, kinds=dict(kinds), data=data,
                    row_ids=np.arange(len(rows), dtype=np.int64),
                    validity_links=dict(validity_links or {}),
@@ -178,8 +210,7 @@ class Dataset:
 
     def fingerprint(self) -> str:
         """Hash of the row-id set; the unit of leakage accounting."""
-        ids = ",".join(str(i) for i in sorted(int(r) for r in self.row_ids))
-        return hashlib.sha256(ids.encode()).hexdigest()
+        return rows_fingerprint(self.row_ids)
 
     # -- persistence ---------------------------------------------------------
 
@@ -190,11 +221,10 @@ class Dataset:
                 f.write(f"# config_hash: {config_hash}\n")
             w = csv.writer(f)
             w.writerow(["row_id"] + self.names)
-            for i in range(len(self)):
-                row = [str(int(self.row_ids[i]))]
-                for n in self.names:
-                    row.append(_format_value(self.data[n][i], self.kinds[n]))
-                w.writerow(row)
+            columns = [list(map(str, self.row_ids.tolist()))]
+            columns += [_column_text(self.data[n], self.kinds[n])
+                        for n in self.names]
+            w.writerows(zip(*columns))
         schema = {
             "columns": [{"name": n, "kind": self.kinds[n]} for n in self.names],
             "validity_links": self.validity_links,
@@ -210,25 +240,40 @@ class Dataset:
         schema_path = path.with_suffix(path.suffix + ".schema.json")
         if not schema_path.exists():
             raise ConfigError(f"missing sidecar schema {schema_path}")
-        with open(schema_path) as f:
-            schema = json.load(f)
-        kinds = {c["name"]: c["kind"] for c in schema["columns"]}
+        try:
+            with open(schema_path) as f:
+                schema = json.load(f)
+            kinds = {c["name"]: c["kind"] for c in schema["columns"]}
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"{schema_path.name}: malformed schema: "
+                            f"{type(e).__name__}: {e}") from None
         with open(path, newline="") as f:
             first = f.readline()
             if not first.startswith("#"):
                 f.seek(0)
             reader = csv.reader(f)
-            header = next(reader)
+            header = next(reader, None)
             rows = list(reader)
-        if header[0] != "row_id":
+        if not header or header[0] != "row_id":
             raise ConfigError("dataset CSV must start with row_id column")
         names = header[1:]
-        row_ids = np.asarray([int(r[0]) for r in rows], dtype=np.int64)
+        unknown = [n for n in names if kinds.get(n) not in KINDS]
+        if unknown:
+            raise DataError(f"{path.name}: no valid kind in the schema for "
+                            f"column(s) {', '.join(unknown)}")
+        for i, r in enumerate(rows, start=1):
+            if len(r) != len(header):
+                raise DataError(f"{path.name}: data row {i} has {len(r)} "
+                                f"cells, the header {len(header)}")
+        raw_ids = [r[0] for r in rows]
+        row_ids = _parse_cells(raw_ids, int, np.int64,
+                               f"{path.name} column 'row_id'", raw_ids)
         data = {}
         for j, n in enumerate(names, start=1):
             vals = [r[j] for r in rows]
             if kinds.get(n) == "numeric":
-                data[n] = np.asarray([float(v) for v in vals], dtype=np.float64)
+                data[n] = _parse_cells(vals, float, np.float64,
+                                       f"{path.name} column {n!r}", raw_ids)
             else:
                 data[n] = np.asarray(vals, dtype=object)
         ds = cls(names=names, kinds=kinds, data=data, row_ids=row_ids,

@@ -12,8 +12,9 @@ for that segment (initiator-first), independent of the canonical key order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import ipaddress
+import itertools
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -307,16 +308,21 @@ class FlowCache:
         entries = sorted(self._entries.values(), key=lambda e: e.flow_start)
         return [self._export(e, REASON_END) for e in entries]
 
+    def meter(self, packets: Iterable[Packet]) -> list[FlowRecord]:
+        """Process a packet stream to completion, including the final flush.
+
+        The cache keeps its counters (``dropped_late``) for the caller."""
+        records: list[FlowRecord] = []
+        for pkt in packets:
+            records.extend(self.process_packet(pkt))
+        records.extend(self.flush())
+        return records
+
 
 def meter_stream(packets: Iterable[Packet],
                  cfg: Optional[MeterConfig] = None) -> list[FlowRecord]:
     """Meter an ordered packet stream to completion, including final flush."""
-    cache = FlowCache(cfg)
-    records: list[FlowRecord] = []
-    for pkt in packets:
-        records.extend(cache.process_packet(pkt))
-    records.extend(cache.flush())
-    return records
+    return FlowCache(cfg).meter(packets)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +332,27 @@ def _ns_to_s(ns: int) -> float:
     return ns / 1e9
 
 
+# column names are built once per module, not once per record
+_MOMENT_STATS = ("mean", "var", "skew", "kurt", "min", "max", "mean_valid",
+                 "var_valid", "shape_valid")
+_MOMENT_NAMES = {prefix: tuple(f"{prefix}_{s}" for s in _MOMENT_STATS)
+                 for prefix in ("fwd_size", "bwd_size", "fwd_piat",
+                                "bwd_piat")}
+_FLAG_COLUMNS = tuple((f"flag_{n}_count", n) for n in TCP_FLAG_NAMES)
+_SPLT_PAD = (0, 0, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _splt_names(splt_n: int) -> tuple:
+    return tuple(name for i in range(splt_n)
+                 for name in (f"splt_dir_{i}", f"splt_size_{i}",
+                              f"splt_piat_{i}"))
+
+
 def _moment_cols(cols: dict, prefix: str, m: Moments) -> None:
-    cols[f"{prefix}_mean"] = m.mean
-    cols[f"{prefix}_var"] = m.variance
-    cols[f"{prefix}_skew"] = m.skewness
-    cols[f"{prefix}_kurt"] = m.kurtosis
-    cols[f"{prefix}_min"] = m.minimum
-    cols[f"{prefix}_max"] = m.maximum
-    cols[f"{prefix}_mean_valid"] = int(m.mean_defined)
-    cols[f"{prefix}_var_valid"] = int(m.variance_defined)
-    cols[f"{prefix}_shape_valid"] = int(m.shape_defined)
+    cols.update(zip(_MOMENT_NAMES[prefix], (
+        m.mean, m.variance, m.skewness, m.kurtosis, m.minimum, m.maximum,
+        int(m.mean_defined), int(m.variance_defined), int(m.shape_defined))))
 
 
 def _anon_ip(ip: bytes, mode: str) -> str:
@@ -368,10 +385,11 @@ def finalize_features(rec: FlowRecord, splt_n: int = 20,
     cols["fwd_payload_bytes"] = fwd.payload_bytes
     cols["bwd_payload_bytes"] = bwd.payload_bytes
 
-    for name, d in (("fwd", fwd), ("bwd", bwd)):
+    for col, valid_col, d in (("fwd_duration", "fwd_duration_valid", fwd),
+                              ("bwd_duration", "bwd_duration_valid", bwd)):
         dur = _ns_to_s(d.last_ts - d.first_ts) if d.pkt_count >= 2 else 0.0
-        cols[f"{name}_duration"] = dur
-        cols[f"{name}_duration_valid"] = int(d.pkt_count >= 2)
+        cols[col] = dur
+        cols[valid_col] = int(d.pkt_count >= 2)
     flow_duration = _ns_to_s(rec.flow_end - rec.flow_start)
     cols["flow_duration"] = flow_duration
 
@@ -386,18 +404,16 @@ def finalize_features(rec: FlowRecord, splt_n: int = 20,
     cols["packets_per_second"] = (rec.total_packets / flow_duration
                                   if flow_duration > 0 else 0.0)
 
-    for name in TCP_FLAG_NAMES:
-        cols[f"flag_{name}_count"] = fwd.flag_counts[name] + bwd.flag_counts[name]
+    fwd_flags, bwd_flags = fwd.flag_counts, bwd.flag_counts
+    for col, name in _FLAG_COLUMNS:
+        cols[col] = fwd_flags[name] + bwd_flags[name]
 
-    cols["splt_len"] = len(rec.splt)
-    for i in range(splt_n):
-        if i < len(rec.splt):
-            d, size, gap = rec.splt[i]
-        else:
-            d, size, gap = 0, 0, 0.0
-        cols[f"splt_dir_{i}"] = d
-        cols[f"splt_size_{i}"] = size
-        cols[f"splt_piat_{i}"] = gap
+    splt = rec.splt
+    cols["splt_len"] = len(splt)
+    # (direction, size, gap) of the first splt_n packets, zero-padded
+    values = list(itertools.chain.from_iterable(splt))
+    values += _SPLT_PAD * (splt_n - len(splt))
+    cols.update(zip(_splt_names(splt_n), values))
     return cols
 
 

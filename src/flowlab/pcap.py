@@ -412,4 +412,6 @@ def write_capture(path, packets: Iterable[Packet], nanosecond: bool = True) -> i
 
 
 def ip_to_str(ip: bytes) -> str:
+    if len(ip) == 4:    # the dotted quad ipaddress gives, without its cost
+        return "%d.%d.%d.%d" % tuple(ip)
     return str(ipaddress.ip_address(ip))

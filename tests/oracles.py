@@ -2,10 +2,15 @@
 
 These deliberately share no code with the implementations they verify:
 flow grouping is a sort + group-by + greedy split, k-NN is a literal
-O(n^2) scan, AUC is the Mann-Whitney rank statistic.
+O(n^2) scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is
+written one cell at a time.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+import math
 
 import numpy as np
 
@@ -237,3 +242,27 @@ def tree_proba_oracle(doc: dict, X) -> np.ndarray:
                     else node["right"]
             acc[i] += np.asarray(node["probs"])
     return acc / len(trees)
+
+
+def dataset_csv_oracle(ds) -> bytes:
+    """A dataset's CSV bytes (no config-hash line), formatted cell by cell.
+
+    A numeric cell is an integer when the value is finite, integral and
+    below 1e15 in magnitude (so -0.0 is "0"), otherwise repr of the float
+    ("nan", "inf", "1e+300"); any other cell is str of the value.
+    """
+    def cell(v, kind):
+        if kind != "numeric":
+            return str(v)
+        f = float(v)
+        if math.isfinite(f) and f == int(f) and abs(f) < 1e15:
+            return str(int(f))
+        return repr(f)
+
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["row_id"] + list(ds.names))
+    for i in range(len(ds.row_ids)):
+        w.writerow([str(int(ds.row_ids[i]))]
+                   + [cell(ds.data[n][i], ds.kinds[n]) for n in ds.names])
+    return buf.getvalue().encode()

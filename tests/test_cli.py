@@ -5,7 +5,7 @@ import pytest
 
 from flowlab.cli import (DEFAULT_CONFIG, load_config, run, run_dir_for)
 from flowlab.errors import ConfigError
-from flowlab.pcap import write_capture
+from flowlab.pcap import make_packet, write_capture
 from conftest import synth_capture
 
 
@@ -107,6 +107,25 @@ class TestStages:
         for n in names:
             assert (run_dir / n).read_bytes() == first[n], n
 
+    def test_manifest_counts_late_drops(self, tmp_path):
+        # the third packet starts a new flow 1.5 s behind the newest packet,
+        # beyond the 1 s reorder slack, so the meter drops it
+        pkts = [make_packet(int(t * 1e9), src, "10.0.0.9", sport, 80, 6,
+                            payload_len=10)
+                for t, src, sport in ((10.0, "10.0.0.1", 1000),
+                                      (12.0, "10.0.0.2", 1001),
+                                      (10.5, "10.0.0.3", 1002))]
+        capture = tmp_path / "late.pcap"
+        write_capture(capture, pkts)
+        assert run(["meter", "--capture", str(capture),
+                    "--out_dir", str(tmp_path / "runs")]) == 0
+        cfg, h = load_config(None, [("capture", str(capture)),
+                                    ("out_dir", str(tmp_path / "runs"))])
+        run_dir = run_dir_for(cfg, h)
+        manifest = json.loads((run_dir / "meter_manifest.json").read_text())
+        assert manifest["dropped_late"] == 1
+        assert manifest["flow_count"] == 2
+
     def test_override_changes_run_dir(self, config):
         assert run(["pipeline", "--config", str(config)]) == 0
         assert run(["meter", "--config", str(config),
@@ -127,6 +146,22 @@ class TestExitCodes:
         bad.write_bytes(b"\x00" * 64)
         assert run(["meter", "--config", str(config),
                     "--capture", str(bad)]) == 2
+
+    def test_emptied_numeric_cell_is_2(self, config, capsys):
+        assert run(["meter", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        path = run_dir_for(cfg, h) / "flows.csv"
+        lines = path.read_text().splitlines()
+        header = lines[1].split(",")
+        col = header.index("fwd_byte_count")
+        cells = lines[3].split(",")
+        cells[col] = ""
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["diagnose", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "'fwd_byte_count'" in err and f"row_id {cells[0]}" in err
 
     def test_tampered_assignment_is_leakage(self, config):
         assert run(["pipeline", "--config", str(config)]) == 0

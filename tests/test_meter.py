@@ -165,6 +165,23 @@ class TestFlowCache:
         assert rec.splt[0] == (1, 40, 0.0)  # 20 IP + 20 TCP, empty payload
         assert rec.splt[1][2] == pytest.approx(0.5)
 
+    def test_splt_columns_cut_or_padded_to_splt_n(self):
+        pkts = [_pkt(i * 0.5, "10.0.0.1", "10.0.0.2", 1, 80, payload=10 * i)
+                for i in range(4)]
+        (rec,) = meter_stream(pkts, MeterConfig(splt_n=4,
+                                                honor_fin_rst=False))
+        short = finalize_features(rec, splt_n=2)
+        assert [k for k in short if k.startswith("splt_")] == [
+            "splt_len", "splt_dir_0", "splt_size_0", "splt_piat_0",
+            "splt_dir_1", "splt_size_1", "splt_piat_1"]
+        assert (short["splt_dir_1"], short["splt_size_1"]) == (1, 50)
+        long = finalize_features(rec, splt_n=6)
+        assert long["splt_len"] == 4
+        assert (long["splt_dir_3"], long["splt_size_3"]) == (1, 70)
+        assert [long[f"splt_{c}_5"] for c in ("dir", "size", "piat")] \
+            == [0, 0, 0.0]
+        assert type(long["splt_piat_5"]) is float
+
     def test_splt_direction_signs(self):
         pkts = [_pkt(0.0, "10.0.0.1", "10.0.0.2", 5000, 80),
                 _pkt(0.1, "10.0.0.2", "10.0.0.1", 80, 5000),

@@ -1,14 +1,16 @@
+import ipaddress
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flowlab.errors import (InvalidArgumentError, TruncatedCaptureError,
                             UnsupportedFormatError, UnsupportedLinkTypeError)
 from flowlab.pcap import (FilterSpec, IngestConfig, Packet, NonIP,
                           build_frame, decode_frame, filter_stream,
-                          make_packet, parse_capture, sample_stream,
-                          write_capture, TCP_SYN)
+                          ip_to_str, make_packet, parse_capture,
+                          sample_stream, write_capture, TCP_SYN)
 
 
 def _udp(ts_s, src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=53,
@@ -221,3 +223,9 @@ class TestFilterStream:
         assert a == b
         c = list(filter_stream(sample_stream(iter(pkts), 2), spec))
         assert all(p.dst_port == 443 for p in a + c)
+
+
+@given(ip=st.binary(min_size=4, max_size=4) | st.binary(min_size=16,
+                                                        max_size=16))
+def test_ip_to_str_matches_ipaddress(ip):
+    assert ip_to_str(ip) == str(ipaddress.ip_address(ip))
