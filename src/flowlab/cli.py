@@ -316,6 +316,20 @@ def _concat(a: Dataset, b: Dataset) -> Dataset:
                    provenance=dict(a.provenance))
 
 
+def _load_transforms(path: Path) -> list:
+    """The fitted transforms stage_transform wrote; DataError naming the
+    file on malformed input."""
+    try:
+        with open(path) as f:
+            docs = json.load(f)
+        if not isinstance(docs, list):
+            raise DataError("expected a list of transforms")
+        return [transforms.FittedTransform.from_json(json.dumps(d))
+                for d in docs]
+    except (ValueError, DataError) as e:
+        raise DataError(f"{path.name}: {e}") from None
+
+
 def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
                 assignment_path) -> Path:
     ds = Dataset.from_csv(dataset_path)
@@ -325,9 +339,7 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
         tags.setdefault(int(rid), "train")
     ds.set_partitions(tags)
 
-    with open(run_dir / "transforms.json") as f:
-        fitted = [transforms.FittedTransform.from_json(json.dumps(d))
-                  for d in json.load(f)]
+    fitted = _load_transforms(run_dir / "transforms.json")
     with open(run_dir / "transform_manifest.json") as f:
         tmanifest = json.load(f)
     train_fp = assignment.fingerprint("train")

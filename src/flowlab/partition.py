@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, UNKNOWN_LABEL, rows_fingerprint
-from .errors import ConfigError, LeakageError, StratificationError
+from .errors import ConfigError, DataError, LeakageError, StratificationError
 
 TAGS = ("train", "val", "test")
 
@@ -66,12 +67,21 @@ class SplitAssignment:
 
     @classmethod
     def from_csv(cls, path, manifest: Optional[dict] = None) -> "SplitAssignment":
+        """The assignment `to_csv` wrote; DataError naming the file and
+        line on malformed input."""
+        name = Path(path).name
         tags = {}
         with open(path, newline="") as f:
             reader = csv.reader(f)
-            next(reader)
-            for rid, tag in reader:
-                tags[int(rid)] = tag
+            if next(reader, None) is None:
+                raise DataError(f"{name}: empty file, no header")
+            for line, row in enumerate(reader, start=2):
+                try:
+                    rid, tag = row
+                    tags[int(rid)] = tag
+                except ValueError:
+                    raise DataError(f"{name}, line {line}: expected "
+                                    f"row_id,partition, got {row!r}") from None
         return cls(tags=tags, manifest=manifest or {})
 
     def write_manifest(self, path) -> None:

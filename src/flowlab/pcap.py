@@ -54,10 +54,6 @@ class Packet:
     tcp_flags: int = 0
     super_packet: bool = False
 
-    @property
-    def ts_seconds(self) -> float:
-        return self.ts / 1e9
-
 
 class NonIP:
     """Marker result for frames that carry no usable IP packet."""
@@ -116,7 +112,6 @@ class IngestConfig:
     sample_n: int = 1
     filter: Optional[FilterSpec] = None
     mtu: int = 1500
-    snap_policy: str = "flag"   # keep | flag
 
     def __post_init__(self):
         if self.sample_n < 1:

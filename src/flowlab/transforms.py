@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (ConfigError, InvalidArgumentError, LeakageError,
-                     TransformMismatchError)
+from .errors import (ConfigError, DataError, InvalidArgumentError,
+                     LeakageError, TransformMismatchError)
 
 
 @dataclass
@@ -44,10 +44,24 @@ class FittedTransform:
 
     @classmethod
     def from_json(cls, text: str) -> "FittedTransform":
-        d = json.loads(text)
-        return cls(kind=d["kind"], params=d["params"],
-                   fit_partition_fingerprint=d["fit_partition_fingerprint"],
-                   columns=d["columns"], warnings=d.get("warnings", []))
+        """The transform `to_json` wrote; DataError on malformed input."""
+        try:
+            d = json.loads(text)
+            t = cls(kind=d["kind"], params=d["params"],
+                    fit_partition_fingerprint=d["fit_partition_fingerprint"],
+                    columns=d["columns"], warnings=d.get("warnings", []))
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"malformed transform JSON: {type(e).__name__}: "
+                            f"{e}") from None
+        if not (isinstance(t.kind, str) and isinstance(t.params, dict)
+                and isinstance(t.fit_partition_fingerprint, str)
+                and isinstance(t.columns, list)
+                and all(isinstance(c, str) for c in t.columns)
+                and isinstance(t.warnings, list)):
+            raise DataError("malformed transform JSON: kind, params, "
+                            "fit_partition_fingerprint, columns or warnings "
+                            "has the wrong type")
+        return t
 
 
 def _guard_fit(ds: Dataset) -> None:

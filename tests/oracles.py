@@ -1,9 +1,11 @@
 """Independent brute-force references used to check the fast paths.
 
 These deliberately share no code with the implementations they verify:
-flow grouping is a sort + group-by + greedy split, k-NN is a literal
-O(n^2) scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is
-written one cell at a time.
+flow grouping is a sort + group-by + greedy split, the meter's export order
+comes from a full walk of every resident flow, k-NN is a literal O(n^2)
+scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is written
+one cell at a time. The only names taken from flowlab are constants (see
+tests/test_oracles.py).
 """
 
 from __future__ import annotations
@@ -14,8 +16,18 @@ import math
 
 import numpy as np
 
-from flowlab.meter import canonicalize, FlowKey
 from flowlab.pcap import TCP_FIN, TCP_RST
+
+
+def _five_tuple(pkt) -> tuple:
+    return (pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto)
+
+
+def _canonical(pkt) -> tuple:
+    """(lo_ip, lo_port, hi_ip, hi_port, proto): the two endpoints ordered
+    by (ip bytes, port)."""
+    lo, hi = sorted([(pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)])
+    return (*lo, *hi, pkt.proto)
 
 
 def brute_force_flows(packets, idle_timeout: float, active_timeout: float,
@@ -30,8 +42,7 @@ def brute_force_flows(packets, idle_timeout: float, active_timeout: float,
     active_ns = int(active_timeout * 1e9)
     by_key: dict = {}
     for i, pkt in enumerate(sorted(packets, key=lambda p: p.ts)):
-        ckey, _ = canonicalize(FlowKey.of(pkt))
-        by_key.setdefault(ckey, []).append(pkt)
+        by_key.setdefault(_canonical(pkt), []).append(pkt)
 
     out = []
     for ckey, pkts in by_key.items():
@@ -40,12 +51,11 @@ def brute_force_flows(packets, idle_timeout: float, active_timeout: float,
         closed = False
 
         def close(seg, segment):
-            initiator = FlowKey.of(seg[0])
-            fwd = [p for p in seg if FlowKey.of(p) == initiator]
-            bwd = [p for p in seg if FlowKey.of(p) != initiator]
+            initiator = _five_tuple(seg[0])
+            fwd = [p for p in seg if _five_tuple(p) == initiator]
+            bwd = [p for p in seg if _five_tuple(p) != initiator]
             out.append((
-                (ckey.lo_ip, ckey.lo_port, ckey.hi_ip, ckey.hi_port,
-                 ckey.proto),
+                ckey,
                 segment,
                 len(fwd), len(bwd),
                 sum(p.ip_len for p in fwd), sum(p.ip_len for p in bwd),
@@ -82,6 +92,99 @@ def meter_records_summary(records):
             r.flow_start, r.flow_end,
         ))
     return sorted(out)
+
+
+def meter_export_oracle(packets, idle_timeout: float, active_timeout: float,
+                        max_flows: int, reorder_slack: float,
+                        honor_fin_rst: bool, scan_interval: int = 1024):
+    """The flow cache's lifecycle with a scan that walks every resident flow.
+
+    Flows live in a dict in least-recently-updated order (an update pops
+    and re-inserts). A packet more than the slack behind the highest
+    timestamp seen is dropped unless its flow is resident. Before a packet
+    is applied its own flow expires if idle or past its active timeout; a
+    new flow first evicts the least recent one when the cache is full; a
+    TCP FIN or RST closes the flow; every scan_interval applied packets
+    all resident flows are checked in LRU order, idle before active; the
+    rest leave at the end by flow start (ties in LRU order).
+
+    Returns ([(canonical tuple, segment, reason) in export order],
+    dropped late packets).
+    """
+    idle_ns = int(idle_timeout * 1e9)
+    active_ns = int(active_timeout * 1e9)
+    slack_ns = int(reorder_slack * 1e9)
+    live: dict = {}          # canonical -> [flow start, last packet ts, seg]
+    segments: dict = {}
+    out = []
+    watermark = applied = dropped = 0
+
+    def close(ckey, reason):
+        out.append((ckey, live.pop(ckey)[2], reason))
+
+    def expired(flow, now):
+        if now - flow[1] > idle_ns:
+            return "idle"
+        if now - flow[0] >= active_ns:
+            return "active"
+        return None
+
+    for pkt in packets:
+        ckey = _canonical(pkt)
+        if ckey not in live and pkt.ts < watermark - slack_ns:
+            dropped += 1
+            continue
+        watermark = max(watermark, pkt.ts)
+        if ckey in live:
+            reason = expired(live[ckey], pkt.ts)
+            if reason:
+                close(ckey, reason)
+        if ckey in live:
+            flow = live.pop(ckey)
+            flow[1] = pkt.ts
+        else:
+            if len(live) >= max_flows:
+                close(next(iter(live)), "pressure")
+            flow = [pkt.ts, pkt.ts, segments.get(ckey, 0)]
+            segments[ckey] = flow[2] + 1
+        live[ckey] = flow
+        if honor_fin_rst and pkt.proto == 6 \
+                and pkt.tcp_flags & (TCP_FIN | TCP_RST):
+            close(ckey, "fin_rst")
+        applied += 1
+        if applied % scan_interval == 0:
+            for ckey in list(live):
+                reason = expired(live[ckey], watermark)
+                if reason:
+                    close(ckey, reason)
+    for ckey in sorted(live, key=lambda k: live[k][0]):
+        out.append((ckey, live[ckey][2], "end_of_input"))
+    return out, dropped
+
+
+def flow_gaps_oracle(packets):
+    """Per canonical key, in arrival order: the forward and backward
+    inter-arrival gaps and the flow-wide gaps, in ns.
+
+    A gap is measured from the highest earlier timestamp (of the direction,
+    or of the flow) and is 0 when the packet is not later than it. The
+    forward direction is the first packet's. Meant for one flow per key:
+    no timeout, FIN or late drop splits it.
+    """
+    flows: dict = {}
+    for pkt in packets:
+        flow = flows.setdefault(_canonical(pkt), {
+            "initiator": _five_tuple(pkt), "fwd": [], "bwd": [], "all": []})
+        side = "fwd" if _five_tuple(pkt) == flow["initiator"] else "bwd"
+        flow[side].append(pkt.ts)
+        flow["all"].append(pkt.ts)
+
+    def gaps(ts):
+        return [max(0, t - max(ts[:i])) for i, t in enumerate(ts) if i]
+
+    return {ckey: {"fwd": gaps(f["fwd"]), "bwd": gaps(f["bwd"]),
+                   "all": gaps(f["all"])}
+            for ckey, f in flows.items()}
 
 
 def knn_oracle(train_X, train_y, query, k):

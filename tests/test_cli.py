@@ -198,3 +198,31 @@ class TestExitCodes:
             path.write_text(json.dumps(doc))
         assert run(["evaluate", "--config", str(config)]) == 2
         assert run(["explain", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("row", [",train", "not_a_number,train",
+                                     "1,train,extra", "7"],
+                             ids=["empty_row_id", "bad_row_id", "three_cells",
+                                  "one_cell"])
+    def test_malformed_assignment_is_2(self, config, capsys, row):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        path = run_dir_for(cfg, h) / "assignment.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = row
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["train", "--config", str(config)]) == 2
+        assert run(["evaluate", "--config", str(config)]) == 2
+        assert "assignment.csv, line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[{}]", "{}", "{not json", '[{"kind": "standard", "params": [], '
+        '"fit_partition_fingerprint": "x", "columns": []}]'],
+        ids=["empty_entry", "not_a_list", "not_json", "params_not_object"])
+    def test_malformed_transforms_json_is_2(self, config, capsys, text):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        (run_dir_for(cfg, h) / "transforms.json").write_text(text)
+        capsys.readouterr()
+        assert run(["train", "--config", str(config)]) == 2
+        assert "transforms.json" in capsys.readouterr().err

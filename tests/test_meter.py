@@ -1,17 +1,24 @@
 import ipaddress
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowlab import meter
 from flowlab.errors import ConfigError
 from flowlab.meter import (CanonicalKey, FlowCache, FlowKey, MeterConfig,
                            canonicalize, column_kinds, dual_hash,
                            feature_column_names, finalize_features,
                            meter_stream, records_to_rows, validity_links,
                            _ts_decimal)
-from flowlab.pcap import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN, Packet, make_packet
+from flowlab.pcap import (TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN, Packet,
+                          make_packet)
+from flowlab.stats import two_pass_moments
 from conftest import synth_capture
-from oracles import brute_force_flows, meter_records_summary
+from oracles import (brute_force_flows, flow_gaps_oracle, meter_export_oracle,
+                     meter_records_summary)
 
 
 def _pkt(ts_s, src, dst, sport, dport, proto=6, payload=100, flags=0):
@@ -245,6 +252,190 @@ class TestOracleEquivalence:
         idle = [r for r in out if r.export_reason == "idle"]
         assert len(idle) == 1
         assert idle[0].initiator.src_port == 1
+
+
+_UNIT = 250_000_000      # ns: timestamps on a quarter-second grid meet the
+                         # timeouts and the slack exactly
+_IP = {h: ipaddress.ip_address(h).packed
+       for h in ("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.9")}
+# endpoint pairs; the first two recur most, so they live long enough for
+# active timeouts; one pair shares an address, one is a single endpoint
+_PAIRS = (("10.0.0.1", 5000, "10.0.0.2", 80),
+          ("10.0.0.3", 5001, "10.0.0.2", 80),
+          ("10.0.0.1", 5002, "10.0.0.1", 53),
+          ("10.0.0.9", 7, "10.0.0.9", 7),
+          ("10.0.0.9", 5000, "10.0.0.2", 443),
+          ("10.0.0.2", 5003, "10.0.0.1", 80))
+# one stream packet per drawn integer, scrambled by a multiplier prime to
+# the code count so that small draws still vary every choice: its
+# mixed-radix digits pick, in this order, the clock step and how far the
+# packet is behind the clock (quarter seconds), a nudge off the grid (ns),
+# the endpoint pair, the direction, the protocol and the TCP flags
+_PACKET_CHOICES = (
+    (0, 0, 1, 1, 2, 3, 6), (0, 0, 0, 0, 1, 2, 4, 8, 16), (0, 0, 0, 0, 1, -1),
+    (0, 0, 0, 0, 1, 1, 1, 2, 3, 4, 5), (True, False), (6, 6, 6, 17),
+    (TCP_ACK, TCP_ACK, TCP_ACK | TCP_PSH, TCP_SYN, TCP_FIN | TCP_ACK,
+     TCP_RST))
+_PACKET_CODES = math.prod(len(c) for c in _PACKET_CHOICES)
+
+
+def _stream_packet(ts, pair, forward, proto, flags, ip_len=60):
+    src, sport, dst, dport = _PAIRS[pair]
+    if not forward:
+        src, sport, dst, dport = dst, dport, src, sport
+    return Packet(ts=ts, src_ip=_IP[src], dst_ip=_IP[dst], src_port=sport,
+                  dst_port=dport, proto=proto, ip_len=ip_len, payload_len=0,
+                  tcp_flags=flags if proto == 6 else 0)
+
+
+@st.composite
+def _lifecycle_streams(draw):
+    """Packets on a quarter-second grid, some nudged 1 ns off it; some
+    arrive behind the newest one, within and beyond any reorder slack drawn
+    below."""
+    codes = draw(st.lists(st.integers(0, _PACKET_CODES - 1), min_size=30,
+                          max_size=120))
+    clock = 20 * _UNIT
+    packets = []
+    for code in codes:
+        code = code * 100_003 % _PACKET_CODES
+        picks = []
+        for choices in _PACKET_CHOICES:
+            code, i = divmod(code, len(choices))
+            picks.append(choices[i])
+        step, behind, nudge, pair, forward, proto, flags = picks
+        clock += step * _UNIT
+        packets.append(_stream_packet(clock - behind * _UNIT + nudge, pair,
+                                      forward, proto, flags))
+    return packets
+
+
+def _ckey(c: CanonicalKey) -> tuple:
+    return (c.lo_ip, c.lo_port, c.hi_ip, c.hi_port, c.proto)
+
+
+def _exports(records) -> list:
+    """(canonical 5-tuple, segment, reason) of each record, in order."""
+    return [(_ckey(r.canonical), r.segment_index, r.export_reason)
+            for r in records]
+
+
+class TestExportOrder:
+    @settings(max_examples=500, deadline=None)
+    @given(packets=_lifecycle_streams(),
+           idle=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+           active_extra=st.sampled_from((0.25, 0.5, 1.0, 2.0, 5.0)),
+           slack=st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.0)),
+           max_flows=st.integers(1, 50), honor_fin_rst=st.booleans(),
+           lookup=st.sampled_from(("canonical", "dual_hash")),
+           scan_interval=st.sampled_from((1, 2, 3, 7, 16, 1024)))
+    def test_matches_full_scan_oracle(self, packets, idle, active_extra,
+                                      slack, max_flows, honor_fin_rst,
+                                      lookup, scan_interval):
+        active = idle + active_extra
+        cfg = MeterConfig(idle_timeout=idle, active_timeout=active,
+                          reorder_slack=slack, max_flows=max_flows,
+                          honor_fin_rst=honor_fin_rst, lookup=lookup)
+        cache = FlowCache(cfg)
+        with mock.patch.object(meter, "SCAN_INTERVAL", scan_interval):
+            records = cache.meter(packets)
+        want, dropped = meter_export_oracle(
+            packets, idle, active, max_flows, slack, honor_fin_rst,
+            scan_interval)
+        assert _exports(records) == want
+        assert cache.dropped_late == dropped
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("times, idle, active, slack, scan", [
+        # flow 0 takes a packet exactly one slack behind the watermark; the
+        # scan 1 ns past its idle timeout must still find it
+        ([(10.0, 0), (9.0, 0), (11.000000001, 1)], 2.0, 10.0, 1.0, 1),
+        # both flows pass their active timeout in one scan; creation order
+        # (0, 1) differs from LRU order (1, 0), and LRU order wins
+        ([(0.0, 0), (0.0, 1), (1.0, 1), (1.5, 0), (2.5, 0), (3.0, 2)],
+         2.0, 3.0, 0.0, 6),
+        # a late packet expires flow 0 and starts it again behind the
+        # watermark; the next scan must find the new segment idle
+        ([(0.0, 0), (5.0, 1), (2.5, 0), (5.0, 2)], 2.0, 10.0, 0.5, 4),
+    ], ids=["idle_edge_one_ns", "active_in_lru_order", "late_created"])
+    def test_scan_boundaries(self, times, idle, active, slack, scan):
+        pkts = [_stream_packet(round(t * 1e9), pair, True, 17, 0)
+                for t, pair in times]
+        cache = FlowCache(MeterConfig(idle_timeout=idle, active_timeout=active,
+                                      reorder_slack=slack))
+        with mock.patch.object(meter, "SCAN_INTERVAL", scan):
+            got = _exports(cache.meter(pkts))
+        want, _ = meter_export_oracle(pkts, idle, active, 1 << 20, slack,
+                                      True, scan)
+        assert got == want
+        assert want[0][2] in ("idle", "active")
+
+    def test_oracle_stream_exercises_every_reason(self):
+        # a hand-made stream for the oracle itself: idle, active, fin_rst,
+        # pressure and end_of_input exports plus one late drop
+        pkts = [_stream_packet(t * _UNIT, pair, True, 6, flags)
+                for t, pair, flags in ((0, 0, TCP_ACK), (1, 1, TCP_ACK),
+                                       (2, 0, TCP_ACK), (4, 0, TCP_ACK),
+                                       (6, 0, TCP_ACK), (7, 2, TCP_FIN),
+                                       (8, 3, TCP_ACK), (9, 4, TCP_ACK),
+                                       (9, 1, TCP_ACK), (1, 5, TCP_ACK),
+                                       (30, 4, TCP_ACK))]
+        want, dropped = meter_export_oracle(pkts, 1.0, 1.25, 3, 1.0, True, 2)
+        assert dropped == 1
+        assert {reason for _, _, reason in want} == {
+            "idle", "active", "fin_rst", "pressure", "end_of_input"}
+        cache = FlowCache(MeterConfig(idle_timeout=1.0, active_timeout=1.25,
+                                      max_flows=3, reorder_slack=1.0))
+        with mock.patch.object(meter, "SCAN_INTERVAL", 2):
+            got = _exports(cache.meter(pkts))
+        assert got == want and cache.dropped_late == 1
+
+
+class TestReorderedGaps:
+    def test_gap_to_running_maximum_clamped_at_zero(self):
+        pkts = [_sized(t, 60) for t in (10.0, 11.0, 10.5)]
+        (rec,) = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
+        row = finalize_features(rec)
+        assert row["fwd_piat_min"] == 0.0
+        assert row["fwd_piat_max"] == 1.0
+        assert [gap for _, _, gap in rec.splt] == [0.0, 1.0, 0.0]
+        assert (rec.flow_start, rec.flow_end) == (int(10e9), int(11e9))
+
+    @settings(max_examples=150, deadline=None)
+    @given(slack_units=st.integers(1, 8), data=st.data())
+    def test_matches_two_pass_oracle(self, slack_units, data):
+        # each packet lands up to one slack after its slot, so the order is
+        # shuffled within the slack but no packet is late
+        slack_ns = slack_units * _UNIT
+        steps = data.draw(st.lists(st.tuples(
+            st.integers(0, 4), st.integers(0, slack_ns - 1),
+            st.sampled_from((0, 1)), st.booleans(),
+            st.integers(40, 1500)), min_size=2, max_size=40))
+        clock, pkts = 0, []
+        for step, jitter, pair, forward, size in steps:
+            clock += step * _UNIT
+            pkts.append(_stream_packet(clock + jitter, pair, forward, 17, 0,
+                                       size))
+        cfg = MeterConfig(idle_timeout=1000.0, active_timeout=2000.0,
+                          reorder_slack=slack_units * _UNIT / 1e9,
+                          honor_fin_rst=False)
+        records = meter_stream(pkts, cfg)
+        gaps = flow_gaps_oracle(pkts)
+        assert len(records) == len(gaps)
+        for rec in records:
+            want = gaps[_ckey(rec.canonical)]
+            row = finalize_features(rec, splt_n=cfg.splt_n)
+            for side in ("fwd", "bwd"):
+                piat = [g / 1e9 for g in want[side]]
+                mean, var, _, _ = two_pass_moments(piat)
+                assert row[f"{side}_piat_min"] == (min(piat) if piat else 0.0)
+                assert row[f"{side}_piat_max"] == (max(piat) if piat else 0.0)
+                assert row[f"{side}_piat_mean"] == pytest.approx(mean,
+                                                                 abs=1e-12)
+                assert row[f"{side}_piat_var"] == pytest.approx(
+                    var, rel=1e-9, abs=1e-12)
+            splt = [0.0] + [g / 1e9 for g in want["all"]]
+            assert [gap for _, _, gap in rec.splt] == splt[:cfg.splt_n]
 
 
 class TestFinalize:
