@@ -23,8 +23,8 @@ import numpy as np
 from . import evaluation, explain, labeling, models, prep, transforms
 from .dataset import Dataset, UNKNOWN_LABEL
 from .errors import ConfigError, DataError, FlowlabError, LeakageError
-from .meter import (FlowCache, MeterConfig, column_kinds,
-                    feature_column_names, records_to_rows, validity_links)
+from .meter import (FlowCache, MeterConfig, feature_column_names,
+                    records_to_rows)
 from .partition import SplitAssignment, SplitSpec, split
 from .pcap import FilterSpec, IngestConfig, parse_capture
 
@@ -140,15 +140,10 @@ def stage_meter(cfg, config_hash, run_dir: Path) -> Path:
     stream, summary = parse_capture(cfg["capture"], ingest)
     cache = FlowCache(meter_cfg)
     records = cache.meter(stream)
-    rows = records_to_rows(records, meter_cfg)
+    ds = records_to_rows(records, meter_cfg)
     del records
-    kinds = column_kinds(meter_cfg.splt_n)
-    ds = Dataset.from_rows(rows, kinds,
-                           validity_links=validity_links(meter_cfg.splt_n),
-                           provenance={"capture": str(cfg["capture"]),
-                                       "config_hash": config_hash})
-    # the writer's cell strings reuse the memory of the dead rows
-    del rows
+    ds.provenance = {"capture": str(cfg["capture"]),
+                     "config_hash": config_hash}
     out = run_dir / "flows.csv"
     ds.to_csv(out, config_hash=config_hash)
     _write_manifest(run_dir, "meter", config_hash,
@@ -330,6 +325,22 @@ def _load_transforms(path: Path) -> list:
         raise DataError(f"{path.name}: {e}") from None
 
 
+def _load_manifest(path: Path, *keys: str) -> dict:
+    """A stage manifest holding keys; DataError naming the file when it is
+    unreadable, not a JSON object or lacks one of them."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        raise DataError(f"{path.name}: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path.name}: expected a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise DataError(f"{path.name}: missing {', '.join(missing)}")
+    return doc
+
+
 def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
                 assignment_path) -> Path:
     ds = Dataset.from_csv(dataset_path)
@@ -340,8 +351,9 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
     ds.set_partitions(tags)
 
     fitted = _load_transforms(run_dir / "transforms.json")
-    with open(run_dir / "transform_manifest.json") as f:
-        tmanifest = json.load(f)
+    tmanifest = _load_manifest(run_dir / "transform_manifest.json",
+                               "assignment_train_fingerprint",
+                               "fit_fingerprint")
     train_fp = assignment.fingerprint("train")
     if tmanifest["assignment_train_fingerprint"] != train_fp:
         raise LeakageError(
@@ -396,8 +408,8 @@ def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
     ds.set_partitions(tags)
     with open(run_dir / "model.json") as f:
         model = models.model_from_json(f.read())
-    with open(run_dir / "train_manifest.json") as f:
-        train_manifest = json.load(f)
+    train_manifest = _load_manifest(run_dir / "train_manifest.json",
+                                    "transform_fingerprint")
     train_fp = assignment.fingerprint("train")
     if train_manifest["transform_fingerprint"] != train_fp:
         raise LeakageError(

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import operator
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -22,6 +23,14 @@ from .errors import ConfigError, DataError, ShapeError
 
 KINDS = ("numeric", "categorical", "metadata", "label")
 UNKNOWN_LABEL = "UNKNOWN"
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _quoted(cell: str) -> str:
+    """A text cell as csv's QUOTE_MINIMAL writes it."""
+    if _NEEDS_QUOTES.search(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _column_text(values, kind: str) -> list[str]:
@@ -30,10 +39,15 @@ def _column_text(values, kind: str) -> list[str]:
     A numeric column formats each distinct value once and gathers the
     strings by the inverse index: integral values below 1e15 in magnitude
     as integers (so -0.0 is "0"), every other value by repr ("nan", "inf",
-    "1e+300").
+    "1e+300"); no such cell needs quoting. A text cell that holds a comma,
+    a quote or a line break is quoted as csv's QUOTE_MINIMAL quotes it.
     """
     if kind != "numeric":
-        return list(map(str, values))
+        text = list(map(str, values))
+        # one C-level scan; a column seldom holds a cell to quote
+        if any(map(_NEEDS_QUOTES.search, text)):
+            text = list(map(_quoted, text))
+        return text
     uniq, inverse = np.unique(np.asarray(values, dtype=np.float64),
                               return_inverse=True)
     integral = (np.abs(uniq) < 1e15) & (uniq == np.trunc(uniq))
@@ -108,6 +122,10 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.row_ids)
+
+    def __iter__(self):
+        """One tuple per row, its cells in ``names`` order."""
+        return zip(*(self.data[n].tolist() for n in self.names))
 
     # -- views -------------------------------------------------------------
 
@@ -219,12 +237,12 @@ class Dataset:
         with open(path, "w", newline="") as f:
             if config_hash:
                 f.write(f"# config_hash: {config_hash}\n")
-            w = csv.writer(f)
-            w.writerow(["row_id"] + self.names)
+            csv.writer(f).writerow(["row_id"] + self.names)
             columns = [list(map(str, self.row_ids.tolist()))]
             columns += [_column_text(self.data[n], self.kinds[n])
                         for n in self.names]
-            w.writerows(zip(*columns))
+            columns[-1] = [cell + "\r\n" for cell in columns[-1]]
+            f.writelines(map(",".join, zip(*columns)))
         schema = {
             "columns": [{"name": n, "kind": self.kinds[n]} for n in self.names],
             "validity_links": self.validity_links,

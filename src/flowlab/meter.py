@@ -30,11 +30,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
+import numpy as np
+
+from .dataset import Dataset
 from .errors import ConfigError
 from .pcap import (Packet, TCP_FIN, TCP_RST, TCP_FLAG_NAMES, ip_to_str)
 from .stats import Moments
@@ -381,7 +385,10 @@ class FlowCache:
         return out
 
     def flush(self, final_ts: Optional[int] = None) -> list[FlowRecord]:
-        """Drain every resident flow (reason end_of_input), by flow_start."""
+        """Drain every resident flow (reason end_of_input), by flow_start.
+
+        ``final_ts`` is unused; it stays only because ``bench/spans.py``
+        passes it through."""
         entries = sorted(self._entries.values(), key=lambda e: e.flow_start)
         return [self._export(e, REASON_END) for e in entries]
 
@@ -408,11 +415,13 @@ def meter_stream(packets: Iterable[Packet],
 _MOMENT_STATS = ("mean", "var", "skew", "kurt", "min", "max", "mean_valid",
                  "var_valid", "shape_valid")
 _MOMENT_PREFIXES = ("fwd_size", "bwd_size", "fwd_piat", "bwd_piat")
-_N_FLAGS = len(TCP_FLAG_NAMES)
-# indices of the counted flags set in each value of the low six flag bits
-_FLAG_INDICES = tuple(tuple(i for i in range(_N_FLAGS) if flags >> i & 1)
-                      for flags in range(1 << _N_FLAGS))
-_SPLT_PAD = (0, 0, 0.0)
+# row k: which of the TCP_FLAG_NAMES flags the low six flag bits k carry
+_FLAG_BITS = (np.arange(1 << len(TCP_FLAG_NAMES))[:, None]
+              >> np.arange(len(TCP_FLAG_NAMES)) & 1)
+_DIR_FIELDS = operator.attrgetter("pkt_count", "byte_count", "payload_bytes",
+                                  "first_ts", "last_ts")
+_MOMENT_FIELDS = operator.attrgetter("n", "m1", "m2", "m3", "m4",
+                                     "min_value", "max_value")
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,79 +445,10 @@ def _column_names(splt_n: int) -> tuple:
           for name in (f"splt_dir_{i}", f"splt_size_{i}", f"splt_piat_{i}")))
 
 
-def _moment_values(m: Moments) -> tuple:
-    """Mean, variance, skewness, kurtosis, min, max and the three validity
-    flags, by the same float expressions as the Moments properties."""
-    n = m.n
-    if n == 0:
-        return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0, 0)
-    if n == 1:
-        return (m.m1, 0.0, 0.0, 0.0, m.min_value, m.max_value, 1, 0, 0)
-    var = m.m2 / n
-    if m.m2 > 0.0:
-        skew = (m.m3 / n) / var ** 1.5
-        kurt = (m.m4 / n) / (var * var) - 3.0
-        shape_valid = 1
-    else:
-        skew = kurt = 0.0
-        shape_valid = 0
-    return (m.m1, var, skew, kurt, m.min_value, m.max_value, 1, 1,
-            shape_valid)
-
-
-def _flag_totals(fwd: DirStats, bwd: DirStats) -> list:
-    """Packets of both directions carrying each flag, in TCP_FLAG_NAMES
-    order."""
-    totals = [0] * _N_FLAGS
-    for seen in (fwd.flags_seen, bwd.flags_seen):
-        for flags, count in seen.items():
-            for i in _FLAG_INDICES[flags & 0x3F]:
-                totals[i] += count
-    return totals
-
-
 def _anon_ip(ip: bytes, mode: str) -> str:
     if mode == "truncate_v4_24" and len(ip) == 4:
         ip = ip[:3] + b"\x00"
     return ip_to_str(ip)
-
-
-def _duration(d: DirStats) -> float:
-    return (d.last_ts - d.first_ts) / 1e9 if d.pkt_count >= 2 else 0.0
-
-
-def finalize_features(rec: FlowRecord, splt_n: int = 20,
-                      anonymize: str = "none") -> dict:
-    """Flatten one exported FlowRecord into the fixed feature row."""
-    init = rec.initiator
-    fwd, bwd = rec.fwd, rec.bwd
-    start, end = rec.flow_start, rec.flow_end
-    packets = fwd.pkt_count + bwd.pkt_count
-    total_bytes = fwd.byte_count + bwd.byte_count
-    flow_duration = (end - start) / 1e9
-    values = [
-        _anon_ip(init.src_ip, anonymize), _anon_ip(init.dst_ip, anonymize),
-        init.src_port, start / 1e9, end / 1e9, rec.export_reason,
-        rec.segment_index, init.proto, init.dst_port,
-        fwd.pkt_count, bwd.pkt_count, packets,
-        fwd.byte_count, bwd.byte_count, total_bytes,
-        fwd.payload_bytes, bwd.payload_bytes,
-        _duration(fwd), int(fwd.pkt_count >= 2),
-        _duration(bwd), int(bwd.pkt_count >= 2), flow_duration,
-        *_moment_values(fwd.size), *_moment_values(bwd.size),
-        *_moment_values(fwd.piat), *_moment_values(bwd.piat),
-        fwd.pkt_count / max(bwd.pkt_count, 1),
-        fwd.byte_count / max(bwd.byte_count, 1),
-        total_bytes / packets,
-        packets / flow_duration if flow_duration > 0 else 0.0,
-        *_flag_totals(fwd, bwd),
-        len(rec.splt),
-    ]
-    # (direction, size, gap) of the first splt_n packets, zero-padded; zip
-    # drops the values past the last name
-    values += itertools.chain.from_iterable(rec.splt)
-    values += _SPLT_PAD * (splt_n - len(rec.splt))
-    return dict(zip(_column_names(splt_n), values))
 
 
 def _ts_decimal(ns: int) -> str:
@@ -518,17 +458,127 @@ def _ts_decimal(ns: int) -> str:
     return f"{sign}{ns // 1_000_000_000}.{ns % 1_000_000_000:09d}"
 
 
+def _gather(rows: Iterable[tuple], dtype, width: int) -> np.ndarray:
+    """The equal-length tuples of rows as one (len(rows), width) array."""
+    return np.fromiter(itertools.chain.from_iterable(rows),
+                       dtype=dtype).reshape(-1, width)
+
+
+def _moment_columns(prefix: str, m: np.ndarray) -> dict:
+    """The nine columns of one Moments family from its (n, m1, m2, m3, m4,
+    min, max) rows, by the float operations of the Moments properties.
+    ``var ** 1.5`` stays Python's pow: numpy's differs in the last bit."""
+    n, m1, m2, m3, m4, lo, hi = m.T
+    seen, two = n >= 1, n >= 2
+    var = np.where(two, m2 / np.maximum(n, 1), 0.0)
+    shape = two & (m2 > 0.0)
+    skew, kurt = np.zeros(len(n)), np.zeros(len(n))
+    v, nv = var[shape], n[shape]
+    skew[shape] = (m3[shape] / nv) / np.array([x ** 1.5 for x in v.tolist()])
+    kurt[shape] = (m4[shape] / nv) / (v * v) - 3.0
+    cols = (np.where(seen, m1, 0.0), var, skew, kurt, np.where(seen, lo, 0.0),
+            np.where(seen, hi, 0.0), seen, two, shape)
+    return {f"{prefix}_{s}": c for s, c in zip(_MOMENT_STATS, cols)}
+
+
 def records_to_rows(records: Iterable[FlowRecord],
-                    cfg: Optional[MeterConfig] = None) -> list[dict]:
-    """Finalize records into CSV-ready rows (timestamps as 9-digit strings)."""
+                    cfg: Optional[MeterConfig] = None) -> Dataset:
+    """Finalize exported records into the flow table, one row per record
+    in export order, built a column at a time.
+
+    Each raw field is gathered once into an array and the derived features
+    follow with numpy, by the float operations of a per-record finalize:
+    durations from integer ns, ratios guarded against zero denominators,
+    moments as the Moments properties give them. Timestamps are exact
+    9-digit decimal strings. ``splt_len`` is the record's SPLT length; its
+    first ``cfg.splt_n`` entries fill the SPLT columns, zero-padded.
+    (``bench/spans.py`` traces this function by name and iterates the
+    result row by row.)
+    """
     cfg = cfg or MeterConfig()
-    rows = []
-    for rec in records:
-        row = finalize_features(rec, cfg.splt_n, cfg.anonymize)
-        row["flow_start"] = _ts_decimal(rec.flow_start)
-        row["flow_end"] = _ts_decimal(rec.flow_end)
-        rows.append(row)
-    return rows
+    records = list(records)
+    count, splt_n = len(records), cfg.splt_n
+
+    (fpk, fby, fpay, ffirst, flast, bpk, bby, bpay, bfirst, blast,
+     sport, dport, proto, segment, splt_len) = _gather(
+        (_DIR_FIELDS(r.fwd) + _DIR_FIELDS(r.bwd)
+         + (r.initiator.src_port, r.initiator.dst_port, r.initiator.proto,
+            r.segment_index, len(r.splt)) for r in records),
+        np.int64, 15).T
+    moments = _gather(
+        (_MOMENT_FIELDS(r.fwd.size) + _MOMENT_FIELDS(r.bwd.size)
+         + _MOMENT_FIELDS(r.fwd.piat) + _MOMENT_FIELDS(r.bwd.piat)
+         for r in records), np.float64, 28).reshape(count, 4, 7)
+
+    one_way = bpk == 0
+    start = np.where(one_way, ffirst, np.minimum(ffirst, bfirst))
+    end = np.where(one_way, flast, np.maximum(flast, blast))
+    packets, total_bytes = fpk + bpk, fby + bby
+    flow_duration = (end - start) / 1e9
+    moving = flow_duration > 0
+
+    mode = cfg.anonymize
+    data = {
+        "src_ip": [_anon_ip(r.initiator.src_ip, mode) for r in records],
+        "dst_ip": [_anon_ip(r.initiator.dst_ip, mode) for r in records],
+        "src_port": list(map(str, sport.tolist())),
+        "flow_start": list(map(_ts_decimal, start.tolist())),
+        "flow_end": list(map(_ts_decimal, end.tolist())),
+        "export_reason": [r.export_reason for r in records],
+        "segment_index": list(map(str, segment.tolist())),
+        "proto": list(map(str, proto.tolist())),
+        "dst_port": dport,
+        "fwd_packet_count": fpk, "bwd_packet_count": bpk,
+        "total_packet_count": packets,
+        "fwd_byte_count": fby, "bwd_byte_count": bby,
+        "total_byte_count": total_bytes,
+        "fwd_payload_bytes": fpay, "bwd_payload_bytes": bpay,
+        "fwd_duration": np.where(fpk >= 2, (flast - ffirst) / 1e9, 0.0),
+        "fwd_duration_valid": fpk >= 2,
+        "bwd_duration": np.where(bpk >= 2, (blast - bfirst) / 1e9, 0.0),
+        "bwd_duration_valid": bpk >= 2,
+        "flow_duration": flow_duration,
+        "packet_ratio": fpk / np.maximum(bpk, 1),
+        "byte_ratio": fby / np.maximum(bby, 1),
+        "bytes_per_packet": total_bytes / packets,
+        "packets_per_second": np.where(
+            moving, packets / np.where(moving, flow_duration, 1.0), 0.0),
+        "splt_len": splt_len,
+    }
+    for j, prefix in enumerate(_MOMENT_PREFIXES):
+        data.update(_moment_columns(prefix, moments[:, j]))
+
+    # packets per raw flag byte, summed over both directions, times the
+    # flags each byte carries
+    seen = _gather(((i, flags, n) for i, r in enumerate(records)
+                    for d in (r.fwd, r.bwd)
+                    for flags, n in d.flags_seen.items()), np.int64, 3)
+    per_byte = np.zeros((count, len(_FLAG_BITS)), dtype=np.int64)
+    np.add.at(per_byte, (seen[:, 0], seen[:, 1] & 0x3F), seen[:, 2])
+    flag_counts = per_byte @ _FLAG_BITS
+    for i, name in enumerate(TCP_FLAG_NAMES):
+        data[f"flag_{name}_count"] = flag_counts[:, i]
+
+    # the first splt_n (direction, size, gap) triples of every record, one
+    # flat array scattered into a zero-padded (position, field, row) grid
+    taken = np.minimum(splt_len, splt_n)
+    flat = _gather((e for r in records for e in r.splt[:splt_n]),
+                   np.float64, 3)
+    first = np.repeat(np.cumsum(taken) - taken, taken)  # row's first triple
+    grid = np.zeros((splt_n, 3, count))
+    grid[np.arange(len(flat)) - first, :,
+         np.repeat(np.arange(count), taken)] = flat
+    for i in range(splt_n):
+        data[f"splt_dir_{i}"], data[f"splt_size_{i}"], \
+            data[f"splt_piat_{i}"] = grid[i]
+
+    kinds = column_kinds(splt_n)
+    return Dataset(
+        names=feature_column_names(splt_n), kinds=kinds,
+        data={n: (np.asarray(v, dtype=np.float64) if kinds[n] == "numeric"
+                  else np.asarray(v, dtype=object)) for n, v in data.items()},
+        row_ids=np.arange(count, dtype=np.int64),
+        validity_links=validity_links(splt_n))
 
 
 METADATA_COLUMNS = ("src_ip", "dst_ip", "src_port", "flow_start", "flow_end",

@@ -174,9 +174,6 @@ def apply_scaler(ds: Dataset, fitted: FittedTransform) -> Dataset:
     return out
 
 
-apply_standard = apply_minmax = apply_robust = apply_scaler
-
-
 # -- categorical encoding ------------------------------------------------------
 
 def fit_onehot(train: Dataset, column: str) -> FittedTransform:

@@ -4,14 +4,16 @@ These deliberately share no code with the implementations they verify:
 flow grouping is a sort + group-by + greedy split, the meter's export order
 comes from a full walk of every resident flow, k-NN is a literal O(n^2)
 scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is written
-one cell at a time. The only names taken from flowlab are constants (see
-tests/test_oracles.py).
+one cell at a time, a flow record is finalized one value at a time. The
+only names taken from flowlab are constants (see tests/test_oracles.py).
 """
 
 from __future__ import annotations
 
 import csv
+import decimal
 import io
+import ipaddress
 import math
 
 import numpy as np
@@ -160,6 +162,93 @@ def meter_export_oracle(packets, idle_timeout: float, active_timeout: float,
     for ckey in sorted(live, key=lambda k: live[k][0]):
         out.append((ckey, live[ckey][2], "end_of_input"))
     return out, dropped
+
+
+_FLAG_NAMES = ("fin", "syn", "rst", "psh", "ack", "urg")
+
+
+def _ip_text(ip: bytes, anonymize: str) -> str:
+    if len(ip) == 4:
+        octets = list(ip)
+        if anonymize == "truncate_v4_24":
+            octets[3] = 0
+        return ".".join(str(o) for o in octets)
+    return str(ipaddress.IPv6Address(ip))
+
+
+def _seconds_text(ns: int) -> str:
+    """Integer ns as decimal seconds with exactly nine fractional digits."""
+    return format(decimal.Decimal(ns).scaleb(-9), ".9f")
+
+
+def _moments_oracle(m) -> list:
+    """mean, var, skew, kurt, min, max and the mean, var and shape validity
+    flags of one Moments accumulator."""
+    if m.n == 0:
+        return [0.0] * 6 + [0, 0, 0]
+    if m.n == 1:
+        return [m.m1, 0.0, 0.0, 0.0, m.min_value, m.max_value, 1, 0, 0]
+    var = m.m2 / m.n
+    if m.m2 > 0.0:
+        return [m.m1, var, (m.m3 / m.n) / var ** 1.5,
+                (m.m4 / m.n) / (var * var) - 3.0, m.min_value, m.max_value,
+                1, 1, 1]
+    return [m.m1, var, 0.0, 0.0, m.min_value, m.max_value, 1, 1, 0]
+
+
+def finalize_oracle(rec, splt_n: int, anonymize: str) -> dict:
+    """One exported FlowRecord as a flow-table row: column name -> value,
+    the timestamps as decimal strings, the rest of the numbers as ints or
+    floats, one value at a time."""
+    init, fwd, bwd = rec.initiator, rec.fwd, rec.bwd
+    if bwd.pkt_count:
+        start = min(fwd.first_ts, bwd.first_ts)
+        end = max(fwd.last_ts, bwd.last_ts)
+    else:
+        start, end = fwd.first_ts, fwd.last_ts
+    packets = fwd.pkt_count + bwd.pkt_count
+    total_bytes = fwd.byte_count + bwd.byte_count
+    duration = (end - start) / 1e9
+    row = {
+        "src_ip": _ip_text(init.src_ip, anonymize),
+        "dst_ip": _ip_text(init.dst_ip, anonymize),
+        "src_port": init.src_port,
+        "flow_start": _seconds_text(start), "flow_end": _seconds_text(end),
+        "export_reason": rec.export_reason,
+        "segment_index": rec.segment_index,
+        "proto": init.proto, "dst_port": init.dst_port,
+        "fwd_packet_count": fwd.pkt_count, "bwd_packet_count": bwd.pkt_count,
+        "total_packet_count": packets,
+        "fwd_byte_count": fwd.byte_count, "bwd_byte_count": bwd.byte_count,
+        "total_byte_count": total_bytes,
+        "fwd_payload_bytes": fwd.payload_bytes,
+        "bwd_payload_bytes": bwd.payload_bytes,
+    }
+    for side, d in (("fwd", fwd), ("bwd", bwd)):
+        row[f"{side}_duration"] = ((d.last_ts - d.first_ts) / 1e9
+                                   if d.pkt_count >= 2 else 0.0)
+        row[f"{side}_duration_valid"] = int(d.pkt_count >= 2)
+    row["flow_duration"] = duration
+    for family, m in (("fwd_size", fwd.size), ("bwd_size", bwd.size),
+                      ("fwd_piat", fwd.piat), ("bwd_piat", bwd.piat)):
+        for stat, v in zip(("mean", "var", "skew", "kurt", "min", "max",
+                            "mean_valid", "var_valid", "shape_valid"),
+                           _moments_oracle(m)):
+            row[f"{family}_{stat}"] = v
+    row["packet_ratio"] = fwd.pkt_count / max(bwd.pkt_count, 1)
+    row["byte_ratio"] = fwd.byte_count / max(bwd.byte_count, 1)
+    row["bytes_per_packet"] = total_bytes / packets
+    row["packets_per_second"] = packets / duration if duration > 0 else 0.0
+    for bit, name in enumerate(_FLAG_NAMES):
+        row[f"flag_{name}_count"] = sum(
+            n for d in (fwd, bwd) for flags, n in d.flags_seen.items()
+            if flags >> bit & 1)
+    row["splt_len"] = len(rec.splt)
+    for i in range(splt_n):
+        d, size, gap = rec.splt[i] if i < len(rec.splt) else (0, 0, 0.0)
+        row.update({f"splt_dir_{i}": d, f"splt_size_{i}": size,
+                    f"splt_piat_{i}": gap})
+    return row
 
 
 def flow_gaps_oracle(packets):

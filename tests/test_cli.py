@@ -1,10 +1,13 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from flowlab.cli import (DEFAULT_CONFIG, load_config, run, run_dir_for)
 from flowlab.errors import ConfigError
+from flowlab.meter import feature_column_names
 from flowlab.pcap import make_packet, write_capture
 from conftest import synth_capture
 
@@ -126,6 +129,28 @@ class TestStages:
         assert manifest["dropped_late"] == 1
         assert manifest["flow_count"] == 2
 
+    def test_meter_without_ip_flows_writes_header_only(self, tmp_path):
+        # one ARP frame: decoded as non-IP and skipped, so no flow at all
+        capture = tmp_path / "arp.pcap"
+        write_capture(capture, [])
+        arp = bytes(12) + b"\x08\x06" + bytes(28)
+        with open(capture, "ab") as f:
+            f.write(struct.pack("<IIII", 1, 0, len(arp), len(arp)) + arp)
+        out = str(tmp_path / "runs")
+        assert run(["meter", "--capture", str(capture), "--out_dir", out]) == 0
+        cfg, h = load_config(None, [("capture", str(capture)),
+                                    ("out_dir", out)])
+        run_dir = run_dir_for(cfg, h)
+        header = ",".join(["row_id"] + feature_column_names())
+        assert (run_dir / "flows.csv").read_bytes() \
+            == f"# config_hash: {h}\n{header}\r\n".encode()
+        schema = json.loads((run_dir / "flows.csv.schema.json").read_text())
+        assert [c["name"] for c in schema["columns"]] \
+            == feature_column_names()
+        manifest = json.loads((run_dir / "meter_manifest.json").read_text())
+        assert manifest["flow_count"] == 0
+        assert manifest["ingest_summary"]["skipped"] == 1
+
     def test_override_changes_run_dir(self, config):
         assert run(["pipeline", "--config", str(config)]) == 0
         assert run(["meter", "--config", str(config),
@@ -215,6 +240,21 @@ class TestExitCodes:
         assert run(["evaluate", "--config", str(config)]) == 2
         assert "assignment.csv, line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest, stages", [
+        ("transform_manifest.json", ("train",)),
+        ("train_manifest.json", ("evaluate", "explain"))],
+        ids=["transform", "train"])
+    def test_malformed_manifest_is_2(self, config, capsys, manifest, stages):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        path = run_dir_for(cfg, h) / manifest
+        for text in ("{not json", "[]", "{}"):
+            path.write_text(text)
+            for stage in stages:
+                capsys.readouterr()
+                assert run([stage, "--config", str(config)]) == 2, text
+                assert manifest in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         "[{}]", "{}", "{not json", '[{"kind": "standard", "params": [], '
         '"fit_partition_fingerprint": "x", "columns": []}]'],
@@ -226,3 +266,41 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["train", "--config", str(config)]) == 2
         assert "transforms.json" in capsys.readouterr().err
+
+
+def _reference_packets():
+    """A fixed capture: IPv4 TCP and UDP flows split by idle gaps, active
+    timeouts and FINs, one IPv6 conversation and one ICMP packet."""
+    pkts = synth_capture(np.random.default_rng(2026), n_flows=120,
+                         idle_gap_prob=0.3, with_fin=True, max_pkts=30)
+    t = pkts[0].ts
+    pkts += [make_packet(t + i * 300_000_000, *ends, 17,
+                         payload_len=40 + 7 * i)
+             for i, ends in enumerate(
+                 [("2001:db8::1", "2001:db8::2", 5353, 53),
+                  ("2001:db8::2", "2001:db8::1", 53, 5353)] * 3)]
+    pkts.append(make_packet(t + 5, "10.9.8.7", "10.9.8.6", 0, 0, 1,
+                            payload_len=56))
+    pkts.sort(key=lambda p: p.ts)
+    return pkts
+
+
+# SHA-256 of flows.csv after its config-hash line: a change to any byte of
+# the flow table (header, row order, a cell) changes it
+@pytest.mark.parametrize("overrides, digest", [
+    ((), "975070abef73f4ad9877df998663a20e517f3668e940a5e6b20dd04d4fb0ca23"),
+    ((("meter.splt_n", "3"), ("meter.anonymize", "truncate_v4_24")),
+     "51347535b3e2d570c60caded64d36b4c787fcfd970f7e487a656d4ffbd16c66a"),
+], ids=["default", "splt3_anonymized"])
+def test_flows_csv_reference_digest(tmp_path, overrides, digest):
+    capture = tmp_path / "reference.pcap"
+    write_capture(capture, _reference_packets())
+    pairs = [("capture", str(capture)), ("out_dir", str(tmp_path / "runs")),
+             *overrides]
+    assert run(["meter"] + [a for k, v in pairs for a in (f"--{k}", v)]) == 0
+    cfg, h = load_config(None, pairs)
+    head, body = (run_dir_for(cfg, h) / "flows.csv").read_bytes().split(
+        b"\n", 1)
+    assert head == f"# config_hash: {h}".encode()
+    assert body.count(b"\r\n") == 252          # header and 251 flows
+    assert hashlib.sha256(body).hexdigest() == digest

@@ -50,6 +50,12 @@ def test_drop_refuses_label():
     assert "y" not in ds.names
 
 
+def test_iter_yields_row_tuples_in_names_order():
+    assert list(_toy()) == [(1.5, 2.0, "6", "a", "HTTP"),
+                            (2.0, 4.0, "17", "b", "DNS"),
+                            (0.5, 8.0, "6", "c", "HTTP")]
+
+
 def test_partitions_and_fingerprint():
     ds = _toy()
     ds.set_partitions({0: "train", 1: "test", 2: "train"})
@@ -175,9 +181,12 @@ def datasets(draw):
         kinds[f"c{j}"] = "numeric"
         for row, v in zip(rows, col):
             row[f"c{j}"] = v
-    kinds["who"] = "metadata"
+    # text that needs quoting (comma, quote, CR, LF) next to text that does
+    # not, empty cells included
+    kinds["who"], kinds["tag"] = "metadata", "categorical"
     for row in rows:
-        row["who"] = draw(st.text(alphabet='ab,"# 0', max_size=4))
+        row["who"] = draw(st.text(alphabet='ab,"# 0\r\n', max_size=4))
+        row["tag"] = draw(st.text(alphabet="xy\n", max_size=2))
     ds = Dataset.from_rows(rows, kinds)
     ds.row_ids = np.asarray(row_ids, dtype=np.int64)
     return ds

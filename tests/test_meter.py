@@ -10,20 +10,25 @@ from flowlab import meter
 from flowlab.errors import ConfigError
 from flowlab.meter import (CanonicalKey, FlowCache, FlowKey, MeterConfig,
                            canonicalize, column_kinds, dual_hash,
-                           feature_column_names, finalize_features,
-                           meter_stream, records_to_rows, validity_links,
-                           _ts_decimal)
+                           feature_column_names, meter_stream,
+                           records_to_rows, validity_links, _ts_decimal)
 from flowlab.pcap import (TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN, Packet,
                           make_packet)
 from flowlab.stats import two_pass_moments
 from conftest import synth_capture
-from oracles import (brute_force_flows, flow_gaps_oracle, meter_export_oracle,
-                     meter_records_summary)
+from oracles import (brute_force_flows, finalize_oracle, flow_gaps_oracle,
+                     meter_export_oracle, meter_records_summary)
 
 
 def _pkt(ts_s, src, dst, sport, dport, proto=6, payload=100, flags=0):
     return make_packet(int(ts_s * 1e9), src, dst, sport, dport, proto,
                        payload_len=payload, tcp_flags=flags)
+
+
+def _rows(records, **cfg) -> list[dict]:
+    """The rows records_to_rows gives, as column name -> cell dicts."""
+    ds = records_to_rows(records, MeterConfig(**cfg))
+    return [dict(zip(ds.names, row)) for row in ds]
 
 
 def _sized(ts_s, ip_len, fwd=True):
@@ -177,17 +182,19 @@ class TestFlowCache:
                 for i in range(4)]
         (rec,) = meter_stream(pkts, MeterConfig(splt_n=4,
                                                 honor_fin_rst=False))
-        short = finalize_features(rec, splt_n=2)
+        (short,) = _rows([rec], splt_n=2)
         assert [k for k in short if k.startswith("splt_")] == [
             "splt_len", "splt_dir_0", "splt_size_0", "splt_piat_0",
             "splt_dir_1", "splt_size_1", "splt_piat_1"]
+        assert short["splt_len"] == 4
         assert (short["splt_dir_1"], short["splt_size_1"]) == (1, 50)
-        long = finalize_features(rec, splt_n=6)
-        assert long["splt_len"] == 4
-        assert (long["splt_dir_3"], long["splt_size_3"]) == (1, 70)
-        assert [long[f"splt_{c}_5"] for c in ("dir", "size", "piat")] \
+        long = records_to_rows([rec], MeterConfig(splt_n=6))
+        (row,) = [dict(zip(long.names, r)) for r in long]
+        assert row["splt_len"] == 4
+        assert (row["splt_dir_3"], row["splt_size_3"]) == (1, 70)
+        assert [row[f"splt_{c}_5"] for c in ("dir", "size", "piat")] \
             == [0, 0, 0.0]
-        assert type(long["splt_piat_5"]) is float
+        assert long.data["splt_piat_5"].dtype == np.float64
 
     def test_splt_direction_signs(self):
         pkts = [_pkt(0.0, "10.0.0.1", "10.0.0.2", 5000, 80),
@@ -394,12 +401,12 @@ class TestExportOrder:
 class TestReorderedGaps:
     def test_gap_to_running_maximum_clamped_at_zero(self):
         pkts = [_sized(t, 60) for t in (10.0, 11.0, 10.5)]
-        (rec,) = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
-        row = finalize_features(rec)
+        (row,) = _rows(meter_stream(pkts, MeterConfig(honor_fin_rst=False)))
         assert row["fwd_piat_min"] == 0.0
         assert row["fwd_piat_max"] == 1.0
-        assert [gap for _, _, gap in rec.splt] == [0.0, 1.0, 0.0]
-        assert (rec.flow_start, rec.flow_end) == (int(10e9), int(11e9))
+        assert [row[f"splt_piat_{i}"] for i in range(3)] == [0.0, 1.0, 0.0]
+        assert (row["flow_start"], row["flow_end"]) == ("10.000000000",
+                                                        "11.000000000")
 
     @settings(max_examples=150, deadline=None)
     @given(slack_units=st.integers(1, 8), data=st.data())
@@ -422,9 +429,8 @@ class TestReorderedGaps:
         records = meter_stream(pkts, cfg)
         gaps = flow_gaps_oracle(pkts)
         assert len(records) == len(gaps)
-        for rec in records:
+        for rec, row in zip(records, _rows(records, splt_n=cfg.splt_n)):
             want = gaps[_ckey(rec.canonical)]
-            row = finalize_features(rec, splt_n=cfg.splt_n)
             for side in ("fwd", "bwd"):
                 piat = [g / 1e9 for g in want[side]]
                 mean, var, _, _ = two_pass_moments(piat)
@@ -435,15 +441,16 @@ class TestReorderedGaps:
                 assert row[f"{side}_piat_var"] == pytest.approx(
                     var, rel=1e-9, abs=1e-12)
             splt = [0.0] + [g / 1e9 for g in want["all"]]
-            assert [gap for _, _, gap in rec.splt] == splt[:cfg.splt_n]
+            n = min(len(splt), cfg.splt_n)
+            assert row["splt_len"] == n
+            assert [row[f"splt_piat_{i}"] for i in range(n)] == splt[:n]
 
 
 class TestFinalize:
     def test_size_moments_textbook(self):
         sizes = [2, 4, 4, 4, 5, 5, 7, 9]
         pkts = [_sized(i * 0.1, s) for i, s in enumerate(sizes)]
-        (rec,) = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
-        row = finalize_features(rec)
+        (row,) = _rows(meter_stream(pkts, MeterConfig(honor_fin_rst=False)))
         assert row["fwd_size_mean"] == pytest.approx(5.0)
         assert row["fwd_size_var"] == pytest.approx(4.0)
         assert row["fwd_size_min"] == 2 and row["fwd_size_max"] == 9
@@ -451,18 +458,16 @@ class TestFinalize:
         assert row["fwd_size_var_valid"] == 1
 
     def test_undefined_moments_zero_with_flags(self):
-        (rec,) = meter_stream([_sized(0.0, 100)],
-                              MeterConfig(honor_fin_rst=False))
-        row = finalize_features(rec)
+        (row,) = _rows(meter_stream([_sized(0.0, 100)],
+                                    MeterConfig(honor_fin_rst=False)))
         assert row["fwd_size_var"] == 0.0 and row["fwd_size_var_valid"] == 0
         assert row["fwd_piat_mean"] == 0.0 and row["fwd_piat_mean_valid"] == 0
         assert row["bwd_size_mean"] == 0.0 and row["bwd_size_mean_valid"] == 0
         assert row["fwd_duration"] == 0.0 and row["fwd_duration_valid"] == 0
 
     def test_ratios_guard_zero_denominator(self):
-        (rec,) = meter_stream([_sized(0.0, 100), _sized(0.5, 60)],
-                              MeterConfig(honor_fin_rst=False))
-        row = finalize_features(rec)
+        (row,) = _rows(meter_stream([_sized(0.0, 100), _sized(0.5, 60)],
+                                    MeterConfig(honor_fin_rst=False)))
         assert row["packet_ratio"] == 2.0      # 2 fwd / max(0 bwd, 1)
         assert row["byte_ratio"] == 160.0
         assert row["bytes_per_packet"] == 80.0
@@ -473,16 +478,15 @@ class TestFinalize:
                 _pkt(0.1, "10.0.0.2", "10.0.0.1", 80, 1,
                      flags=TCP_SYN | TCP_ACK),
                 _pkt(0.2, "10.0.0.1", "10.0.0.2", 1, 80, flags=TCP_ACK)]
-        (rec,) = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
-        row = finalize_features(rec)
+        (row,) = _rows(meter_stream(pkts, MeterConfig(honor_fin_rst=False)))
         assert row["flag_syn_count"] == 2
         assert row["flag_ack_count"] == 2
         assert row["flag_fin_count"] == 0
 
     def test_anonymize_truncates_v4(self):
-        (rec,) = meter_stream([_pkt(0.0, "10.1.2.3", "10.4.5.6", 1, 80)],
-                              MeterConfig(honor_fin_rst=False))
-        row = finalize_features(rec, anonymize="truncate_v4_24")
+        recs = meter_stream([_pkt(0.0, "10.1.2.3", "10.4.5.6", 1, 80)],
+                            MeterConfig(honor_fin_rst=False))
+        (row,) = _rows(recs, anonymize="truncate_v4_24")
         assert row["src_ip"] == "10.1.2.0"
         assert row["dst_ip"] == "10.4.5.0"
 
@@ -490,8 +494,12 @@ class TestFinalize:
         names = feature_column_names(splt_n=20)
         assert len(names) == len(set(names))
         pkts = synth_capture(rng, n_flows=10)
-        for rec in meter_stream(pkts, MeterConfig(honor_fin_rst=False)):
-            assert list(finalize_features(rec).keys()) == names
+        ds = records_to_rows(meter_stream(pkts,
+                                          MeterConfig(honor_fin_rst=False)))
+        assert ds.names == names and len(ds) > 0
+        assert all(len(row) == len(names) for row in ds)
+        assert ds.kinds == column_kinds()
+        assert ds.validity_links == validity_links()
         kinds = column_kinds()
         assert kinds["proto"] == "categorical"
         assert kinds["src_ip"] == "metadata"
@@ -506,5 +514,94 @@ class TestFinalize:
         assert _ts_decimal(5) == "0.000000005"
         (rec,) = meter_stream([_pkt(0.0, "10.0.0.1", "10.0.0.2", 1, 80)],
                               MeterConfig(honor_fin_rst=False))
-        (row,) = records_to_rows([rec])
-        assert row["flow_start"] == "0.000000000"
+        ds = records_to_rows([rec])
+        assert list(ds.data["flow_start"]) == ["0.000000000"]
+
+
+# endpoint pairs of the finalize property: IPv4 (one with high octets),
+# IPv6 and an IPv4-mapped IPv6 address
+_FINAL_PAIRS = tuple(
+    (ipaddress.ip_address(a).packed, pa, ipaddress.ip_address(b).packed, pb)
+    for a, pa, b, pb in (("10.0.0.1", 5000, "10.0.0.2", 80),
+                         ("192.168.255.7", 40000, "10.200.0.2", 443),
+                         ("2001:db8::1", 5353, "2001:db8::2", 53),
+                         ("::ffff:10.0.0.1", 1, "fe80::1", 2)))
+
+
+@st.composite
+def _finalize_streams(draw):
+    """(packets, reorder slack in s): packets on a quarter-second grid,
+    most of them nudged off it, some behind the clock by up to the slack.
+    Repeated sizes and steps give zero-variance flows; FIN/RST bytes and
+    idle gaps give single-packet flows."""
+    slack_units = draw(st.integers(0, 4))
+    flags = st.sampled_from((TCP_ACK, TCP_ACK | TCP_PSH, TCP_SYN, 0xD0)) \
+        | st.integers(0, 255)
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from((0, 1, 1, 1, 2, 12)), st.integers(0, slack_units),
+        st.sampled_from((0, 1)) | st.integers(0, _UNIT - 1),
+        st.integers(0, len(_FINAL_PAIRS) - 1), st.booleans(),
+        st.sampled_from((6, 6, 17)), flags,
+        st.sampled_from((60, 60, 1500)) | st.integers(20, 65535)),
+        min_size=10, max_size=80))
+    clock, packets = 0, []
+    for step, behind, nudge, pair, forward, proto, tcp_flags, size in steps:
+        clock += step * _UNIT
+        src, sport, dst, dport = _FINAL_PAIRS[pair]
+        if not forward:
+            src, sport, dst, dport = dst, dport, src, sport
+        packets.append(Packet(
+            ts=10 ** 18 + clock - behind * _UNIT + nudge, src_ip=src,
+            dst_ip=dst, src_port=sport, dst_port=dport, proto=proto,
+            ip_len=size, payload_len=max(size - 40, 0),
+            tcp_flags=tcp_flags if proto == 6 else 0))
+    return packets, slack_units * _UNIT / 1e9
+
+
+class TestFinalizeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(stream=_finalize_streams(), meter_splt=st.integers(0, 25),
+           splt_n=st.integers(0, 25), honor_fin_rst=st.booleans(),
+           anonymize=st.sampled_from(("none", "truncate_v4_24")))
+    def test_rows_match_per_record_oracle(self, stream, meter_splt, splt_n,
+                                          honor_fin_rst, anonymize):
+        packets, slack = stream
+        records = meter_stream(packets, MeterConfig(
+            idle_timeout=2.0, active_timeout=5.0, reorder_slack=slack,
+            splt_n=meter_splt, honor_fin_rst=honor_fin_rst))
+        ds = records_to_rows(records, MeterConfig(splt_n=splt_n,
+                                                  anonymize=anonymize))
+        assert len(ds) == len(records)
+        assert ds.names == feature_column_names(splt_n)
+        for i, rec in enumerate(records):
+            want = finalize_oracle(rec, splt_n, anonymize)
+            assert list(want) == ds.names
+            for name, value in want.items():
+                got = ds.data[name][i]
+                if ds.kinds[name] == "numeric":
+                    # bit for bit, so 0.0 and -0.0 differ
+                    assert float(got).hex() == float(value).hex(), name
+                else:
+                    assert got == str(value), name
+
+    def test_synthetic_capture_matches_oracle(self):
+        # hundreds of multi-packet flows: thousands of shape-valid moments,
+        # enough that a var ** 1.5 off in the last bit cannot hide
+        pkts = synth_capture(np.random.default_rng(5), n_flows=300,
+                             with_fin=True)
+        records = meter_stream(pkts, MeterConfig(splt_n=8))
+        ds = records_to_rows(records, MeterConfig(splt_n=12))
+        rows = [finalize_oracle(rec, 12, "none") for rec in records]
+        for name in ds.names:
+            want = [row[name] for row in rows]
+            if ds.kinds[name] == "numeric":
+                assert [float(v).hex() for v in want] \
+                    == [v.hex() for v in ds.data[name].tolist()], name
+            else:
+                assert list(map(str, want)) == list(ds.data[name]), name
+
+    def test_no_records_give_an_empty_table(self):
+        ds = records_to_rows([], MeterConfig(splt_n=3))
+        assert len(ds) == 0 and list(ds) == []
+        assert ds.names == feature_column_names(3)
+        assert all(len(ds.data[n]) == 0 for n in ds.names)
