@@ -321,7 +321,7 @@ def _load_transforms(path: Path) -> list:
             raise DataError("expected a list of transforms")
         return [transforms.FittedTransform.from_json(json.dumps(d))
                 for d in docs]
-    except (ValueError, DataError) as e:
+    except (OSError, ValueError, DataError) as e:
         raise DataError(f"{path.name}: {e}") from None
 
 
@@ -406,8 +406,12 @@ def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
     for rid in ds.row_ids:
         tags.setdefault(int(rid), "train")
     ds.set_partitions(tags)
-    with open(run_dir / "model.json") as f:
-        model = models.model_from_json(f.read())
+    try:
+        with open(run_dir / "model.json") as f:
+            text = f.read()
+    except OSError as e:
+        raise DataError(f"model.json: {e}") from None
+    model = models.model_from_json(text)
     train_manifest = _load_manifest(run_dir / "train_manifest.json",
                                     "transform_fingerprint")
     train_fp = assignment.fingerprint("train")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,37 +23,55 @@ class ConfusionMatrix:
     classes: list[str]
     counts: np.ndarray        # counts[actual][predicted]
 
+    def __post_init__(self):
+        # row and column sums, read by every per-class metric
+        self._index = {c: i for i, c in enumerate(self.classes)}
+        self._actual = self.counts.sum(axis=1).tolist()
+        self._predicted = self.counts.sum(axis=0).tolist()
+        self._total = sum(self._actual)
+
     @classmethod
-    def from_labels(cls, actual, predicted,
-                    classes: Optional[Sequence[str]] = None) -> "ConfusionMatrix":
+    def from_labels(cls, actual, predicted) -> "ConfusionMatrix":
+        """Over the classes that occur in either label list, sorted."""
         actual = [str(v) for v in actual]
         predicted = [str(v) for v in predicted]
+        classes = sorted(set(actual) | set(predicted))
+        index = {c: i for i, c in enumerate(classes)}
+        return cls.from_codes(np.asarray([index[a] for a in actual],
+                                         dtype=np.int64),
+                              np.asarray([index[p] for p in predicted],
+                                         dtype=np.int64), classes)
+
+    @classmethod
+    def from_codes(cls, actual: np.ndarray, predicted: np.ndarray,
+                   classes: Sequence[str]) -> "ConfusionMatrix":
+        """From class indices into classes; a class that is neither an
+        actual nor a predicted label is left out."""
         if len(actual) != len(predicted):
             raise ShapeError(f"{len(actual)} actual vs "
                              f"{len(predicted)} predicted labels")
         if len(actual) == 0:
             raise ShapeError("need at least one labeled sample")
-        if classes is None:
-            classes = sorted(set(actual) | set(predicted))
-        index = {c: i for i, c in enumerate(classes)}
-        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-        for a, p in zip(actual, predicted):
-            counts[index[a], index[p]] += 1
-        return cls(classes=list(classes), counts=counts)
+        k = len(classes)
+        counts = np.bincount(actual * k + predicted,
+                             minlength=k * k).reshape(k, k)
+        seen = counts.any(axis=0) | counts.any(axis=1)
+        return cls(classes=[c for c, s in zip(classes, seen) if s],
+                   counts=counts[seen][:, seen])
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return self._total
 
     def support(self, cls_name: str) -> int:
-        return int(self.counts[self.classes.index(cls_name)].sum())
+        return self._actual[self._index[cls_name]]
 
     def one_vs_rest(self, cls_name: str) -> tuple[int, int, int, int]:
         """(TP, FP, FN, TN) reducing this class against the rest."""
-        i = self.classes.index(cls_name)
+        i = self._index[cls_name]
         tp = int(self.counts[i, i])
-        fp = int(self.counts[:, i].sum()) - tp
-        fn = int(self.counts[i, :].sum()) - tp
+        fp = self._predicted[i] - tp
+        fn = self._actual[i] - tp
         tn = self.total - tp - fp - fn
         return tp, fp, fn, tn
 
@@ -238,20 +256,36 @@ def write_roc_csv(points, path) -> None:
             w.writerow([repr(thr), repr(fpr), repr(tpr)])
 
 
-# metric registry: name -> fn(actual labels, predicted labels) -> float
+# metric registries: name -> fn(confusion matrix) -> float, and
+# name -> fn(actual labels, predicted labels) -> float
 
-def _metric(agg_metric: str, mode: str):
-    def fn(actual, predicted):
-        cm = ConfusionMatrix.from_labels(actual, predicted)
-        return aggregate(cm, agg_metric, mode)
-    return fn
-
-
-METRICS = {
-    "accuracy": lambda a, p: accuracy(ConfusionMatrix.from_labels(a, p)),
-    "macro_f1": _metric("fbeta", "macro"),
-    "weighted_f1": _metric("fbeta", "weighted"),
-    "micro_f1": _metric("fbeta", "micro"),
-    "macro_precision": _metric("precision", "macro"),
-    "macro_recall": _metric("recall", "macro"),
+SCORES = {
+    "accuracy": accuracy,
+    "macro_f1": lambda cm: aggregate(cm, "fbeta", "macro"),
+    "weighted_f1": lambda cm: aggregate(cm, "fbeta", "weighted"),
+    "micro_f1": lambda cm: aggregate(cm, "fbeta", "micro"),
+    "macro_precision": lambda cm: aggregate(cm, "precision", "macro"),
+    "macro_recall": lambda cm: aggregate(cm, "recall", "macro"),
 }
+
+
+def _by_labels(score):
+    return lambda actual, predicted: score(
+        ConfusionMatrix.from_labels(actual, predicted))
+
+
+METRICS = {name: _by_labels(score) for name, score in SCORES.items()}
+
+
+def code_scorer(metric: str, classes: Sequence[str], actual):
+    """fn(predicted indices into classes) -> the metric against the labels
+    `actual`, equal to METRICS[metric] on the predicted class names. The
+    labels are encoded once, over the union of classes and actual."""
+    actual = [str(v) for v in actual]
+    union = sorted(set(classes) | set(actual))
+    index = {c: i for i, c in enumerate(union)}
+    codes = np.asarray([index[a] for a in actual], dtype=np.int64)
+    to_union = np.asarray([index[c] for c in classes], dtype=np.int64)
+    score = SCORES[metric]
+    return lambda predicted: score(
+        ConfusionMatrix.from_codes(codes, to_union[predicted], union))

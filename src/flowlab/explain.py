@@ -6,19 +6,34 @@ Correlated features let a model compensate when only one of them is
 shuffled, hiding their joint contribution; grouped permutation shuffles the
 whole group with one permutation and is the recommended default when
 correlations are strong.
+
+Both permutation importance and partial dependence ask how the predictions
+change when some columns are moved: shuffled, or set to a grid value. For
+a tree or forest the unmoved matrix is walked once (`models.walk`),
+keeping each (tree, row) pair's leaf and the features split on along its
+path. A pair whose path reads none of the moved columns reaches the same
+leaf, so only the other pairs are walked again, all repeats of one group
+(or all grid values) in one batch. The result is bit-identical to a full
+predict of each moved matrix: each pair reaches the leaf a full walk would
+reach, the leaves are added up in tree order and divided by the tree count
+as `predict_proba` does, and the permutations are drawn from the generator
+in the same order, group by group, repeat by repeat. A k-NN model has no
+paths and predicts each moved matrix in full. Scores come from class codes
+(`evaluation.code_scorer`), with the same confusion counts as labels give.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .evaluation import METRICS
-from .models import ForestModel, Nodes, TreeModel
+from .evaluation import METRICS, code_scorer
+from .models import ForestModel, Nodes, TreeModel, mean_leaf_probs, walk
 
 
 @dataclass
@@ -105,6 +120,74 @@ def correlation_groups(X: np.ndarray, threshold: float = 0.9) -> list[tuple]:
     return [tuple(sorted(g)) for g in sorted(groups.values())]
 
 
+class _PairWalk:
+    """Every (tree, row) pair of a tree or forest on X, walked once: the
+    leaf each pair reaches and, as a (features, pairs) bool array, the
+    features split on along its path."""
+
+    def __init__(self, model, X: np.ndarray):
+        X = model._rows(X)
+        self.nodes, self.n, self.trees = model.nodes, len(X), len(model.roots)
+        self.start = np.repeat(model.roots, self.n)
+        self.rows = np.tile(np.arange(self.n), self.trees)
+        self.on_path = np.zeros((X.shape[1], len(self.start)), dtype=bool)
+        self.leaves = walk(self.nodes, self.start, X, self.rows,
+                           on_path=self.on_path)
+        self.probs = mean_leaf_probs(
+            self.nodes.probs, self.leaves.reshape(self.trees, self.n))
+
+    def moved_probs(self, Xs: np.ndarray, features: Sequence[int],
+                    src: np.ndarray) -> np.ndarray:
+        """(batch, rows, classes) probabilities: in batch b, row r reads
+        the columns `features` from row src[b, r] of Xs, whose first rows
+        are X. Only the pairs whose path splits on one of them walk again.
+        """
+        b = len(src)
+        out = np.tile(self.probs, (b, 1, 1))
+        pairs = np.flatnonzero(self.on_path[list(features)].any(axis=0))
+        if not pairs.size:
+            return out
+        rows = self.rows[pairs]
+        mask = np.zeros(Xs.shape[1], dtype=bool)
+        mask[list(features)] = True
+        leaves = np.tile(self.leaves, (b, 1))
+        leaves[:, pairs] = walk(
+            self.nodes, np.tile(self.start[pairs], b), Xs, np.tile(rows, b),
+            moved=(mask, src[:, rows].ravel())).reshape(b, len(pairs))
+        hit = np.unique(rows)
+        out[:, hit] = mean_leaf_probs(
+            self.nodes.probs, leaves.reshape(b, self.trees, self.n)[..., hit])
+        return out
+
+
+class _FullPredict:
+    """The same questions for a model without paths: predict in full."""
+
+    def __init__(self, model, X: np.ndarray):
+        self.model, self.X = model, X
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return self.model.predict_proba(self.X)
+
+    def moved_probs(self, Xs: np.ndarray, features: Sequence[int],
+                    src: np.ndarray) -> np.ndarray:
+        cols = list(features)
+        out = []
+        for s in src:
+            Xp = self.X.copy()
+            Xp[:, cols] = Xs[np.ix_(s, cols)]
+            out.append(self.model.predict_proba(Xp))
+        return np.asarray(out).reshape(len(src), len(self.X),
+                                        len(self.model.classes))
+
+
+def _explainer(model, X: np.ndarray):
+    if isinstance(model, (TreeModel, ForestModel)):
+        return _PairWalk(model, X)
+    return _FullPredict(model, X)
+
+
 def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
                            repeats: int = 10,
                            feature_names: Optional[Sequence[str]] = None,
@@ -118,7 +201,6 @@ def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
-    score_fn = METRICS[metric]
     X = np.asarray(X, dtype=np.float64)
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(X.shape[1])]
@@ -127,17 +209,19 @@ def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
             groups = correlation_groups(X, group_threshold)
         else:
             groups = [(i,) for i in range(X.shape[1])]
-    baseline = score_fn(y, model.predict(X))
+    explainer = _explainer(model, X)
+    score = code_scorer(metric, model.classes, y)
+    base = explainer.probs.argmax(axis=1)
+    baseline = score(base)
     rng = np.random.default_rng(seed)
     table = ImportanceTable(method=f"permutation:{metric}", repeats=repeats)
     for group in groups:
-        drops = []
-        for _ in range(repeats):
-            perm = rng.permutation(len(X))
-            Xp = X.copy()
-            for col in group:
-                Xp[:, col] = X[perm, col]
-            drops.append(baseline - score_fn(y, model.predict(Xp)))
+        perms = np.array([rng.permutation(len(X)) for _ in range(repeats)],
+                         dtype=np.int64).reshape(repeats, len(X))
+        predicted = explainer.moved_probs(X, group, perms).argmax(axis=2)
+        # unchanged predictions score the baseline: their drop is 0.0
+        drops = [0.0 if (p == base).all() else baseline - score(p)
+                 for p in predicted]
         name = "+".join(feature_names[i] for i in group)
         table.rows.append(ImportanceRow(
             feature=name, members=tuple(feature_names[i] for i in group),
@@ -163,12 +247,11 @@ def partial_dependence(model, X: np.ndarray, feature: int,
         grid = np.unique([col[min(int(q * (len(col) - 1) + 0.5),
                                   len(col) - 1)] for q in qs])
     grid = np.asarray(grid, dtype=np.float64)
-    curves = []
-    for v in grid:
-        Xv = X.copy()
-        Xv[:, feature] = v
-        curves.append(model.predict_proba(Xv).mean(axis=0))
-    return grid, np.asarray(curves)
+    # row len(X) + g holds grid value g in every column
+    Xs = np.vstack([X, np.repeat(grid[:, None], X.shape[1], axis=1)])
+    src = np.repeat(len(X) + np.arange(len(grid))[:, None], len(X), axis=1)
+    probs = _explainer(model, X).moved_probs(Xs, (feature,), src)
+    return grid, np.asarray([p.mean(axis=0) for p in probs])
 
 
 def write_pdp_csv(grid: np.ndarray, curves: np.ndarray,

@@ -5,7 +5,8 @@ A tree is a set of flat per-node arrays (`Nodes`) in preorder: a node, then
 its whole left subtree, then its right subtree. A leaf has feature -1 and
 its `left`/`right` point to itself. A forest concatenates its trees' nodes
 and records where each tree's root is; predict moves every (tree, row)
-pair down one level per numpy step.
+pair down one level per numpy step (`walk`), and a pair leaves the walk at
+its leaf.
 
 Split search (Gini decrease, Breiman et al., CART): for each sampled
 feature the node's rows are sorted stably, and prefix sums of one-hot
@@ -131,37 +132,61 @@ class _Builder:
         return Nodes(**cols)
 
 
-def _depth(nodes: Nodes, roots: np.ndarray) -> int:
-    """Number of levels below the roots down to the deepest leaf."""
-    level, depth = roots, 0
-    while True:
-        level = level[nodes.left[level] != level]
-        if not level.size:
-            return depth
-        level = np.concatenate([nodes.left[level], nodes.right[level]])
-        depth += 1
+def walk(nodes: Nodes, start: np.ndarray, X: np.ndarray, rows: np.ndarray,
+         moved: Optional[tuple] = None,
+         on_path: Optional[np.ndarray] = None) -> np.ndarray:
+    """The leaf each (start node, row) pair reaches. Pair i starts at node
+    start[i] and reads row rows[i] of X; all pairs step down one level per
+    numpy step, and a pair leaves the walk once it reaches a leaf.
 
-
-def _mean_leaf_probs(nodes: Nodes, roots: np.ndarray, depth: int,
-                     X: np.ndarray) -> np.ndarray:
-    """Walk every (tree, row) pair down together, one level per step, then
-    average the leaves' probabilities, adding them up in tree order."""
-    n, d = X.shape
+    moved=(features, src): pair i reads every feature f with features[f]
+    True from row src[i] of X instead. on_path: a (features, pairs) bool
+    array; every split pair i passes on feature f sets on_path[f, i].
+    """
+    d = X.shape[1]
     cells = X.ravel()
-    row_start = np.tile(np.arange(n) * d, len(roots))
-    node = np.repeat(roots, n)
     # children[2i] is node i's right child, children[2i + 1] its left
     children = np.stack([nodes.right, nodes.left], axis=1).ravel()
-    for _ in range(depth):
-        # a leaf reads column -1 (any valid cell) and steps to itself
-        go_left = cells[row_start + nodes.feature[node]] \
-            <= nodes.threshold[node]
-        node = children[2 * node + go_left]
-    n_classes = nodes.probs.shape[1]
-    acc = np.zeros((n, n_classes))
-    for leaf_probs in nodes.probs[node].reshape(len(roots), n, n_classes):
-        acc += leaf_probs
-    return acc / len(roots)
+    leaf = np.array(start, dtype=np.int64)
+    pos = np.flatnonzero(nodes.feature[leaf] >= 0)
+    node, at = leaf[pos], rows[pos] * d
+    if moved is not None:
+        features, src = moved
+        alt = src[pos] * d
+    while pos.size:
+        f = nodes.feature[node]
+        if on_path is not None:
+            on_path[f, pos] = True
+        row = at if moved is None else np.where(features[f], alt, at)
+        node = children[2 * node + (cells[row + f] <= nodes.threshold[node])]
+        inner = nodes.feature[node] >= 0
+        keep = np.flatnonzero(inner)
+        if len(keep) < len(pos):
+            done = np.flatnonzero(~inner)
+            leaf[pos[done]] = node[done]
+            pos, node, at = pos[keep], node[keep], at[keep]
+            if moved is not None:
+                alt = alt[keep]
+    return leaf
+
+
+def mean_leaf_probs(probs: np.ndarray, leaves: np.ndarray) -> np.ndarray:
+    """Average over trees the class probabilities of leaves (..., trees,
+    rows), adding them up in tree order; the result is (..., rows, classes).
+    """
+    trees = leaves.shape[-2]
+    acc = np.zeros(leaves.shape[:-2] + (leaves.shape[-1], probs.shape[1]))
+    for t in range(trees):
+        acc += probs[leaves[..., t, :]]
+    return acc / trees
+
+
+def _predict_proba(nodes: Nodes, roots: np.ndarray, X: np.ndarray
+                   ) -> np.ndarray:
+    n = len(X)
+    leaves = walk(nodes, np.repeat(roots, n), X, np.tile(np.arange(n),
+                                                         len(roots)))
+    return mean_leaf_probs(nodes.probs, leaves.reshape(len(roots), n))
 
 
 class NodeView(NamedTuple):
@@ -194,17 +219,17 @@ class TreeModel(_Classifier):
     nodes: Nodes
     classes: list[str]
     n_features: int
-    depth: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.depth = _depth(self.nodes, _ROOT)
 
     @property
     def root(self) -> NodeView:
         return NodeView(self.nodes, 0)
 
+    @property
+    def roots(self) -> np.ndarray:
+        return _ROOT
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _mean_leaf_probs(self.nodes, _ROOT, self.depth, self._rows(X))
+        return _predict_proba(self.nodes, _ROOT, self._rows(X))
 
 
 def _best_split(Xf: np.ndarray, onehot: np.ndarray, counts: np.ndarray,
@@ -309,10 +334,6 @@ class ForestModel(_Classifier):
     m: int
     seed: int
     oob_masks: list[np.ndarray] = field(default_factory=list)
-    depth: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.depth = _depth(self.nodes, self.roots)
 
     @property
     def trees(self) -> list[TreeModel]:
@@ -323,8 +344,7 @@ class ForestModel(_Classifier):
                 for a, b in zip(self.roots.tolist(), ends)]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _mean_leaf_probs(self.nodes, self.roots, self.depth,
-                                self._rows(X))
+        return _predict_proba(self.nodes, self.roots, self._rows(X))
 
 
 @dataclass

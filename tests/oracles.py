@@ -4,8 +4,10 @@ These deliberately share no code with the implementations they verify:
 flow grouping is a sort + group-by + greedy split, the meter's export order
 comes from a full walk of every resident flow, k-NN is a literal O(n^2)
 scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is written
-one cell at a time, a flow record is finalized one value at a time. The
-only names taken from flowlab are constants (see tests/test_oracles.py).
+one cell at a time, a flow record is finalized one value at a time,
+permutation importance predicts every shuffled matrix in full and scores
+labels pair by pair. The only names taken from flowlab are constants (see
+tests/test_oracles.py).
 """
 
 from __future__ import annotations
@@ -434,6 +436,53 @@ def tree_proba_oracle(doc: dict, X) -> np.ndarray:
                     else node["right"]
             acc[i] += np.asarray(node["probs"])
     return acc / len(trees)
+
+
+def _score_oracle(metric: str, actual, predicted) -> float:
+    """Accuracy, or macro-F1 over the labels seen in either list (a class
+    with no prediction or no instance scores 0 precision or recall)."""
+    pairs = list(zip(actual, predicted))
+    if metric == "accuracy":
+        return sum(a == p for a, p in pairs) / len(pairs)
+    f1 = []
+    for c in sorted(set(actual) | set(predicted)):
+        tp = sum(a == c and p == c for a, p in pairs)
+        fp = sum(a != c and p == c for a, p in pairs)
+        fn = sum(a == c and p != c for a, p in pairs)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1.append(2.0 * precision * recall / (precision + recall)
+                  if precision + recall else 0.0)
+    return float(np.mean(f1))
+
+
+def permutation_importance_oracle(doc: dict, X, y, metric: str,
+                                  repeats: int, groups, seed: int) -> list:
+    """[(mean drop, std of drops)] per group: every repeat shuffles the
+    group's columns with one permutation drawn from one generator, predicts
+    the whole shuffled matrix with tree_proba_oracle and scores the labels.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    actual = [str(v) for v in y]
+
+    def score(M):
+        probs = tree_proba_oracle(doc, M)
+        predicted = [doc["classes"][int(np.argmax(p))] for p in probs]
+        return _score_oracle(metric, actual, predicted)
+
+    baseline = score(X)
+    rng = np.random.default_rng(seed)
+    out = []
+    for group in groups:
+        drops = []
+        for _ in range(repeats):
+            perm = rng.permutation(len(X))
+            Xp = X.copy()
+            for col in group:
+                Xp[:, col] = X[perm, col]
+            drops.append(baseline - score(Xp))
+        out.append((float(np.mean(drops)), float(np.std(drops))))
+    return out
 
 
 def dataset_csv_oracle(ds) -> bytes:

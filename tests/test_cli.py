@@ -267,6 +267,20 @@ class TestExitCodes:
         assert run(["train", "--config", str(config)]) == 2
         assert "transforms.json" in capsys.readouterr().err
 
+    # train writes model.json, and evaluate and explain never read
+    # transforms.json, so each file is missing only for its readers
+    @pytest.mark.parametrize("name, stages", [
+        ("model.json", ("evaluate", "explain")),
+        ("transforms.json", ("train",))], ids=["model", "transforms"])
+    def test_missing_file_is_2(self, config, capsys, name, stages):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        (run_dir_for(cfg, h) / name).unlink()
+        for stage in stages:
+            capsys.readouterr()
+            assert run([stage, "--config", str(config)]) == 2
+            assert name in capsys.readouterr().err
+
 
 def _reference_packets():
     """A fixed capture: IPv4 TCP and UDP flows split by idle gaps, active

@@ -3,8 +3,9 @@ import pytest
 
 from flowlab.errors import ShapeError, UndefinedMetricError
 from flowlab.evaluation import (METRICS, ConfusionMatrix, accuracy, aggregate,
-                                binary_metrics, render_text, report, roc_auc,
-                                write_report_csv, write_roc_csv)
+                                binary_metrics, code_scorer, render_text,
+                                report, roc_auc, write_report_csv,
+                                write_roc_csv)
 from oracles import mann_whitney_auc
 
 
@@ -36,6 +37,25 @@ class TestConfusionMatrix:
             ConfusionMatrix.from_labels(["A"], [])
         with pytest.raises(ShapeError):
             ConfusionMatrix.from_labels([], [])
+
+    def test_from_codes_drops_unused_classes(self):
+        # "B" is neither an actual nor a predicted label
+        cm = ConfusionMatrix.from_codes(np.asarray([0, 2, 2]),
+                                        np.asarray([2, 2, 0]),
+                                        ["A", "B", "C"])
+        assert cm.classes == ["A", "C"]
+        assert cm.counts.tolist() == [[0, 1], [1, 1]]
+        assert cm.one_vs_rest("C") == (1, 1, 1, 0)
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_code_scorer_equals_labels(self, metric):
+        # the model knows "D", which neither list holds; "Z" is unknown to it
+        classes = ["A", "B", "C", "D"]
+        actual = ["A", "B", "Z", "C", "A", "Z"]
+        predicted = np.asarray([0, 1, 1, 2, 2, 0])
+        score = code_scorer(metric, classes, actual)
+        assert repr(score(predicted)) == repr(METRICS[metric](
+            actual, [classes[i] for i in predicted]))
 
 
 class TestBinaryMetrics:
