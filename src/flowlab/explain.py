@@ -201,6 +201,8 @@ def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
     """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
+    if not isinstance(repeats, int) or repeats < 1:
+        raise ConfigError(f"repeats {repeats!r} must be an integer >= 1")
     X = np.asarray(X, dtype=np.float64)
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(X.shape[1])]

@@ -24,6 +24,8 @@ class index, and all randomness flows from explicit seeds.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import itertools
 import json
 import math
@@ -482,7 +484,25 @@ def _add_tree(tree: _Builder, root: dict, n_features: int,
 
 
 def model_from_json(text: str):
-    """The model `model_to_json` wrote; DataError on malformed input."""
+    """The model `model_to_json` wrote; DataError on malformed input.
+
+    The last model parsed stays in a per-process memo keyed by the SHA-256
+    of the text, so evaluate and explain parse one model.json once; each
+    call returns a copy of its own.
+    """
+    global _last_model
+    key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+    if _last_model[0] != key:
+        _last_model = (None, None)
+        _last_model = (key, _parse_model(text))
+    return copy.deepcopy(_last_model[1])
+
+
+# the last model model_from_json parsed: (key, model)
+_last_model: tuple = (None, None)
+
+
+def _parse_model(text: str):
     try:
         d = json.loads(text)
         kind, classes = d["kind"], d["classes"]

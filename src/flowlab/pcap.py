@@ -245,10 +245,9 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
     cfg.filter first, then 1-in-N sampling on the filtered stream.
     """
     cfg = cfg or IngestConfig()
-    f = open(path, "rb")
-    header = f.read(24)
+    with open(path, "rb") as f:
+        header = f.read(24)
     if len(header) < 24:
-        f.close()
         raise UnsupportedFormatError("file too short for PCAP global header")
     magic_be = struct.unpack(">I", header[:4])[0]
     magic_le = struct.unpack("<I", header[:4])[0]
@@ -257,12 +256,10 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
     elif magic_be in (MAGIC_MICRO, MAGIC_NANO):
         endian, magic = ">", magic_be
     else:
-        f.close()
         raise UnsupportedFormatError(f"bad PCAP magic 0x{magic_be:08x}")
     subsec_scale = 1 if magic == MAGIC_NANO else 1000
     linktype = struct.unpack(endian + "I", header[20:24])[0]
     if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-        f.close()
         raise UnsupportedLinkTypeError(f"unsupported link type {linktype}")
 
     summary = IngestSummary()
@@ -270,7 +267,10 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
     def frames() -> Iterator[Packet]:
         rec_hdr = struct.Struct(endian + "IIII")
         offset = 24
-        try:
+        # a handle of its own, opened on the first next(): a stream that is
+        # never consumed holds no open file
+        with open(path, "rb") as f:
+            f.seek(offset)
             while True:
                 hdr = f.read(16)
                 if not hdr:
@@ -297,8 +297,6 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
                     continue
                 summary.decoded += 1
                 yield result
-        finally:
-            f.close()
 
     stream: Iterable[Packet] = frames()
     if cfg.filter is not None:

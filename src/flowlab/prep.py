@@ -61,8 +61,11 @@ def _is_missing_object(col: np.ndarray) -> np.ndarray:
 
 def _non_metadata_row_tuples(ds: Dataset) -> list[tuple]:
     cols = [n for n in ds.names if ds.kinds[n] != "metadata"]
-    arrays = [ds.data[n] for n in cols]
-    return [tuple(a[i] for a in arrays) for i in range(len(ds))]
+    # NaN is never equal to NaN, so a row holding one is never a duplicate;
+    # -0.0 equals 0.0, and text compares by value
+    if not cols:
+        return [()] * len(ds)
+    return list(zip(*(ds.data[n].tolist() for n in cols)))
 
 
 def _plausibility_masks(ds: Dataset) -> dict[str, np.ndarray]:

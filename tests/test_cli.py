@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from flowlab import dataset, models
 from flowlab.cli import (DEFAULT_CONFIG, load_config, run, run_dir_for)
 from flowlab.errors import ConfigError
 from flowlab.meter import feature_column_names
@@ -110,6 +111,21 @@ class TestStages:
         for n in names:
             assert (run_dir / n).read_bytes() == first[n], n
 
+    def test_pipeline_parses_each_artifact_once(self, config, monkeypatch):
+        # flows.csv, dataset.csv and transformed.csv are read by two, two
+        # and three stages, model.json by two
+        tables, texts = [], []
+        parse_csv, parse_model = dataset._parse_csv, models._parse_model
+        monkeypatch.setattr(dataset, "_last_read", (None, None))
+        monkeypatch.setattr(models, "_last_model", (None, None))
+        monkeypatch.setattr(dataset, "_parse_csv",
+                            lambda *a: tables.append(a[0]) or parse_csv(*a))
+        monkeypatch.setattr(models, "_parse_model",
+                            lambda t: texts.append(t) or parse_model(t))
+        assert run(["pipeline", "--config", str(config)]) == 0
+        assert tables == ["flows.csv", "dataset.csv", "transformed.csv"]
+        assert len(texts) == 1
+
     def test_manifest_counts_late_drops(self, tmp_path):
         # the third packet starts a new flow 1.5 s behind the newest packet,
         # beyond the 1 s reorder slack, so the meter drops it
@@ -187,6 +203,16 @@ class TestExitCodes:
         assert run(["diagnose", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "'fwd_byte_count'" in err and f"row_id {cells[0]}" in err
+
+    def test_explain_repeats_below_one_is_1(self, config, capsys):
+        overrides = ["--explain.repeats", "0"]
+        assert run(["pipeline", "--config", str(config), *overrides]) == 1
+        assert run(["explain", "--config", str(config), *overrides]) == 1
+        assert "repeats 0 must be an integer >= 1" in capsys.readouterr().err
+        cfg, h = load_config(config, [("explain.repeats", "0")])
+        run_dir = run_dir_for(cfg, h)
+        assert (run_dir / "report.txt").exists()
+        assert not (run_dir / "importance.csv").exists()
 
     def test_tampered_assignment_is_leakage(self, config):
         assert run(["pipeline", "--config", str(config)]) == 0

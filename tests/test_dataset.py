@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowlab import dataset
 from flowlab.dataset import Dataset, rows_fingerprint
 from flowlab.errors import ConfigError, DataError
 from oracles import dataset_csv_oracle
@@ -127,7 +128,10 @@ def test_csv_negative_zero_written_as_zero(tmp_path):
     assert not np.signbit(back.data["v"]).any()
 
 
-@pytest.mark.parametrize("cell", ["", "abc", "1,5"])
+# numeric cells follow np.loadtxt's grammar, which float() exceeds: "_"
+# separators and non-ASCII digits are rejected
+@pytest.mark.parametrize("cell", ["", "abc", "1,5", "1_000", "\u0661\u0662",
+                                  "\uff11"])
 def test_csv_bad_numeric_cell_names_column_and_row(tmp_path, cell):
     ds = Dataset.from_rows([{"x": 1.0, "v": 1.0}, {"x": 2.0, "v": 2.0}],
                            {"x": "numeric", "v": "numeric"})
@@ -146,6 +150,95 @@ def test_csv_short_row_is_data_error(tmp_path):
     path.write_text("row_id,v\n0,1\n1\n")
     with pytest.raises(DataError, match="cells"):
         Dataset.from_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1,2,b,3,4", "1,2,b", "1,2"],
+                         ids=["one_too_many", "one_too_few", "two_too_few"])
+def test_csv_row_cell_count_is_data_error(tmp_path, row):
+    # the numeric parse reads only the numeric columns, so the cell count of
+    # every row is checked apart from it
+    ds = Dataset.from_rows([{"x": 1.0, "who": "a", "v": 1.0}],
+                           {"x": "numeric", "who": "metadata", "v": "numeric"})
+    path = tmp_path / "v.csv"
+    ds.to_csv(path)
+    path.write_text(path.read_text() + row + "\r\n")
+    with pytest.raises(DataError, match="data row 2 has"):
+        Dataset.from_csv(path)
+
+
+def test_csv_missing_table_is_data_error(tmp_path):
+    _, path = _one_column([1.0], tmp_path)
+    path.unlink()                     # its schema is still there
+    with pytest.raises(DataError, match="v.csv"):
+        Dataset.from_csv(path)
+
+
+def test_csv_zero_rows_round_trip(tmp_path):
+    kinds = {"v": "numeric", "who": "metadata", "label": "label"}
+    ds = Dataset.from_rows([], kinds)
+    path = tmp_path / "empty.csv"
+    ds.to_csv(path, config_hash="h")
+    back = Dataset.from_csv(path)
+    assert back.names == ds.names and back.kinds == kinds
+    assert len(back) == 0 and back.row_ids.dtype == np.int64
+    assert back.data["v"].dtype == np.float64 and back.data["v"].shape == (0,)
+    assert back.data["who"].dtype == object and back.data["who"].shape == (0,)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of tables Dataset.from_csv has parsed, from an empty
+    memo on."""
+    calls = []
+    parse = dataset._parse_csv
+    monkeypatch.setattr(dataset, "_last_read", (None, None))
+    monkeypatch.setattr(dataset, "_parse_csv",
+                        lambda *a: calls.append(a[0]) or parse(*a))
+    return calls
+
+
+def test_csv_memo_hit_is_an_independent_copy(tmp_path, parses):
+    ds = _toy()
+    ds.provenance = {"origin": "unit-test"}
+    path = tmp_path / "ds.csv"
+    ds.to_csv(path)
+    first = Dataset.from_csv(path)
+    first.data["x"][0] = 99.0
+    first.data["who"][0] = "changed"
+    first.drop_columns(["y"])
+    first.kinds["proto"] = "metadata"
+    first.provenance["origin"] = "changed"
+    first.set_partitions({0: "train", 1: "test", 2: "train"})
+    second = Dataset.from_csv(path)
+    assert parses == ["ds.csv"]
+    assert second is not first
+    assert second.names == ds.names and second.kinds == ds.kinds
+    np.testing.assert_array_equal(second.data["x"], ds.data["x"])
+    assert list(second.data["who"]) == ["a", "b", "c"]
+    assert second.provenance == {"origin": "unit-test"}
+    assert second.partitions is None
+
+
+def test_csv_rewritten_at_same_path_is_parsed_again(tmp_path, parses):
+    path = tmp_path / "ds.csv"
+    _toy().to_csv(path)
+    Dataset.from_csv(path)
+    Dataset.from_csv(path)
+    assert len(parses) == 1
+    changed = _toy()
+    changed.data["x"][1] = -4.0
+    changed.to_csv(path)              # same schema, other cells
+    assert Dataset.from_csv(path).data["x"].tolist() == [1.5, -4.0, 0.5]
+    assert len(parses) == 2
+    schema = path.with_suffix(".csv.schema.json")
+    schema.write_text(schema.read_text().replace('"categorical"',
+                                                 '"metadata"'))
+    assert Dataset.from_csv(path).kinds["proto"] == "metadata"
+    assert len(parses) == 3
+    (tmp_path / "other.csv").write_bytes(path.read_bytes())
+    (tmp_path / "other.csv.schema.json").write_bytes(schema.read_bytes())
+    Dataset.from_csv(tmp_path / "other.csv")     # same bytes, other path
+    assert len(parses) == 4
 
 
 @pytest.mark.parametrize("schema", [
@@ -182,10 +275,12 @@ def datasets(draw):
         for row, v in zip(rows, col):
             row[f"c{j}"] = v
     # text that needs quoting (comma, quote, CR, LF) next to text that does
-    # not, empty cells included
+    # not, empty cells included; NEL, LINE SEPARATOR and FORM FEED are left
+    # unquoted, and str.splitlines would break a line at each
     kinds["who"], kinds["tag"] = "metadata", "categorical"
     for row in rows:
-        row["who"] = draw(st.text(alphabet='ab,"# 0\r\n', max_size=4))
+        row["who"] = draw(st.text(alphabet='ab,"# 0\r\n\x85\u2028\x0c',
+                                  max_size=4))
         row["tag"] = draw(st.text(alphabet="xy\n", max_size=2))
     ds = Dataset.from_rows(rows, kinds)
     ds.row_ids = np.asarray(row_ids, dtype=np.int64)

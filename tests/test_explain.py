@@ -121,6 +121,12 @@ class TestPermutation:
         assert vals["signal"] > 0.3
         assert abs(vals["noise"]) < 0.05
 
+    @pytest.mark.parametrize("repeats", [0, -1, 1.5])
+    def test_repeats_must_be_a_positive_integer(self, rng, repeats):
+        X, y = _data(rng, n=20)
+        with pytest.raises(ConfigError, match="repeats"):
+            permutation_importance(tree_fit(X, y), X, y, repeats=repeats)
+
     def test_grouped_exceeds_individual(self, rng):
         # two near-duplicates of the signal: shuffling one alone lets the
         # model fall back on the other, hiding their joint contribution

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flowlab import models
 from flowlab.dataset import Dataset
 from flowlab.errors import (ConfigError, DataError, FitError, LeakageError,
                             ShapeError)
@@ -391,3 +392,23 @@ class TestModelFromJson:
     def test_valid_document_loads(self):
         model = model_from_json(json.dumps(_tree_doc()))
         assert list(model.predict([[1.5, 0.0], [10.5, 1.0]])) == ["A", "B"]
+
+    def test_memo_parses_once_and_returns_copies(self, rng, monkeypatch):
+        X, y = _blobs(rng, n_per=20)
+        text = model_to_json(forest_fit(X, y, ForestParams(n_trees=3)))
+        calls = []
+        parse = models._parse_model
+        monkeypatch.setattr(models, "_last_model", (None, None))
+        monkeypatch.setattr(models, "_parse_model",
+                            lambda t: calls.append(t) or parse(t))
+        first = model_from_json(text)
+        expected = first.predict_proba(X)
+        first.nodes.threshold[:] = 0.0
+        first.classes.append("bogus")
+        second = model_from_json(text)
+        assert len(calls) == 1 and second is not first
+        np.testing.assert_array_equal(second.predict_proba(X), expected)
+        assert model_to_json(second) == text
+        model_from_json(model_to_json(tree_fit(X, y)))
+        model_from_json(text)
+        assert len(calls) == 3

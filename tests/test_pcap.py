@@ -1,5 +1,8 @@
+import gc
 import ipaddress
 import struct
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +95,25 @@ class TestParseCapture:
         stream, _ = parse_capture(path)
         (got,) = list(stream)
         assert got.ts == 1_500_000_000
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    def test_stream_opens_its_own_file(self, tmp_path, monkeypatch):
+        # a ResourceWarning from a file closed by the collector is raised
+        # in a destructor, where it reaches sys.unraisablehook
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        path = tmp_path / "two.pcap"
+        write_capture(path, [_udp(1), _udp(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            stream, _ = parse_capture(path)      # never consumed
+            del stream
+            stream, _ = parse_capture(path)      # consumed in part
+            assert next(stream) == _udp(1)
+            stream.close()
+            del stream
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
 
     def test_round_trip_random(self, tmp_path, rng):
         pkts = []

@@ -77,6 +77,22 @@ class TestDiagnose:
         assert rep.duplicate_rows == 1
 
 
+    def test_duplicate_key_semantics(self):
+        # a row holding NaN is never a duplicate, -0.0 equals 0.0, and text
+        # compares by value, not by object
+        rows = _base_rows(6)
+        rows[1] = dict(rows[0])
+        rows[0]["flow_duration"] = rows[1]["flow_duration"] = float("nan")
+        rows[3] = dict(rows[2])
+        rows[2]["flow_duration"], rows[3]["flow_duration"] = -0.0, 0.0
+        rows[5] = dict(rows[4])
+        rows[4]["label"], rows[5]["label"] = "HTTPS", "".join(["HTT", "PS"])
+        assert diagnose(_ds(rows)).duplicate_rows == 2
+        out, audit = clean(_ds(rows))
+        assert {"rule": "duplicate_rows", "count": 2} in audit
+        assert out.row_ids.tolist() == [0, 1, 2, 4]
+
+
 class TestClean:
     def test_drops_constant_and_duplicates(self):
         rows = _base_rows()
