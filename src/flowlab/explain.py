@@ -96,7 +96,13 @@ def gini_importance(model, feature_names: Sequence[str]) -> ImportanceTable:
 
 
 def correlation_groups(X: np.ndarray, threshold: float = 0.9) -> list[tuple]:
-    """Single-linkage groups of features with |Pearson r| >= threshold."""
+    """Single-linkage groups of features with |Pearson r| >= threshold.
+
+    Every pair's r comes from one correlation matrix. Its rounding can
+    differ in the last bits from a two-column `np.corrcoef`, so a pair
+    within 1e-12 of the threshold is decided by the two-column value.
+    Constant columns (every cell equal) stay alone.
+    """
     n = X.shape[1]
     parent = list(range(n))
 
@@ -106,13 +112,15 @@ def correlation_groups(X: np.ndarray, threshold: float = 0.9) -> list[tuple]:
             i = parent[i]
         return i
 
-    std = X.std(axis=0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if std[i] == 0 or std[j] == 0:
-                continue
-            r = np.corrcoef(X[:, i], X[:, j])[0, 1]
-            if abs(r) >= threshold:
+    live = np.flatnonzero((X != X[:1]).any(axis=0))
+    if len(live) > 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.abs(np.corrcoef(X[:, live], rowvar=False))
+        near = np.abs(r - threshold) < 1e-12
+        for a, b in zip(*np.nonzero(np.triu((r >= threshold) | near, 1))):
+            i, j = int(live[a]), int(live[b])
+            if (not near[a, b]
+                    or abs(np.corrcoef(X[:, i], X[:, j])[0, 1]) >= threshold):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):

@@ -8,15 +8,28 @@ and records where each tree's root is; predict moves every (tree, row)
 pair down one level per numpy step (`walk`), and a pair leaves the walk at
 its leaf.
 
-Split search (Gini decrease, Breiman et al., CART): for each sampled
-feature the node's rows are sorted stably, and prefix sums of one-hot
-labels give the class counts left of every cut between distinct values.
-Cuts are scanned feature by feature in ascending id, then by ascending
+Split search (Gini decrease, Breiman et al., CART): cuts between distinct
+values are scanned feature by feature in ascending id, then by ascending
 threshold, and a cut replaces the best so far only if its decrease is
 larger by more than 1e-15: ties within 1e-15 go to the lowest feature,
 then the lowest threshold. The threshold is the midpoint of the two values
 a cut separates, or the lower one where the midpoint rounds up to the
 higher.
+
+All trees of a fit grow in lockstep (`_grow_trees`), and each step scores
+a batch of nodes in one search (`_best_splits`). Each column's values are
+ranked once per fit, NaN as one value ranked last, as in the presorting
+of SPRINT (Shafer, Agrawal & Mehta, VLDB 1996). Every (node, sampled
+feature, row) cell of the batch gets an integer key (node, feature, value
+rank, class), and one 1-D sort orders them all.
+Rows of one value form a group, whose order inside cannot change a fit.
+Prefix sums of the groups' class counts give the counts left of each cut
+between distinct values, and the Gini decrease is computed there only,
+with the same float operations as a scalar per-cut scan. A cut that does
+not beat every earlier cut of its node cannot pass the 1e-15 rule, so only
+the others go through it in order. The winning cut's prefix counts are the
+children's class counts. Node rows are index ranges of one array per
+tree, which each split partitions stably.
 
 Distance ties break on the lowest train row index, vote ties on the lowest
 class index, and all randomness flows from explicit seeds.
@@ -38,7 +51,7 @@ from .errors import ConfigError, DataError, FitError, LeakageError, ShapeError
 from . import evaluation
 from .partition import kfold
 
-# floats per block of prefix class counts in _best_split (bounds its memory)
+# cells x classes per block of the batched split search (bounds its memory)
 _SPLIT_BLOCK = 1 << 18
 _ROOT = np.zeros(1, dtype=np.int64)
 
@@ -47,14 +60,6 @@ def _encode_labels(y) -> tuple[np.ndarray, list[str]]:
     classes = sorted({str(v) for v in y})
     index = {c: i for i, c in enumerate(classes)}
     return np.asarray([index[str(v)] for v in y], dtype=np.int64), classes
-
-
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p ** 2).sum())
 
 
 class _Classifier:
@@ -234,97 +239,275 @@ class TreeModel(_Classifier):
         return _predict_proba(self.nodes, _ROOT, self._rows(X))
 
 
-def _best_split(Xf: np.ndarray, onehot: np.ndarray, counts: np.ndarray,
-                parent: float) -> Optional[tuple]:
-    """(weighted-impurity decrease, column, threshold) of the best cut of a
-    node, or None. Xf holds the node's rows in the candidate features'
-    columns, by ascending feature id; onehot its one-hot labels; counts and
-    parent its class counts and Gini impurity.
+class _Ranked(NamedTuple):
+    """A training matrix prepared once per fit for the split search."""
+    X: np.ndarray
+    cells: np.ndarray    # cells[f * n + i]: rank * classes + class of row i
+    values: np.ndarray   # values[f, r]: a value of rank r in column f
 
-    Every cut's decrease is computed at once, with the same float
-    operations as a scalar per-cut Gini. Only a cut whose decrease beats
-    every earlier cut of its column can pass the sequential
-    `dec > best + 1e-15` rule, so only those go through it.
+
+def _rank(X: np.ndarray, y: np.ndarray, n_classes: int) -> _Ranked:
+    """Dense ranks of each column's distinct values, NaN one value ranked
+    last, folded with the class codes y."""
+    n, d = X.shape
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    new = np.ones((n, d), dtype=bool)
+    new[1:] = (xs[1:] != xs[:-1]) & ~(np.isnan(xs[1:]) & np.isnan(xs[:-1]))
+    sorted_ranks = np.cumsum(new, axis=0) - 1
+    ranks = np.empty((n, d), dtype=np.int64)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=0)
+    values = np.zeros((d, int(sorted_ranks.max(initial=0)) + 1))
+    values[np.arange(d), sorted_ranks] = xs
+    return _Ranked(X, (ranks * n_classes + y[:, None]).T.ravel(), values)
+
+
+def _best_splits(table: _Ranked, perm: np.ndarray, lo: np.ndarray,
+                 size: np.ndarray, feats: np.ndarray, counts: np.ndarray,
+                 parent: np.ndarray) -> list:
+    """The best cut of each node of a batch, or None. Node b holds the rows
+    perm[lo[b]:lo[b] + size[b]] of table.X, its candidate features are
+    feats[b] (ascending), its class counts counts[b] and its Gini impurity
+    parent[b]. A cut is (decrease, feature, threshold, class counts left
+    of the cut).
+
+    The (node, feature) segments are searched in blocks of at most
+    _SPLIT_BLOCK cells x classes; a node's best cut so far carries over
+    from one block to the next.
     """
-    n, k = Xf.shape
-    if n < 2:
-        return None
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = n - nl
-    best = None
-    step = max(1, _SPLIT_BLOCK // (n * onehot.shape[1]))
-    for lo in range(0, k, step):
-        cols = Xf[:, lo:lo + step]
-        order = np.argsort(cols, axis=0, kind="stable")
-        xs = np.take_along_axis(cols, order, axis=0)
-        left = np.cumsum(onehot[order[:-1]], axis=0)
-        gl = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=2)
-        gr = 1.0 - (((counts - left) / nr[..., None]) ** 2).sum(axis=2)
-        dec = parent - (nl * gl + nr * gr) / n
-        # no cut between equal values; NaN (sorted last) counts as one value
-        same = (xs[:-1] == xs[1:]) | (np.isnan(xs[:-1]) & np.isnan(xs[1:]))
-        dec[same] = -np.inf
-        record = dec > -np.inf
-        record[1:] &= dec[1:] > np.maximum.accumulate(dec, axis=0)[:-1]
-        for j, i in zip(*np.nonzero(record.T)):
-            if best is None or dec[i, j] > best[0] + 1e-15:
-                a, b = xs[i, j], xs[i + 1, j]
-                mid = (a + b) / 2.0   # may round up to b: then use a
-                best = (float(dec[i, j]), lo + int(j),
-                        float(mid if mid < b else a))
-    return best
-
-
-def _grow(tree: _Builder, X: np.ndarray, y: np.ndarray, n_classes: int,
-          params: TreeParams, rng: Optional[np.random.Generator],
-          m: Optional[int]) -> None:
-    """Grow one tree on (X, y) into `tree`, node by node in preorder, so
-    the feature samples are drawn from rng in preorder."""
-    n_total, d = X.shape
-    onehot = np.eye(n_classes)[y]
-    stack = [(np.arange(n_total), 0, -1, "")]
-    while stack:
-        rows, depth, parent, side = stack.pop()
-        counts = np.bincount(y[rows], minlength=n_classes)
-        impurity = _gini(counts)
-        i = tree.leaf(parent, side, counts / len(rows), impurity, len(rows))
-        if (impurity == 0.0
-                or len(rows) < params.min_samples_split
-                or (params.max_depth is not None
-                    and depth >= params.max_depth)):
+    n = len(table.X)
+    B, k = feats.shape
+    C, R = counts.shape[1], table.values.shape[1]
+    # segment s is (node s // k, feature seg_feat[s]); its cells end at
+    # seg_end[s]
+    seg_len = np.repeat(size, k)
+    seg_end = np.cumsum(seg_len)
+    seg_node = np.repeat(np.arange(B), k)
+    seg_at = np.repeat(lo, k)
+    seg_feat = feats.ravel()
+    blocks, s = [], 0
+    while s < B * k:
+        limit = seg_end[s] - seg_len[s] + max(1, _SPLIT_BLOCK // C)
+        blocks.append((s, max(s + 1, int(np.searchsorted(seg_end, limit,
+                                                         "right")))))
+        s = blocks[-1][1]
+    best, won = [None] * B, [None] * B
+    for s0, s1 in blocks:
+        lens = seg_len[s0:s1]
+        start = seg_end[s0:s1] - lens - (seg_end[s0] - lens[0])
+        seg = np.repeat(np.arange(s1 - s0), lens)
+        rows = perm[np.arange(len(seg)) + (seg_at[s0:s1] - start)[seg]]
+        key = np.sort(table.cells[seg_feat[s0:s1][seg] * n + rows]
+                      + seg * (R * C))
+        group = key // C
+        head = np.empty(len(key), dtype=bool)
+        head[0] = True
+        np.not_equal(group[1:], group[:-1], out=head[1:])
+        gid = np.cumsum(head) - 1
+        n_groups = int(gid[-1]) + 1
+        cum = np.zeros((n_groups + 1, C), dtype=np.int64)
+        np.cumsum(np.bincount(gid * C + key % C, minlength=n_groups * C)
+                  .reshape(-1, C), axis=0, out=cum[1:])
+        first = np.flatnonzero(head)            # each group's first cell
+        gseg, grank = np.divmod(group[first], R)
+        cut = np.flatnonzero(gseg[1:] == gseg[:-1])   # after group cut[j]
+        if not len(cut):
             continue
-        if m is not None and rng is not None and m < d:
-            feature_ids = np.sort(rng.permutation(d)[:m])
-        else:
-            feature_ids = np.arange(d)
-        found = _best_split(X[np.ix_(rows, feature_ids)], onehot[rows],
-                            counts, impurity)
-        if found is None:
+        sc = gseg[cut]
+        left = cum[cut + 1] - cum[np.searchsorted(gseg, sc)]
+        nl = (first[cut + 1] - start[sc]).astype(np.float64)[:, None]
+        node = seg_node[s0:s1][sc]
+        nr = size[node][:, None] - nl
+        gl = 1.0 - ((left / nl) ** 2).sum(axis=1)
+        gr = 1.0 - (((counts[node] - left) / nr) ** 2).sum(axis=1)
+        dec = parent[node] - (nl[:, 0] * gl + nr[:, 0] * gr) / size[node]
+        # the cuts that beat every earlier cut of their node in this block
+        ends = (np.flatnonzero(node[1:] != node[:-1]) + 1).tolist()
+        run = np.empty_like(dec)
+        for a, b in zip([0, *ends], [*ends, len(dec)]):
+            np.maximum.accumulate(dec[a:b], out=run[a:b])
+        record = np.empty(len(dec), dtype=bool)
+        record[0] = True
+        np.greater(dec[1:], run[:-1], out=record[1:])
+        record[ends] = True
+        rec = np.flatnonzero(record)
+        moved = {}
+        for j, b, v in zip(rec.tolist(), node[rec].tolist(),
+                           dec[rec].tolist()):
+            if best[b] is None or v > best[b] + 1e-15:
+                best[b] = v
+                moved[b] = j
+        if moved:
+            j = np.fromiter(moved.values(), dtype=np.int64, count=len(moved))
+            for b, f, ra, rb, lc in zip(
+                    moved, seg_feat[s0:s1][sc[j]].tolist(),
+                    grank[cut[j]].tolist(), grank[cut[j] + 1].tolist(),
+                    left[j]):
+                won[b] = (f, ra, rb, lc)
+    out = []
+    for b, v in enumerate(best):
+        if v is None:
+            out.append(None)
             continue
-        dec, j, thr = found
-        if dec <= 0.0 or dec < params.min_impurity_decrease:
-            continue
-        f = int(feature_ids[j])
-        mask = X[rows, f] <= thr
-        tree.split(i, f, thr, (len(rows) / n_total) * dec)
-        stack.append((rows[~mask], depth + 1, i, "right"))
-        stack.append((rows[mask], depth + 1, i, "left"))
+        f, ra, rb, lc = won[b]
+        a, c = float(table.values[f, ra]), float(table.values[f, rb])
+        mid = (a + c) / 2.0      # may round up to c: then use a
+        if not mid < c and a == 0.0:
+            # +0.0 and -0.0 are one value: a stable sort of the node's rows
+            # puts the last of them (in row order) left of the cut
+            x = table.X[perm[lo[b]:lo[b] + size[b]], f]
+            a = float(x[np.flatnonzero(x == 0.0)[-1]])
+        out.append((v, f, mid if mid < c else a, lc))
+    return out
 
 
-def tree_fit(X: np.ndarray, y, params: Optional[TreeParams] = None
-             ) -> TreeModel:
-    """Greedy CART with Gini decrease; thresholds at midpoints."""
-    params = params or TreeParams()
+def _grow_trees(X: np.ndarray, y: np.ndarray, n_classes: int,
+                samples: list, params: TreeParams,
+                rngs: Optional[list] = None,
+                m: Optional[int] = None) -> tuple[Nodes, np.ndarray]:
+    """Grow one tree on each row sample (an index array into X) and return
+    their nodes, in tree order, with each tree's root index.
+
+    The trees grow in lockstep, each from a stack of its pending nodes.
+    If rngs (one per tree) is given and m < d, a node's m features are
+    drawn from its tree's generator when it is popped; then each step pops
+    from every tree the next node that needs a split, so the draws come in
+    preorder, as for a tree grown alone. Otherwise the order does not
+    matter, and a step pops every pending node. One batched split search
+    serves every node of a step; the nodes are put in preorder at the end.
+    """
+    n, d = X.shape
+    draw = rngs is not None and m is not None and m < d
+    table = _rank(X, y, n_classes)
+    perm = np.concatenate(samples)
+    n_tree = [len(s) for s in samples]
+    # per node, in creation order; children's counts come from their cut
+    tree, lo, size, depth, counts, impurity, needs = ([] for _ in range(7))
+    feature, threshold, importance, left, right = ([] for _ in range(5))
+
+    def add(trees, starts, sizes, depths, cnt) -> list:
+        ids = list(range(len(tree), len(tree) + len(trees)))
+        imp = 1.0 - ((cnt / sizes[:, None]) ** 2).sum(axis=1)
+        ok = (imp != 0.0) & (sizes >= params.min_samples_split)
+        if params.max_depth is not None:
+            ok &= depths < params.max_depth
+        for col, v in ((tree, trees), (lo, starts), (size, sizes),
+                       (depth, depths), (impurity, imp), (needs, ok)):
+            col.extend(v.tolist())
+        counts.extend(cnt)
+        feature.extend([-1] * len(ids))
+        threshold.extend([0.0] * len(ids))
+        importance.extend([0.0] * len(ids))
+        left.extend(ids)
+        right.extend(ids)
+        return ids
+
+    T = len(samples)
+    at = np.repeat(np.arange(T), n_tree)
+    roots = add(np.arange(T), np.cumsum([0, *n_tree[:-1]]),
+                np.asarray(n_tree), np.zeros(T, dtype=np.int64),
+                np.bincount(at * n_classes + y[perm], minlength=T * n_classes
+                            ).reshape(T, n_classes))
+    stacks = [[r] for r in roots]
+    while True:
+        batch, feats = [], []
+        for t, stack in enumerate(stacks):
+            while stack:
+                i = stack.pop()
+                if needs[i]:
+                    batch.append(i)
+                    if draw:
+                        feats.append(rngs[t].permutation(d)[:m])
+                        break
+        if not batch:
+            break
+        feats = (np.sort(feats, axis=1) if draw
+                 else np.broadcast_to(np.arange(d), (len(batch), d)))
+        found = _best_splits(
+            table, perm, np.asarray([lo[i] for i in batch]),
+            np.asarray([size[i] for i in batch]), feats,
+            np.asarray([counts[i] for i in batch]),
+            np.asarray([impurity[i] for i in batch]))
+        split = [(i, *hit) for i, hit in zip(batch, found)
+                 if hit is not None and not (
+                     hit[0] <= 0.0 or hit[0] < params.min_impurity_decrease)]
+        if not split:
+            continue
+        parents, decs, fs, thrs, lcs = zip(*split)
+        p_lo = np.asarray([lo[i] for i in parents])
+        p_size = np.asarray([size[i] for i in parents])
+        lc = np.asarray(lcs)
+        nl = lc.sum(axis=1)
+        _partition(perm, X, p_lo, p_size, np.asarray(fs), np.asarray(thrs),
+                   nl)
+        t = np.asarray([tree[i] for i in parents])
+        dp = np.asarray([depth[i] for i in parents]) + 1
+        p_counts = np.asarray([counts[i] for i in parents])
+        kids = add(np.concatenate([t, t]), np.concatenate([p_lo, p_lo + nl]),
+                   np.concatenate([nl, p_size - nl]), np.concatenate([dp, dp]),
+                   np.concatenate([lc, p_counts - lc]))
+        for i, dec, f, thr, a, b in zip(parents, decs, fs, thrs, kids,
+                                         kids[len(parents):]):
+            feature[i], threshold[i], left[i], right[i] = f, thr, a, b
+            importance[i] = (size[i] / n_tree[tree[i]]) * dec
+            stacks[tree[i]] += (b, a)
+    # preorder: a node, its left subtree, then its right subtree
+    order, tree_roots = [], []
+    for r in roots:
+        tree_roots.append(len(order))
+        stack = [r]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if feature[i] >= 0:
+                stack += (right[i], left[i])
+    order = np.asarray(order)
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    n_samples = np.asarray(size)[order]
+    nodes = Nodes(feature=np.asarray(feature)[order],
+                  threshold=np.asarray(threshold)[order],
+                  left=pos[np.asarray(left)[order]],
+                  right=pos[np.asarray(right)[order]],
+                  probs=np.asarray(counts)[order] / n_samples[:, None],
+                  impurity=np.asarray(impurity)[order], n_samples=n_samples,
+                  importance=np.asarray(importance)[order])
+    return nodes, np.asarray(tree_roots, dtype=np.int64)
+
+
+def _partition(perm: np.ndarray, X: np.ndarray, lo: np.ndarray,
+               size: np.ndarray, f: np.ndarray, thr: np.ndarray,
+               nl: np.ndarray) -> None:
+    """Stably partition each range perm[lo:lo + size] in place: the nl rows
+    with X[row, f] <= thr first, then the rest."""
+    seg = np.repeat(np.arange(len(lo)), size)
+    start = np.cumsum(size) - size
+    pos = np.arange(len(seg)) + (lo - start)[seg]
+    rows = perm[pos]
+    go = X[rows, f[seg]] <= thr[seg]
+    lefts = np.cumsum(go) - go              # left rows before, all ranges
+    lefts -= lefts[start][seg]
+    ahead = pos - lo[seg]                   # rows before, in the range
+    perm[np.where(go, lo[seg] + lefts, (lo + nl)[seg] + ahead - lefts)] = rows
+
+
+def _check_fit(X, y) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) == 0:
         raise FitError("empty or non-2D training matrix")
     if len(X) != len(y):
         raise ShapeError("X and y length mismatch")
+    return X
+
+
+def tree_fit(X: np.ndarray, y, params: Optional[TreeParams] = None
+             ) -> TreeModel:
+    """Greedy CART with Gini decrease; thresholds at midpoints."""
+    X = _check_fit(X, y)
     y_enc, classes = _encode_labels(y)
-    tree = _Builder()
-    _grow(tree, X, y_enc, len(classes), params, None, None)
-    return TreeModel(nodes=tree.finish(len(classes)), classes=classes,
-                     n_features=X.shape[1])
+    nodes, _ = _grow_trees(X, y_enc, len(classes), [np.arange(len(X))],
+                           params or TreeParams())
+    return TreeModel(nodes=nodes, classes=classes, n_features=X.shape[1])
 
 
 @dataclass
@@ -360,9 +543,7 @@ class ForestParams:
 def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
                seed: int = 0) -> ForestModel:
     params = params or ForestParams()
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0:
-        raise FitError("empty or non-2D training matrix")
+    X = _check_fit(X, y)
     y_enc, classes = _encode_labels(y)
     n, d = X.shape
     m = params.m if params.m is not None else max(1, math.ceil(math.sqrt(d)))
@@ -371,7 +552,7 @@ def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
     if params.n_trees < 1:
         raise ConfigError(f"n_trees={params.n_trees} must be at least 1")
     rng = np.random.default_rng(seed)
-    forest, roots, oob = _Builder(), [], []
+    rngs, samples, oob = [], [], []
     for _ in range(params.n_trees):
         tree_rng = np.random.default_rng(rng.integers(2 ** 63))
         if params.bootstrap:
@@ -380,14 +561,13 @@ def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
             idx = np.arange(n)
         mask = np.ones(n, dtype=bool)
         mask[np.unique(idx)] = False
-        roots.append(len(forest))
-        _grow(forest, X[idx], y_enc[idx], len(classes), params.tree,
-              tree_rng, m if m < d else None)
+        rngs.append(tree_rng)
+        samples.append(idx)
         oob.append(mask)
-    return ForestModel(nodes=forest.finish(len(classes)),
-                       roots=np.asarray(roots, dtype=np.int64),
-                       classes=classes, n_features=d, m=m, seed=seed,
-                       oob_masks=oob)
+    nodes, roots = _grow_trees(X, y_enc, len(classes), samples, params.tree,
+                               rngs, m)
+    return ForestModel(nodes=nodes, roots=roots, classes=classes,
+                       n_features=d, m=m, seed=seed, oob_masks=oob)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
+    DataError,
     DecodeError,
     InvalidArgumentError,
     TruncatedCaptureError,
@@ -237,6 +238,13 @@ def _finish_transport(data: bytes, toff: int, ts: int, src: bytes, dst: bytes,
                   super_packet=ip_len > mtu)
 
 
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise DataError(f"cannot read capture: {e}") from None
+
+
 def parse_capture(path, cfg: Optional[IngestConfig] = None):
     """Open a classic PCAP file and return (packet iterator, summary).
 
@@ -245,7 +253,7 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
     cfg.filter first, then 1-in-N sampling on the filtered stream.
     """
     cfg = cfg or IngestConfig()
-    with open(path, "rb") as f:
+    with _open(path) as f:
         header = f.read(24)
     if len(header) < 24:
         raise UnsupportedFormatError("file too short for PCAP global header")
@@ -269,7 +277,7 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
         offset = 24
         # a handle of its own, opened on the first next(): a stream that is
         # never consumed holds no open file
-        with open(path, "rb") as f:
+        with _open(path) as f:
             f.seek(offset)
             while True:
                 hdr = f.read(16)

@@ -6,7 +6,8 @@ comes from a full walk of every resident flow, k-NN is a literal O(n^2)
 scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is written
 one cell at a time, a flow record is finalized one value at a time,
 permutation importance predicts every shuffled matrix in full and scores
-labels pair by pair. The only names taken from flowlab are constants (see
+labels pair by pair, and correlation groups link columns pair by pair.
+The only names taken from flowlab are constants (see
 tests/test_oracles.py).
 """
 
@@ -402,25 +403,58 @@ def tree_oracle(X, y, max_depth=None, min_samples_split=2,
             "root": root}
 
 
-def forest_oracle(X, y, n_trees, seed, m=None, max_depth=None) -> dict:
-    """The document `model_to_json` writes for `forest_fit` (bootstrap on):
-    one seed per tree drawn from the forest seed, then the tree's bootstrap
-    rows and per-node feature samples from that tree's generator."""
+def forest_oracle(X, y, n_trees, seed, m=None, max_depth=None,
+                  min_samples_split=2, bootstrap=True) -> dict:
+    """The document `model_to_json` writes for `forest_fit`: one seed per
+    tree drawn from the forest seed, then the tree's bootstrap rows (or
+    every row, in order) and per-node feature samples from that tree's
+    generator."""
     X = np.asarray(X, dtype=np.float64)
     y_enc, classes = _labels_oracle(y)
     n, d = X.shape
     m = m if m is not None else max(1, int(np.ceil(np.sqrt(d))))
-    params = {"max_depth": max_depth, "min_samples_split": 2,
+    params = {"max_depth": max_depth, "min_samples_split": min_samples_split,
               "min_impurity_decrease": 0.0}
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(n_trees):
         tree_rng = np.random.default_rng(rng.integers(2 ** 63))
-        idx = tree_rng.integers(0, n, size=n)
+        idx = tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         trees.append(_grow_oracle(X[idx], y_enc[idx], len(classes), 0, params,
                                   n, tree_rng, m if m < d else None))
     return {"kind": "forest", "classes": classes, "n_features": d, "m": m,
             "seed": seed, "trees": trees}
+
+
+def correlation_groups_oracle(X, threshold: float) -> list[tuple]:
+    """Connected components of the graph that links two columns when
+    neither is constant and their two-column |np.corrcoef| is at least the
+    threshold, found by depth-first search."""
+    X = np.asarray(X, dtype=np.float64)
+    d = X.shape[1]
+    varies = [len(set(X[:, j].tolist())) > 1 for j in range(d)]
+    links = {j: [] for j in range(d)}
+    for i in range(d):
+        for j in range(i + 1, d):
+            if (varies[i] and varies[j]
+                    and abs(np.corrcoef(X[:, i], X[:, j])[0, 1]) >= threshold):
+                links[i].append(j)
+                links[j].append(i)
+    seen, groups = set(), []
+    for s in range(d):
+        if s in seen:
+            continue
+        seen.add(s)
+        todo, group = [s], []
+        while todo:
+            v = todo.pop()
+            group.append(v)
+            for w in links[v]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        groups.append(tuple(sorted(group)))
+    return sorted(groups)
 
 
 def tree_proba_oracle(doc: dict, X) -> np.ndarray:

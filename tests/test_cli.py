@@ -188,6 +188,12 @@ class TestExitCodes:
         assert run(["meter", "--config", str(config),
                     "--capture", str(bad)]) == 2
 
+    @pytest.mark.parametrize("name", ["missing.pcap", "."])
+    def test_unreadable_capture_is_2(self, tmp_path, config, capsys, name):
+        assert run(["meter", "--config", str(config),
+                    "--capture", str(tmp_path / name)]) == 2
+        assert "cannot read capture" in capsys.readouterr().err
+
     def test_emptied_numeric_cell_is_2(self, config, capsys):
         assert run(["meter", "--config", str(config)]) == 0
         cfg, h = load_config(config, [])

@@ -12,7 +12,8 @@ from flowlab.explain import (correlation_groups, gini_importance,
                              write_pdp_csv)
 from flowlab.models import (ForestParams, forest_fit, knn_fit, model_to_json,
                             tree_fit)
-from oracles import permutation_importance_oracle, tree_proba_oracle
+from oracles import (correlation_groups_oracle,
+                     permutation_importance_oracle, tree_proba_oracle)
 
 
 def _data(rng, n=200):
@@ -57,6 +58,33 @@ class TestGini:
         assert lines[1].startswith("1,signal,")
 
 
+@st.composite
+def correlated_columns(draw):
+    """A few base columns, then constant, exactly collinear and duplicated
+    columns built from them, in a drawn order."""
+    n = draw(st.integers(1, 40))
+    cells = st.integers(-3, 3).map(float) | st.floats(-10, 10)
+    cols = [draw(arrays(np.float64, n, elements=cells))
+            for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["constant", "collinear", "duplicate",
+                                     "nan"]))
+        base = cols[draw(st.integers(0, len(cols) - 1))]
+        if kind == "constant":
+            col = np.full(n, draw(st.sampled_from([0.0, 0.1, 0.3, 7.0])))
+        elif kind == "collinear":
+            col = (draw(st.sampled_from([-2.0, 0.5, 3.0, 0.1, 1 / 3])) * base
+                   + draw(st.sampled_from([0.0, 0.1, -4.0])))
+        elif kind == "duplicate":
+            col = base.copy()
+        else:
+            col = base.copy()
+            col[draw(st.integers(0, n - 1))] = np.nan
+        cols.append(col)
+    order = draw(st.permutations(range(len(cols))))
+    return np.column_stack([cols[i] for i in order])
+
+
 class TestCorrelationGroups:
     def test_duplicated_column_grouped(self, rng):
         a = rng.normal(0, 1, 300)
@@ -78,6 +106,36 @@ class TestCorrelationGroups:
     def test_constant_column_isolated(self, rng):
         X = np.column_stack([np.ones(50), rng.normal(0, 1, 50)])
         assert correlation_groups(X, threshold=0.9) == [(0,), (1,)]
+
+    def test_constant_columns_with_inexact_mean_stay_apart(self):
+        # the mean of fifty 0.1s is not 0.1, so their std is not 0
+        X = np.column_stack([np.full(50, 0.1), np.full(50, 0.3),
+                             np.arange(50.0)])
+        assert correlation_groups(X, threshold=0.9) == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("pair, grouped", [((0, 17), False),
+                                               ((1, 16), True)])
+    def test_pair_at_the_threshold_uses_two_column_r(self, pair, grouped):
+        # two exactly collinear columns among noise: with numpy 2.4 and its
+        # OpenBLAS, the 20-column matrix puts their |r| on the other side
+        # of 1.0 than the two-column np.corrcoef does
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-10, 10, 200)
+        collinear = np.column_stack([
+            rng.choice([-2.0, 0.5, 3.0, 0.1, 1 / 3]) * a
+            + rng.choice([0.0, 0.1, -4.0]) for _ in range(20)])
+        X = np.random.default_rng(1).normal(size=(200, 20))
+        X[:, pair] = collinear[:, pair]
+        groups = correlation_groups(X, 1.0)
+        assert groups == correlation_groups_oracle(X, 1.0)
+        assert (pair in groups) == grouped
+
+    @settings(max_examples=150, deadline=None)
+    @given(correlated_columns(),
+           st.sampled_from([0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
+    def test_matches_pairwise_oracle(self, X, threshold):
+        assert correlation_groups(X, threshold) == \
+            correlation_groups_oracle(X, threshold)
 
 
 @st.composite

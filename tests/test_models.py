@@ -73,6 +73,10 @@ class TestTree:
             model.predict(np.zeros((3, 5)))
         with pytest.raises(FitError):
             tree_fit(np.zeros((0, 2)), [])
+        for fit in (tree_fit, forest_fit):
+            for y_len in (3, 5):
+                with pytest.raises(ShapeError):
+                    fit(np.zeros((4, 2)), ["A", "B", "A", "B", "A"][:y_len])
 
     def test_deterministic(self, rng):
         X, y = _blobs(rng)
@@ -345,6 +349,58 @@ class TestTreeOracle:
         Q = _queries(X)
         np.testing.assert_array_equal(model.predict_proba(Q),
                                       tree_proba_oracle(doc, Q))
+
+
+class TestLockstepGrowth:
+    @settings(max_examples=120, deadline=None)
+    @given(tied_problems(), st.data())
+    def test_forest_matches_oracle(self, problem, data):
+        # trees of one forest need different numbers of steps; +0.0 and
+        # -0.0 are one value, and a cut above it keeps the node's last one
+        X, y = problem
+        if data.draw(st.booleans(), label="signed_zeros"):
+            X = data.draw(arrays(np.float64, X.shape, elements=st.sampled_from(
+                [0.0, -0.0, np.nan, np.inf, 1.0])), label="X")
+        d = X.shape[1]
+        kw = dict(n_trees=data.draw(st.integers(1, 8), label="n_trees"),
+                  seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+                  m=data.draw(st.sampled_from([1, d]), label="m"),
+                  max_depth=data.draw(st.sampled_from([None, 1, 3]),
+                                      label="max_depth"),
+                  min_samples_split=data.draw(st.sampled_from([2, 3, 6]),
+                                              label="min_samples_split"),
+                  bootstrap=data.draw(st.booleans(), label="bootstrap"))
+        model = forest_fit(X, y, ForestParams(
+            n_trees=kw["n_trees"], m=kw["m"], bootstrap=kw["bootstrap"],
+            tree=TreeParams(max_depth=kw["max_depth"],
+                            min_samples_split=kw["min_samples_split"])),
+            seed=kw["seed"])
+        doc = forest_oracle(X, y, **kw)
+        assert model_to_json(model) == json.dumps(doc, sort_keys=True)
+
+    def test_blocked_search_is_byte_identical(self, rng, monkeypatch):
+        X, y = _blobs(rng, n_per=40)
+        X = np.hstack([X, rng.integers(0, 3, (len(X), 4)).astype(float)])
+        X[rng.random(X.shape) < 0.1] = np.nan
+        params = ForestParams(n_trees=6, m=3)
+
+        def fits():
+            return (model_to_json(forest_fit(X, y, params, seed=5)),
+                    model_to_json(tree_fit(X, y)))
+
+        default = fits()
+        cells = []
+        search = models._best_splits
+
+        def counted(table, perm, lo, size, feats, counts, parent):
+            cells.append(int(size.sum()) * feats.shape[1])
+            return search(table, perm, lo, size, feats, counts, parent)
+
+        monkeypatch.setattr(models, "_best_splits", counted)
+        monkeypatch.setattr(models, "_SPLIT_BLOCK", 64)
+        assert fits() == default
+        # a block holds 64 // 3 cells of 3 classes: batches span blocks
+        assert max(cells) > 64 // 3
 
 
 def _tree_doc():
