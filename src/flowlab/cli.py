@@ -481,18 +481,26 @@ def stage_explain(cfg, config_hash, run_dir: Path, dataset_path,
     return out
 
 
+# each stage's inputs in the run directory, in argument order; --dataset and
+# --assignment stand in for the first and the second
+STAGE_INPUTS = {"meter": (), "diagnose": ("flows.csv",),
+                "prepare": ("flows.csv",), "split": ("dataset.csv",),
+                "transform": ("dataset.csv", "assignment.csv"),
+                **{s: ("transformed.csv", "assignment.csv")
+                   for s in ("train", "evaluate", "explain")}}
+
+
+def run_stage(cmd, cfg, config_hash, run_dir: Path, *given) -> Path:
+    """Run one stage (looked up by name when called) on its inputs."""
+    inputs = [g or run_dir / name for g, name in
+              zip((*given, None, None), STAGE_INPUTS[cmd])]
+    return globals()[f"stage_{cmd}"](cfg, config_hash, run_dir, *inputs)
+
+
 def run_pipeline(cfg, config_hash, run_dir: Path) -> Path:
-    flows = stage_meter(cfg, config_hash, run_dir)
-    stage_diagnose(cfg, config_hash, run_dir, flows)
-    dataset = stage_prepare(cfg, config_hash, run_dir, flows)
-    assignment = stage_split(cfg, config_hash, run_dir, dataset)
-    transformed = stage_transform(cfg, config_hash, run_dir, dataset,
-                                  assignment)
-    stage_train(cfg, config_hash, run_dir, transformed, assignment)
-    report = stage_evaluate(cfg, config_hash, run_dir, transformed,
-                            assignment)
-    stage_explain(cfg, config_hash, run_dir, transformed, assignment)
-    return report
+    """Every stage in order on the run directory's files; the report."""
+    return {cmd: run_stage(cmd, cfg, config_hash, run_dir)
+            for cmd in STAGE_INPUTS}["evaluate"]
 
 
 # -- entry point ----------------------------------------------------------------
@@ -502,10 +510,7 @@ def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="flowlab",
         description="offline flow metering and traffic classification")
-    parser.add_argument("command",
-                        choices=["meter", "diagnose", "prepare", "split",
-                                 "transform", "train", "evaluate", "explain",
-                                 "pipeline"])
+    parser.add_argument("command", choices=[*STAGE_INPUTS, "pipeline"])
     parser.add_argument("--config",
                         default=os.environ.get(ENV_CONFIG),
                         help="JSON config file (or $FLOWLAB_CONFIG)")
@@ -536,37 +541,17 @@ def run(argv) -> int:
         args, overrides = _parse_args(argv)
         cfg, config_hash = load_config(args.config, overrides)
         run_dir = run_dir_for(cfg, config_hash)
-        cmd = args.command
-        if cmd == "pipeline":
+        if args.command == "pipeline":
             out = run_pipeline(cfg, config_hash, run_dir)
-        elif cmd == "meter":
-            out = stage_meter(cfg, config_hash, run_dir)
-        elif cmd == "diagnose":
-            out = stage_diagnose(cfg, config_hash, run_dir,
-                                 args.dataset or run_dir / "flows.csv")
-        elif cmd == "prepare":
-            out = stage_prepare(cfg, config_hash, run_dir,
-                                args.dataset or run_dir / "flows.csv")
-        elif cmd == "split":
-            out = stage_split(cfg, config_hash, run_dir,
-                              args.dataset or run_dir / "dataset.csv")
         else:
-            dataset = args.dataset or (
-                run_dir / ("dataset.csv" if cmd == "transform"
-                           else "transformed.csv"))
-            assignment = args.assignment or run_dir / "assignment.csv"
-            stage = {"transform": stage_transform, "train": stage_train,
-                     "evaluate": stage_evaluate, "explain": stage_explain}[cmd]
-            out = stage(cfg, config_hash, run_dir, dataset, assignment)
+            out = run_stage(args.command, cfg, config_hash, run_dir,
+                            args.dataset, args.assignment)
         print(out)
         return 0
     except (ConfigError, LeakageError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except FlowlabError as e:
+    except FlowlabError as e:       # DataError and the rest: bad input
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

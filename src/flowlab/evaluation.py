@@ -178,18 +178,6 @@ class MetricReport:
     top_misclassified: list[tuple[str, str, int]]
     notes: list[str] = field(default_factory=lambda: [ZERO_DIV_NOTE])
 
-    def as_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "accuracy": self.accuracy,
-            "per_class": self.per_class,
-            "macro": self.macro,
-            "weighted": self.weighted,
-            "micro": self.micro,
-            "top_misclassified": [list(t) for t in self.top_misclassified],
-            "notes": self.notes,
-        }
-
 
 def report(cm: ConfusionMatrix, beta: float = 1.0,
            top_n: int = 10) -> MetricReport:

@@ -1,28 +1,24 @@
-"""Bidirectional flow metering: hash-based flow cache, expiration lifecycle,
-streaming per-direction statistics and feature finalization.
+"""Bidirectional flow metering in two layers: a packet loop that keeps only
+each flow's lifecycle, and a columnar fold of every per-flow statistic.
 
-Virtual time only: every lifecycle decision is driven by packet timestamps,
-so a capture replays to bit-identical flow records. Expiry is lazy (checked
-when a flow's own key recurs) plus a periodic scan every SCAN_INTERVAL
-processed packets so idle flows whose key never recurs still drain.
+``FlowCache`` keeps per resident flow its keys, segment, timestamps, LRU
+bookkeeping and a flow number, and logs six ints per applied packet.
+Packet timestamps drive every lifecycle decision, so a capture replays to
+bit-identical records. Expiry is lazy (when a flow's own key recurs) plus a
+scan every SCAN_INTERVAL packets that costs O(expired), not O(resident), in
+the style of Varghese & Lauck's timing wheels (SOSP 1987; see ``_scan``).
 
-The scan costs O(expired), not O(resident), in the style of Varghese &
-Lauck's timing wheels (SOSP 1987). Every entry remembers the watermark at
-its last update (``wm``) and at its creation (``born``). A packet is late
-when it is more than ``reorder_slack`` behind the watermark; any entry that
-took a late packet is a straggler until it is exported. Every other entry
-has ``last_pkt_ts >= wm - slack`` and ``flow_start >= born - slack``, and
-the watermark never decreases, so ``wm`` grows along the LRU order and
-``born`` along the creation order. The scan walks each order only up to the
-first entry that cannot have expired, adds the stragglers, and exports in
-LRU order with idle taking precedence over active, exactly as a full walk of
-the resident flows would.
+``FlowTable.fold`` turns the log into per-flow numpy accumulators every
+_FOLD packets and before any read, so memory is O(flows + _FOLD). Moments
+follow the Welford/Pebay update (Pebay, SAND2008-6212): one vectorized step
+per packet position across every (flow, direction) group, in each group's
+packet order, and ``Moments.push`` for the tails once fewer than
+_VECTOR_MIN groups remain. Exported records are handles on their table row.
 
-Forward direction of a record is the orientation of the first packet seen
-for that segment (initiator-first), independent of the canonical key order.
-Inter-arrival times are measured against the running maximum timestamp (of
-the direction for PIAT, of the flow for the SPLT gap) and clamped at 0, so
-packets reordered within the slack never give a negative gap.
+Forward is the orientation of a segment's first packet. Inter-arrival times
+are measured against the running maximum timestamp (of the direction for
+PIAT, of the flow for the SPLT gap) and clamped at 0, so packets reordered
+within ``reorder_slack`` never give a negative gap.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import itertools
 import operator
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -44,6 +40,8 @@ from .pcap import (Packet, TCP_FIN, TCP_RST, TCP_FLAG_NAMES, ip_to_str)
 from .stats import Moments
 
 SCAN_INTERVAL = 1024
+_FOLD = 8192            # applied packets logged between two folds
+_VECTOR_MIN = 64        # fewer groups at a packet position: fold one by one
 _HASH_KEY = b"flowlab-dualhash"  # fixed seed: hashes are stable across runs
 
 REASON_IDLE = "idle"
@@ -111,71 +109,6 @@ def dual_hash(key: FlowKey) -> tuple[int, int]:
 
 
 @dataclass
-class DirStats:
-    pkt_count: int = 0
-    byte_count: int = 0
-    payload_bytes: int = 0
-    first_ts: int = 0
-    last_ts: int = 0            # running maximum timestamp
-    size: Moments = field(default_factory=Moments)
-    piat: Moments = field(default_factory=Moments)
-    flags_seen: dict = field(default_factory=dict)  # raw tcp_flags -> packets
-
-    def add(self, pkt: Packet) -> None:
-        ts = pkt.ts
-        if self.pkt_count == 0:
-            self.first_ts = self.last_ts = ts
-        else:
-            gap = ts - self.last_ts
-            if gap >= 0:
-                self.piat.push(gap / 1e9)
-                self.last_ts = ts
-            else:
-                self.piat.push(0.0)
-                if ts < self.first_ts:
-                    self.first_ts = ts
-        self.pkt_count += 1
-        self.byte_count += pkt.ip_len
-        self.payload_bytes += pkt.payload_len
-        self.size.push(float(pkt.ip_len))
-        if pkt.proto == 6:
-            seen = self.flags_seen
-            flags = pkt.tcp_flags
-            seen[flags] = seen.get(flags, 0) + 1
-
-
-@dataclass
-class FlowRecord:
-    canonical: CanonicalKey
-    initiator: FlowKey          # 5-tuple of the segment's first packet
-    fwd: DirStats
-    bwd: DirStats
-    splt: list                  # (direction ±1, ip_len, gap seconds)
-    export_reason: str
-    segment_index: int
-
-    @property
-    def flow_start(self) -> int:
-        if self.bwd.pkt_count == 0:
-            return self.fwd.first_ts
-        return min(self.fwd.first_ts, self.bwd.first_ts)
-
-    @property
-    def flow_end(self) -> int:
-        if self.bwd.pkt_count == 0:
-            return self.fwd.last_ts
-        return max(self.fwd.last_ts, self.bwd.last_ts)
-
-    @property
-    def total_packets(self) -> int:
-        return self.fwd.pkt_count + self.bwd.pkt_count
-
-    @property
-    def total_bytes(self) -> int:
-        return self.fwd.byte_count + self.bwd.byte_count
-
-
-@dataclass
 class MeterConfig:
     idle_timeout: float = 30.0
     active_timeout: float = 300.0
@@ -199,24 +132,168 @@ class MeterConfig:
             raise ConfigError(f"unknown anonymize mode {self.anonymize!r}")
 
 
-class _Entry:
-    __slots__ = ("canonical", "initiator", "fwd", "bwd", "splt",
-                 "segment_index", "flow_start", "last_pkt_ts", "wm", "born",
-                 "seq")
+def _push(acc: np.ndarray, n1: np.ndarray, x: np.ndarray) -> None:
+    """Moments.push of x[j] into column j of acc, whose rows are m1, m2, m3,
+    m4, min and max; n1 holds the columns' counts before."""
+    m = Moments(n1, *acc)
+    m.update(x)
+    np.minimum(m.min_value, x, out=m.min_value)
+    np.maximum(m.max_value, x, out=m.max_value)
 
-    def __init__(self, canonical: CanonicalKey, initiator: FlowKey,
-                 segment_index: int, ts: int, watermark: int):
-        self.canonical = canonical
-        self.initiator = initiator
-        self.fwd = DirStats()
-        self.bwd = DirStats()
-        self.splt = []
-        self.segment_index = segment_index
-        self.flow_start = ts
-        self.last_pkt_ts = ts
-        self.wm = watermark         # watermark at the last update
-        self.born = watermark       # watermark at creation
-        self.seq = 0                # LRU rank: packets processed before it
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in sorted keys."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return starts, np.diff(np.r_[starts, len(keys)])
+
+
+class FlowTable:
+    """The statistics of one cache's flows, one row per flow number.
+
+    ``ints[flow, direction]`` (0 is forward): packets, bytes, payload bytes,
+    packets per TCP flag bit, lowest and highest timestamp; ``moments[flow,
+    direction, family]``: size (0) and inter-arrival (1) m1..m4, min, max;
+    ``splt[flow, i]``: timestamp, direction (+1/-1) and IP length of packet
+    i. The log: flow, direction, ts, IP length, payload length and TCP flags
+    of each applied packet.
+    """
+
+    def __init__(self, splt_n: int):
+        self.splt_n = splt_n
+        self.log: list = []
+        self.flows = 0                  # flow numbers handed out
+        self.ints = np.zeros((0, 2, 11), dtype=np.int64)
+        self.moments = np.zeros((0, 2, 2, 6))
+        self.splt = np.zeros((0, splt_n, 3), dtype=np.int64)
+
+    def fold(self) -> None:
+        """Fold the logged packets, in the order they were applied, into
+        the per-flow statistics, and clear the log."""
+        if self.flows > len(self.ints):     # room for every flow, doubling
+            old = len(self.ints)
+            more = max(self.flows, 2 * old, 64) - old
+            self.ints, self.moments, self.splt = (np.concatenate(
+                (a, np.zeros((more,) + a.shape[1:], a.dtype)))
+                for a in (self.ints, self.moments, self.splt))
+            self.ints[old:, :, 9:] = np.iinfo(np.int64).max, \
+                np.iinfo(np.int64).min
+            self.moments[old:, :, :, 4:] = np.inf, -np.inf
+        if not self.log:
+            return
+        flow, back, ts, size, payload, flags = np.fromiter(
+            self.log, np.int64, len(self.log)).reshape(-1, 6).T
+        self.log.clear()
+        if self.splt_n:         # the packets among their flows' first splt_n
+            order = np.argsort(flow, kind="stable")
+            starts, lens = _runs(flow[order])
+            done = self.ints[flow[order[starts]], :, 0].sum(axis=1)
+            pos = np.arange(len(flow)) - np.repeat(starts - done, lens)
+            keep = order[pos < self.splt_n]
+            self.splt[flow[keep], pos[pos < self.splt_n]] = np.column_stack(
+                (ts[keep], 1 - 2 * back[keep], size[keep]))
+        g = 2 * flow + back                     # (flow, direction) group
+        order = np.argsort(g, kind="stable")
+        starts, lens = _runs(g[order])
+        groups = g[order[starts]]
+        ts = ts[order]
+        ints = self.ints.reshape(-1, 11)
+        before = ints[groups]
+        self._fold_moments(groups, before, starts, lens, ts, size[order])
+        bits = flags[order, None] >> np.arange(len(TCP_FLAG_NAMES)) & 1
+        ints[groups, :9] += np.add.reduceat(np.column_stack(
+            (np.ones_like(ts), size[order], payload[order], bits)), starts)
+        ints[groups, 9] = np.minimum(before[:, 9],
+                                     np.minimum.reduceat(ts, starts))
+        ints[groups, 10] = np.maximum(before[:, 10],
+                                      np.maximum.reduceat(ts, starts))
+
+    def _fold_moments(self, groups, before, starts, lens, ts, size) -> None:
+        """Push each group's sizes, and gaps to its running maximum ts, into
+        its accumulators in packet order. Longest groups first, those with a
+        packet at position k are a prefix: one step per position while it
+        holds _VECTOR_MIN groups, then Moments.push one packet at a time."""
+        moments = self.moments.reshape(-1, 2, 6)
+        rank = np.argsort(-lens, kind="stable")
+        first, count = starts[rank], before[rank, 0]
+        top = np.where(count > 0, before[rank, 10], ts[first])
+        acc = moments[groups[rank]].transpose(1, 2, 0).copy()
+        sizes, piats = acc                      # (stat, group) each
+        active = len(lens) - np.cumsum(np.bincount(lens))[:-1]
+        steps = int(np.count_nonzero(active >= _VECTOR_MIN))
+        for k in range(steps):
+            n = active[k]
+            x, t = size[first[:n] + k].astype(np.float64), ts[first[:n] + k]
+            _push(sizes[:, :n], count[:n] + k, x)
+            gap = np.maximum(t - top[:n], 0) / 1e9
+            np.maximum(top[:n], t, out=top[:n])
+            if k:
+                _push(piats[:, :n], count[:n] + k - 1, gap)
+            else:                       # a flow's first packet has no gap
+                old = np.flatnonzero(count[:n])
+                part = piats[:, old]
+                _push(part, count[old] - 1, gap[old])
+                piats[:, old] = part
+        for j in range(active[steps] if steps < len(active) else 0):
+            s = Moments(int(count[j]) + steps, *sizes[:, j].tolist())
+            p = Moments(max(s.n - 1, 0), *piats[:, j].tolist())
+            high = int(top[j])
+            at = slice(first[j] + steps, first[j] + lens[rank[j]])
+            for x, t in zip(size[at].tolist(), ts[at].tolist()):
+                s.push(float(x))
+                if s.n > 1:
+                    p.push(max(t - high, 0) / 1e9)
+                high = max(high, t)
+            sizes[:, j] = (s.m1, s.m2, s.m3, s.m4, s.min_value, s.max_value)
+            piats[:, j] = (p.m1, p.m2, p.m3, p.m4, p.min_value, p.max_value)
+        moments[groups[rank]] = acc.transpose(2, 0, 1)
+
+    def take(self, flows: np.ndarray, splt_n: int) -> tuple:
+        """(ints, moments, SPLT length, SPLT grid) of the given flows, after
+        a fold. The SPLT length counts up to the table's own splt_n; the
+        grid holds direction, size and gap of the first splt_n packets,
+        zero-padded, each gap to the flow's running maximum timestamp."""
+        self.fold()
+        ints = self.ints[flows]
+        splt_len = np.minimum(ints[:, 0, 0] + ints[:, 1, 0], self.splt_n)
+        width = min(splt_n, self.splt_n)
+        splt = self.splt[flows, :width]
+        ts = splt[:, :, 0]
+        grid = np.zeros((len(flows), splt_n, 3))
+        grid[:, :width, :2] = splt[:, :, 1:]
+        grid[:, 1:width, 2] = np.maximum(
+            ts[:, 1:] - np.maximum.accumulate(ts, axis=1)[:, :-1], 0) / 1e9
+        grid[:, :width, 2][np.arange(width) >= splt_len[:, None]] = 0.0
+        return ints, self.moments[flows], splt_len, grid
+
+
+class FlowRecord:
+    """One flow segment: lifecycle state while resident, then the exported
+    record, a handle on row ``flow`` of ``table`` (see records_to_rows).
+
+    ``ckey`` is the canonical 5-tuple and ``key`` the first packet's;
+    ``opened`` and ``last_pkt_ts`` are the first and the latest packet's
+    timestamp; ``wm`` and ``born`` the watermark at the last update and at
+    creation; ``seq`` the LRU rank, the packets processed before the last.
+    """
+
+    __slots__ = ("ckey", "key", "segment_index", "export_reason", "flow",
+                 "table", "opened", "last_pkt_ts", "wm", "born", "seq")
+
+    def __init__(self, ckey: tuple, key: tuple, segment_index: int,
+                 flow: int, table: "FlowTable", ts: int, watermark: int):
+        self.ckey, self.key, self.segment_index = ckey, key, segment_index
+        self.flow, self.table, self.export_reason = flow, table, ""
+        self.opened = self.last_pkt_ts = ts
+        self.wm = self.born = watermark
+        self.seq = 0
+
+    @property
+    def canonical(self) -> CanonicalKey:
+        return CanonicalKey._make(self.ckey)
+
+    @property
+    def initiator(self) -> FlowKey:
+        return FlowKey._make(self.key)
 
 
 class FlowCache:
@@ -228,10 +305,12 @@ class FlowCache:
         self._active_ns = int(self.cfg.active_timeout * 1e9)
         self._slack_ns = int(self.cfg.reorder_slack * 1e9)
         self._hashed = self.cfg.lookup == "dual_hash"
+        self.table = FlowTable(self.cfg.splt_n)
+        self._log = self.table.log
         # keyed by the canonical 5-tuple, least-recently-updated first
-        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        self._born: dict[tuple, _Entry] = {}    # the same, in creation order
-        self._stragglers: dict[tuple, _Entry] = {}  # took a late packet
+        self._entries: "OrderedDict[tuple, FlowRecord]" = OrderedDict()
+        self._born: dict[tuple, FlowRecord] = {}    # the same, by creation
+        self._stragglers: dict[tuple, FlowRecord] = {}  # took a late packet
         # dual_hash strategy: 64-bit id -> list of canonical keys (chained)
         self._ids: dict[int, list[tuple]] = {}
         self._segments: dict[tuple, int] = {}
@@ -242,51 +321,49 @@ class FlowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _lookup_ids(self, key: tuple) -> Optional[_Entry]:
+    def _lookup_ids(self, key: tuple) -> Optional[FlowRecord]:
         rev = _reversed(key)
         for fid in (_hash64(key), _hash64(rev)):
             for ckey in self._ids.get(fid, ()):
                 entry = self._entries.get(ckey)
-                if entry is not None and (entry.initiator == key
-                                          or entry.initiator == rev):
+                if entry is not None and (entry.key == key
+                                          or entry.key == rev):
                     return entry
         return None
 
-    def _register(self, entry: _Entry) -> None:
-        ckey = entry.canonical
+    def _register(self, entry: FlowRecord) -> None:
+        ckey = entry.ckey
         self._entries[ckey] = entry
         self._born[ckey] = entry
         if self._hashed:
-            for fid in set(dual_hash(entry.initiator)):
+            for fid in set(dual_hash(entry.key)):
                 self._ids.setdefault(fid, []).append(ckey)
 
-    def _export(self, entry: _Entry, reason: str) -> FlowRecord:
-        ckey = entry.canonical
+    def _export(self, entry: FlowRecord, reason: str) -> FlowRecord:
+        ckey = entry.ckey
         del self._entries[ckey]
         del self._born[ckey]
         self._stragglers.pop(ckey, None)
         if self._hashed:
-            for fid in set(dual_hash(entry.initiator)):
+            for fid in set(dual_hash(entry.key)):
                 keys = self._ids[fid]
                 keys.remove(ckey)
                 if not keys:
                     del self._ids[fid]
-        return FlowRecord(canonical=ckey, initiator=entry.initiator,
-                          fwd=entry.fwd, bwd=entry.bwd, splt=entry.splt,
-                          export_reason=reason,
-                          segment_index=entry.segment_index)
+        entry.export_reason = reason
+        return entry
 
     def process_packet(self, pkt: Packet) -> list[FlowRecord]:
         cfg = self.cfg
         exported: list[FlowRecord] = []
         ts = pkt.ts
-        src, dst, sport, dport = pkt.src_ip, pkt.dst_ip, pkt.src_port, \
-            pkt.dst_port
-        key = (src, dst, sport, dport, pkt.proto)
+        src, dst, sport, dport, proto = pkt.src_ip, pkt.dst_ip, \
+            pkt.src_port, pkt.dst_port, pkt.proto
+        key = (src, dst, sport, dport, proto)
         if src < dst or (src == dst and sport <= dport):
-            ckey = (src, sport, dst, dport, pkt.proto)
+            ckey = (src, sport, dst, dport, proto)
         else:
-            ckey = (dst, dport, src, sport, pkt.proto)
+            ckey = (dst, dport, src, sport, proto)
         entries = self._entries
         entry = (self._lookup_ids(key) if self._hashed
                  else entries.get(ckey))
@@ -303,7 +380,7 @@ class FlowCache:
             if ts - entry.last_pkt_ts > self._idle_ns:
                 exported.append(self._export(entry, REASON_IDLE))
                 entry = None
-            elif ts - entry.flow_start >= self._active_ns:
+            elif ts - entry.opened >= self._active_ns:
                 exported.append(self._export(entry, REASON_ACTIVE))
                 entry = None
             else:
@@ -316,48 +393,43 @@ class FlowCache:
                 exported.append(self._export(victim, REASON_PRESSURE))
             seg = self._segments.get(ckey, 0)
             self._segments[ckey] = seg + 1
-            entry = _Entry(CanonicalKey._make(ckey), FlowKey._make(key), seg,
-                           ts, self._watermark)
+            table = self.table
+            entry = FlowRecord(ckey, key, seg, table.flows, table, ts,
+                               self._watermark)
+            table.flows += 1
             self._register(entry)
         if late:
             self._stragglers[ckey] = entry
         entry.seq = self._processed
-
-        fwd, bwd = entry.fwd, entry.bwd
-        forward = key == entry.initiator
-        splt = entry.splt
-        if len(splt) < cfg.splt_n:
-            if splt:
-                top = fwd.last_ts if bwd.pkt_count == 0 \
-                    else max(fwd.last_ts, bwd.last_ts)
-                gap = (ts - top) / 1e9 if ts > top else 0.0
-            else:
-                gap = 0.0
-            splt.append((1 if forward else -1, pkt.ip_len, gap))
-        (fwd if forward else bwd).add(pkt)
         entry.last_pkt_ts = ts
+        flags = pkt.tcp_flags
+        self._log.extend((entry.flow, key != entry.key, ts, pkt.ip_len,
+                          pkt.payload_len, flags))
 
-        if (cfg.honor_fin_rst and pkt.proto == 6
-                and pkt.tcp_flags & (TCP_FIN | TCP_RST)):
+        if cfg.honor_fin_rst and proto == 6 and flags & (TCP_FIN | TCP_RST):
             exported.append(self._export(entry, REASON_FIN_RST))
 
         self._processed += 1
         if self._processed % SCAN_INTERVAL == 0:
             exported.extend(self._scan())
+        if self._processed % _FOLD == 0:
+            self.table.fold()
         return exported
 
     def _scan(self) -> list[FlowRecord]:
         """Export every resident flow that is idle or past its active
         timeout at the watermark W, in LRU order, idle before active.
 
-        A flow that took no late packet has ``last_pkt_ts >= wm - slack``
-        and ``flow_start >= born - slack``; ``wm`` never decreases along the
-        LRU order and ``born`` never decreases along the creation order. So
+        A packet more than the slack behind the watermark is late; a flow
+        that took one is a straggler until it leaves. Any other flow has
+        ``last_pkt_ts >= wm - slack`` and ``opened >= born - slack`` (the
+        watermark at its last update and at its creation), and ``wm`` and
+        ``born`` never decrease along the LRU and the creation order. So
         no flow from the first LRU entry with ``wm - slack >= W - idle`` on
         can be idle, no flow from the first created entry with
         ``born - slack > W - active`` on can be past its active timeout, and
-        only those prefixes plus the stragglers need a look. The cost is
-        the flows that expire plus those updated within the last slack.
+        only those prefixes plus the stragglers need a look: the flows that
+        expire plus those updated within the last slack.
         """
         watermark, slack = self._watermark, self._slack_ns
         idle_edge = watermark - self._idle_ns
@@ -374,23 +446,26 @@ class FlowCache:
             more.append(entry)
         more.extend(self._stragglers.values())
         if more:
-            found = sorted({e.canonical: e for e in found + more}.values(),
+            found = sorted({e.ckey: e for e in found + more}.values(),
                            key=lambda e: e.seq)
         out = []
         for entry in found:
             if entry.last_pkt_ts < idle_edge:
                 out.append(self._export(entry, REASON_IDLE))
-            elif entry.flow_start <= active_edge:
+            elif entry.opened <= active_edge:
                 out.append(self._export(entry, REASON_ACTIVE))
         return out
 
     def flush(self, final_ts: Optional[int] = None) -> list[FlowRecord]:
-        """Drain every resident flow (reason end_of_input), by flow_start.
+        """Drain every resident flow (reason end_of_input), by flow start,
+        and fold the packet log.
 
         ``final_ts`` is unused; it stays only because ``bench/spans.py``
         passes it through."""
-        entries = sorted(self._entries.values(), key=lambda e: e.flow_start)
-        return [self._export(e, REASON_END) for e in entries]
+        entries = sorted(self._entries.values(), key=lambda e: e.opened)
+        out = [self._export(e, REASON_END) for e in entries]
+        self.table.fold()
+        return out
 
     def meter(self, packets: Iterable[Packet]) -> list[FlowRecord]:
         """Process a packet stream to completion, including the final flush.
@@ -415,13 +490,6 @@ def meter_stream(packets: Iterable[Packet],
 _MOMENT_STATS = ("mean", "var", "skew", "kurt", "min", "max", "mean_valid",
                  "var_valid", "shape_valid")
 _MOMENT_PREFIXES = ("fwd_size", "bwd_size", "fwd_piat", "bwd_piat")
-# row k: which of the TCP_FLAG_NAMES flags the low six flag bits k carry
-_FLAG_BITS = (np.arange(1 << len(TCP_FLAG_NAMES))[:, None]
-              >> np.arange(len(TCP_FLAG_NAMES)) & 1)
-_DIR_FIELDS = operator.attrgetter("pkt_count", "byte_count", "payload_bytes",
-                                  "first_ts", "last_ts")
-_MOMENT_FIELDS = operator.attrgetter("n", "m1", "m2", "m3", "m4",
-                                     "min_value", "max_value")
 
 
 @functools.lru_cache(maxsize=None)
@@ -458,17 +526,12 @@ def _ts_decimal(ns: int) -> str:
     return f"{sign}{ns // 1_000_000_000}.{ns % 1_000_000_000:09d}"
 
 
-def _gather(rows: Iterable[tuple], dtype, width: int) -> np.ndarray:
-    """The equal-length tuples of rows as one (len(rows), width) array."""
-    return np.fromiter(itertools.chain.from_iterable(rows),
-                       dtype=dtype).reshape(-1, width)
-
-
-def _moment_columns(prefix: str, m: np.ndarray) -> dict:
-    """The nine columns of one Moments family from its (n, m1, m2, m3, m4,
-    min, max) rows, by the float operations of the Moments properties.
-    ``var ** 1.5`` stays Python's pow: numpy's differs in the last bit."""
-    n, m1, m2, m3, m4, lo, hi = m.T
+def _moment_columns(prefix: str, n: np.ndarray, m: np.ndarray) -> dict:
+    """The nine columns of one Moments family from its counts n and its
+    (m1, m2, m3, m4, min, max) rows, by the float operations of the Moments
+    properties. ``var ** 1.5`` stays Python's pow: numpy's differs in the
+    last bit."""
+    m1, m2, m3, m4, lo, hi = m.T
     seen, two = n >= 1, n >= 2
     var = np.where(two, m2 / np.maximum(n, 1), 0.0)
     shape = two & (m2 > 0.0)
@@ -481,51 +544,56 @@ def _moment_columns(prefix: str, m: np.ndarray) -> dict:
     return {f"{prefix}_{s}": c for s, c in zip(_MOMENT_STATS, cols)}
 
 
+def _flow_stats(records: list, splt_n: int) -> tuple:
+    """``FlowTable.take`` of every record, in record order, from whichever
+    tables the records point into."""
+    flows = np.fromiter(map(operator.attrgetter("flow"), records), np.int64,
+                        len(records))
+    owners = list(map(operator.attrgetter("table"), records))
+    tables = list(dict.fromkeys(owners)) or [FlowTable(0)]
+    at = [np.flatnonzero([o is t for o in owners]) for t in tables]
+    parts = zip(*(t.take(flows[i], splt_n) for t, i in zip(tables, at)))
+    back = np.argsort(np.concatenate(at))
+    return tuple(np.concatenate(part)[back] for part in parts)
+
+
 def records_to_rows(records: Iterable[FlowRecord],
                     cfg: Optional[MeterConfig] = None) -> Dataset:
     """Finalize exported records into the flow table, one row per record
-    in export order, built a column at a time.
-
-    Each raw field is gathered once into an array and the derived features
-    follow with numpy, by the float operations of a per-record finalize:
-    durations from integer ns, ratios guarded against zero denominators,
-    moments as the Moments properties give them. Timestamps are exact
-    9-digit decimal strings. ``splt_len`` is the record's SPLT length; its
-    first ``cfg.splt_n`` entries fill the SPLT columns, zero-padded.
-    (``bench/spans.py`` traces this function by name and iterates the
-    result row by row.)
+    in export order, a column at a time from the records' table rows: the
+    float operations of a per-record finalize (durations from integer ns,
+    guarded ratios, moments as the Moments properties give them), exact
+    9-digit decimal timestamps, ``splt_len`` up to the metering ``splt_n``
+    and ``cfg.splt_n`` zero-padded SPLT columns. (``bench/spans.py`` traces
+    this function by name and iterates the result row by row.)
     """
     cfg = cfg or MeterConfig()
     records = list(records)
     count, splt_n = len(records), cfg.splt_n
+    ints, moments, splt_len, grid = _flow_stats(records, splt_n)
+    fwd, bwd = ints.transpose(1, 2, 0)
+    (fpk, fby, fpay), (ffirst, flast) = fwd[:3], fwd[9:]
+    (bpk, bby, bpay), (bfirst, blast) = bwd[:3], bwd[9:]
+    keys = list(map(operator.attrgetter("key"), records))
+    sport, dport, proto = np.fromiter(itertools.chain.from_iterable(
+        map(operator.itemgetter(2, 3, 4), keys)), np.int64, 3 * count
+    ).reshape(-1, 3).T
+    segment = [r.segment_index for r in records]
 
-    (fpk, fby, fpay, ffirst, flast, bpk, bby, bpay, bfirst, blast,
-     sport, dport, proto, segment, splt_len) = _gather(
-        (_DIR_FIELDS(r.fwd) + _DIR_FIELDS(r.bwd)
-         + (r.initiator.src_port, r.initiator.dst_port, r.initiator.proto,
-            r.segment_index, len(r.splt)) for r in records),
-        np.int64, 15).T
-    moments = _gather(
-        (_MOMENT_FIELDS(r.fwd.size) + _MOMENT_FIELDS(r.bwd.size)
-         + _MOMENT_FIELDS(r.fwd.piat) + _MOMENT_FIELDS(r.bwd.piat)
-         for r in records), np.float64, 28).reshape(count, 4, 7)
-
-    one_way = bpk == 0
-    start = np.where(one_way, ffirst, np.minimum(ffirst, bfirst))
-    end = np.where(one_way, flast, np.maximum(flast, blast))
+    start, end = np.minimum(ffirst, bfirst), np.maximum(flast, blast)
     packets, total_bytes = fpk + bpk, fby + bby
     flow_duration = (end - start) / 1e9
     moving = flow_duration > 0
 
     mode = cfg.anonymize
     data = {
-        "src_ip": [_anon_ip(r.initiator.src_ip, mode) for r in records],
-        "dst_ip": [_anon_ip(r.initiator.dst_ip, mode) for r in records],
+        "src_ip": [_anon_ip(k[0], mode) for k in keys],
+        "dst_ip": [_anon_ip(k[1], mode) for k in keys],
         "src_port": list(map(str, sport.tolist())),
         "flow_start": list(map(_ts_decimal, start.tolist())),
         "flow_end": list(map(_ts_decimal, end.tolist())),
         "export_reason": [r.export_reason for r in records],
-        "segment_index": list(map(str, segment.tolist())),
+        "segment_index": list(map(str, segment)),
         "proto": list(map(str, proto.tolist())),
         "dst_port": dport,
         "fwd_packet_count": fpk, "bwd_packet_count": bpk,
@@ -546,31 +614,16 @@ def records_to_rows(records: Iterable[FlowRecord],
         "splt_len": splt_len,
     }
     for j, prefix in enumerate(_MOMENT_PREFIXES):
-        data.update(_moment_columns(prefix, moments[:, j]))
-
-    # packets per raw flag byte, summed over both directions, times the
-    # flags each byte carries
-    seen = _gather(((i, flags, n) for i, r in enumerate(records)
-                    for d in (r.fwd, r.bwd)
-                    for flags, n in d.flags_seen.items()), np.int64, 3)
-    per_byte = np.zeros((count, len(_FLAG_BITS)), dtype=np.int64)
-    np.add.at(per_byte, (seen[:, 0], seen[:, 1] & 0x3F), seen[:, 2])
-    flag_counts = per_byte @ _FLAG_BITS
+        direction, family = j % 2, j // 2
+        n = (fpk, bpk)[direction]
+        data.update(_moment_columns(prefix, np.maximum(n - family, 0),
+                                    moments[:, direction, family]))
+    tcp = (fwd[3:9] + bwd[3:9]) * (proto == 6)  # flags count on TCP only
     for i, name in enumerate(TCP_FLAG_NAMES):
-        data[f"flag_{name}_count"] = flag_counts[:, i]
-
-    # the first splt_n (direction, size, gap) triples of every record, one
-    # flat array scattered into a zero-padded (position, field, row) grid
-    taken = np.minimum(splt_len, splt_n)
-    flat = _gather((e for r in records for e in r.splt[:splt_n]),
-                   np.float64, 3)
-    first = np.repeat(np.cumsum(taken) - taken, taken)  # row's first triple
-    grid = np.zeros((splt_n, 3, count))
-    grid[np.arange(len(flat)) - first, :,
-         np.repeat(np.arange(count), taken)] = flat
+        data[f"flag_{name}_count"] = tcp[i]
     for i in range(splt_n):
         data[f"splt_dir_{i}"], data[f"splt_size_{i}"], \
-            data[f"splt_piat_{i}"] = grid[i]
+            data[f"splt_piat_{i}"] = grid[:, i].T
 
     kinds = column_kinds(splt_n)
     return Dataset(
@@ -592,15 +645,9 @@ def feature_column_names(splt_n: int = 20) -> list[str]:
 
 
 def column_kinds(splt_n: int = 20) -> dict[str, str]:
-    kinds = {}
-    for name in feature_column_names(splt_n):
-        if name in METADATA_COLUMNS:
-            kinds[name] = "metadata"
-        elif name in CATEGORICAL_COLUMNS:
-            kinds[name] = "categorical"
-        else:
-            kinds[name] = "numeric"
-    return kinds
+    return {name: "metadata" if name in METADATA_COLUMNS else "categorical"
+            if name in CATEGORICAL_COLUMNS else "numeric"
+            for name in feature_column_names(splt_n)}
 
 
 def validity_links(splt_n: int = 20) -> dict[str, str]:

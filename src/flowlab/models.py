@@ -635,7 +635,21 @@ def model_to_json(model) -> str:
              "X": model.X.tolist(), "y": model.y.tolist()}
     else:
         raise ConfigError(f"unknown model type {type(model).__name__}")
-    return json.dumps(d, sort_keys=True)
+    try:
+        return json.dumps(d, sort_keys=True)
+    except RecursionError:      # json nests one level per tree level
+        raise DataError(f"a tree {_depth(model.nodes)} levels deep is too "
+                        "deep to write as nested JSON") from None
+
+
+def _depth(nodes: Nodes) -> int:
+    """The most splits on a path from a root to a leaf, in preorder nodes."""
+    left, right = nodes.left.tolist(), nodes.right.tolist()
+    depth = [0] * len(nodes)
+    for i, feature in enumerate(nodes.feature.tolist()):
+        if feature >= 0:
+            depth[left[i]] = depth[right[i]] = depth[i] + 1
+    return max(depth)
 
 
 def _is_int(v) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -130,13 +130,7 @@ class IngestSummary:
     emitted: int = 0      # after filter + sampling
 
     def as_dict(self) -> dict:
-        return {
-            "total_frames": self.total_frames,
-            "decoded": self.decoded,
-            "skipped": self.skipped,
-            "truncated": self.truncated,
-            "emitted": self.emitted,
-        }
+        return asdict(self)
 
 
 def decode_frame(data: bytes, linktype: int, mtu: int = 1500, ts: int = 0):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,15 +32,7 @@ class QualityReport:
     plausibility_violations: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "columns": self.columns,
-            "missing_fraction": self.missing_fraction,
-            "distinct_count": self.distinct_count,
-            "variance": self.variance,
-            "duplicate_rows": self.duplicate_rows,
-            "plausibility_violations": self.plausibility_violations,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -220,10 +212,6 @@ def write_audit_log(audit: list[dict], path) -> None:
 
 STATELESS_SOURCES = ("fwd_packet_count", "bwd_packet_count",
                      "fwd_byte_count", "bwd_byte_count", "flow_duration")
-
-STATELESS_OUTPUTS = ("packet_ratio", "byte_ratio", "total_packet_count",
-                     "total_byte_count", "bytes_per_packet",
-                     "packets_per_second")
 
 
 def engineer_stateless(ds: Dataset) -> Dataset:

@@ -27,6 +27,16 @@ class Moments:
     max_value: float = -math.inf
 
     def push(self, x: float) -> None:
+        self.update(x)
+        if x < self.min_value:
+            self.min_value = x
+        if x > self.max_value:
+            self.max_value = x
+
+    def update(self, x) -> None:
+        """push's update of n and the moments, without min and max. It also
+        steps many accumulators at once when x and the fields are numpy
+        arrays with one element per accumulator."""
         n1 = self.n
         self.n = n = n1 + 1
         delta = x - self.m1
@@ -38,10 +48,6 @@ class Moments:
                     + 6 * delta_n2 * self.m2 - 4 * delta_n * self.m3)
         self.m3 += term1 * delta_n * (n - 2) - 3 * delta_n * self.m2
         self.m2 += term1
-        if x < self.min_value:
-            self.min_value = x
-        if x > self.max_value:
-            self.max_value = x
 
     @property
     def mean(self) -> float:
@@ -87,25 +93,3 @@ class Moments:
     def maximum(self) -> float:
         return self.max_value if self.n >= 1 else 0.0
 
-
-def two_pass_moments(values) -> tuple[float, float, float, float]:
-    """Reference two-pass mean/variance/skewness/kurtosis (same conventions).
-
-    Independent of Moments; used as the oracle in tests.
-    """
-    xs = list(values)
-    n = len(xs)
-    if n == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    mean = sum(xs) / n
-    m2 = sum((x - mean) ** 2 for x in xs)
-    m3 = sum((x - mean) ** 3 for x in xs)
-    m4 = sum((x - mean) ** 4 for x in xs)
-    var = m2 / n if n >= 2 else 0.0
-    if n >= 2 and m2 > 0.0:
-        skew = (m3 / n) / (m2 / n) ** 1.5
-        kurt = (m4 / n) / (m2 / n) ** 2 - 3.0
-    else:
-        skew = 0.0
-        kurt = 0.0
-    return mean, var, skew, kurt

@@ -4,9 +4,10 @@ These deliberately share no code with the implementations they verify:
 flow grouping is a sort + group-by + greedy split, the meter's export order
 comes from a full walk of every resident flow, k-NN is a literal O(n^2)
 scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is written
-one cell at a time, a flow record is finalized one value at a time,
+one cell at a time, a flow segment is finalized from its own packets,
 permutation importance predicts every shuffled matrix in full and scores
-labels pair by pair, and correlation groups link columns pair by pair.
+labels pair by pair, correlation groups link columns pair by pair, and
+moments come from two passes over the values.
 The only names taken from flowlab are constants (see
 tests/test_oracles.py).
 """
@@ -84,17 +85,24 @@ def brute_force_flows(packets, idle_timeout: float, active_timeout: float,
     return sorted(out)
 
 
-def meter_records_summary(records):
-    """Project exported FlowRecords onto the oracle tuple shape."""
+def _ns(text: str) -> int:
+    """Decimal seconds text as integer ns."""
+    return int(decimal.Decimal(text).scaleb(9))
+
+
+def meter_records_summary(records, table):
+    """Project exported records and their rows of the flow table ``table``
+    (what records_to_rows gave for them) onto the oracle tuple shape."""
+    cols = table.data
     out = []
-    for r in records:
+    for i, r in enumerate(records):
         c = r.canonical
         out.append((
             (c.lo_ip, c.lo_port, c.hi_ip, c.hi_port, c.proto),
             r.segment_index,
-            r.fwd.pkt_count, r.bwd.pkt_count,
-            r.fwd.byte_count, r.bwd.byte_count,
-            r.flow_start, r.flow_end,
+            int(cols["fwd_packet_count"][i]), int(cols["bwd_packet_count"][i]),
+            int(cols["fwd_byte_count"][i]), int(cols["bwd_byte_count"][i]),
+            _ns(cols["flow_start"][i]), _ns(cols["flow_end"][i]),
         ))
     return sorted(out)
 
@@ -114,18 +122,20 @@ def meter_export_oracle(packets, idle_timeout: float, active_timeout: float,
     rest leave at the end by flow start (ties in LRU order).
 
     Returns ([(canonical tuple, segment, reason) in export order],
-    dropped late packets).
+    dropped late packets, [the applied packets of each export, in order]).
     """
     idle_ns = int(idle_timeout * 1e9)
     active_ns = int(active_timeout * 1e9)
     slack_ns = int(reorder_slack * 1e9)
-    live: dict = {}          # canonical -> [flow start, last packet ts, seg]
+    live: dict = {}    # canonical -> [flow start, last ts, seg, packets]
     segments: dict = {}
-    out = []
+    out, packets_out = [], []
     watermark = applied = dropped = 0
 
     def close(ckey, reason):
-        out.append((ckey, live.pop(ckey)[2], reason))
+        flow = live.pop(ckey)
+        out.append((ckey, flow[2], reason))
+        packets_out.append(flow[3])
 
     def expired(flow, now):
         if now - flow[1] > idle_ns:
@@ -150,8 +160,9 @@ def meter_export_oracle(packets, idle_timeout: float, active_timeout: float,
         else:
             if len(live) >= max_flows:
                 close(next(iter(live)), "pressure")
-            flow = [pkt.ts, pkt.ts, segments.get(ckey, 0)]
+            flow = [pkt.ts, pkt.ts, segments.get(ckey, 0), []]
             segments[ckey] = flow[2] + 1
+        flow[3].append(pkt)
         live[ckey] = flow
         if honor_fin_rst and pkt.proto == 6 \
                 and pkt.tcp_flags & (TCP_FIN | TCP_RST):
@@ -163,11 +174,13 @@ def meter_export_oracle(packets, idle_timeout: float, active_timeout: float,
                 if reason:
                     close(ckey, reason)
     for ckey in sorted(live, key=lambda k: live[k][0]):
-        out.append((ckey, live[ckey][2], "end_of_input"))
-    return out, dropped
+        close(ckey, "end_of_input")
+    return out, dropped, packets_out
 
 
 _FLAG_NAMES = ("fin", "syn", "rst", "psh", "ack", "urg")
+_STATS = ("mean", "var", "skew", "kurt", "min", "max", "mean_valid",
+          "var_valid", "shape_valid")
 
 
 def _ip_text(ip: bytes, anonymize: str) -> str:
@@ -184,74 +197,127 @@ def _seconds_text(ns: int) -> str:
     return format(decimal.Decimal(ns).scaleb(-9), ".9f")
 
 
-def _moments_oracle(m) -> list:
+def _gaps(ts) -> list:
+    """Each timestamp after the first minus the highest one before it, in
+    ns, and 0 when it is not later."""
+    out = []
+    for i, t in enumerate(ts):
+        if i:
+            out.append(max(0, t - top))
+            top = max(top, t)
+        else:
+            top = t
+    return out
+
+
+def _moments_oracle(values) -> list:
     """mean, var, skew, kurt, min, max and the mean, var and shape validity
-    flags of one Moments accumulator."""
-    if m.n == 0:
+    flags of values pushed one at a time through the single-pass
+    Welford/Pebay update, by its float operations in its order."""
+    n, m1, m2, m3, m4 = 0, 0.0, 0.0, 0.0, 0.0
+    for x in values:
+        n1, n = n, n + 1
+        delta = x - m1
+        delta_n = delta / n
+        delta_n2 = delta_n * delta_n
+        term1 = delta * delta_n * n1
+        m1 += delta_n
+        m4 += (term1 * delta_n2 * (n * n - 3 * n + 3)
+               + 6 * delta_n2 * m2 - 4 * delta_n * m3)
+        m3 += term1 * delta_n * (n - 2) - 3 * delta_n * m2
+        m2 += term1
+    if n == 0:
         return [0.0] * 6 + [0, 0, 0]
-    if m.n == 1:
-        return [m.m1, 0.0, 0.0, 0.0, m.min_value, m.max_value, 1, 0, 0]
-    var = m.m2 / m.n
-    if m.m2 > 0.0:
-        return [m.m1, var, (m.m3 / m.n) / var ** 1.5,
-                (m.m4 / m.n) / (var * var) - 3.0, m.min_value, m.max_value,
+    if n == 1:
+        return [m1, 0.0, 0.0, 0.0, min(values), max(values), 1, 0, 0]
+    var = m2 / n
+    if m2 > 0.0:
+        return [m1, var, (m3 / n) / var ** 1.5,
+                (m4 / n) / (var * var) - 3.0, min(values), max(values),
                 1, 1, 1]
-    return [m.m1, var, 0.0, 0.0, m.min_value, m.max_value, 1, 1, 0]
+    return [m1, var, 0.0, 0.0, min(values), max(values), 1, 1, 0]
 
 
-def finalize_oracle(rec, splt_n: int, anonymize: str) -> dict:
-    """One exported FlowRecord as a flow-table row: column name -> value,
-    the timestamps as decimal strings, the rest of the numbers as ints or
-    floats, one value at a time."""
-    init, fwd, bwd = rec.initiator, rec.fwd, rec.bwd
-    if bwd.pkt_count:
-        start = min(fwd.first_ts, bwd.first_ts)
-        end = max(fwd.last_ts, bwd.last_ts)
-    else:
-        start, end = fwd.first_ts, fwd.last_ts
-    packets = fwd.pkt_count + bwd.pkt_count
-    total_bytes = fwd.byte_count + bwd.byte_count
+def finalize_oracle(packets, reason: str, segment: int, meter_splt_n: int,
+                    splt_n: int, anonymize: str) -> dict:
+    """The flow-table row of one exported segment, from its own applied
+    packets in arrival order (see meter_export_oracle): column name ->
+    value, the timestamps as decimal strings, the rest of the numbers as
+    ints or floats, one value at a time. The SPLT length counts up to the
+    metering splt_n, the SPLT columns up to splt_n."""
+    init = _five_tuple(packets[0])
+    sides = {"fwd": [p for p in packets if _five_tuple(p) == init],
+             "bwd": [p for p in packets if _five_tuple(p) != init]}
+    fwd, bwd = sides["fwd"], sides["bwd"]
+    ts = [p.ts for p in packets]
+    start, end = min(ts), max(ts)
+    total_bytes = sum(p.ip_len for p in packets)
     duration = (end - start) / 1e9
     row = {
-        "src_ip": _ip_text(init.src_ip, anonymize),
-        "dst_ip": _ip_text(init.dst_ip, anonymize),
-        "src_port": init.src_port,
+        "src_ip": _ip_text(init[0], anonymize),
+        "dst_ip": _ip_text(init[1], anonymize),
+        "src_port": init[2],
         "flow_start": _seconds_text(start), "flow_end": _seconds_text(end),
-        "export_reason": rec.export_reason,
-        "segment_index": rec.segment_index,
-        "proto": init.proto, "dst_port": init.dst_port,
-        "fwd_packet_count": fwd.pkt_count, "bwd_packet_count": bwd.pkt_count,
-        "total_packet_count": packets,
-        "fwd_byte_count": fwd.byte_count, "bwd_byte_count": bwd.byte_count,
+        "export_reason": reason,
+        "segment_index": segment,
+        "proto": init[4], "dst_port": init[3],
+        "fwd_packet_count": len(fwd), "bwd_packet_count": len(bwd),
+        "total_packet_count": len(packets),
+        "fwd_byte_count": sum(p.ip_len for p in fwd),
+        "bwd_byte_count": sum(p.ip_len for p in bwd),
         "total_byte_count": total_bytes,
-        "fwd_payload_bytes": fwd.payload_bytes,
-        "bwd_payload_bytes": bwd.payload_bytes,
+        "fwd_payload_bytes": sum(p.payload_len for p in fwd),
+        "bwd_payload_bytes": sum(p.payload_len for p in bwd),
     }
-    for side, d in (("fwd", fwd), ("bwd", bwd)):
-        row[f"{side}_duration"] = ((d.last_ts - d.first_ts) / 1e9
-                                   if d.pkt_count >= 2 else 0.0)
-        row[f"{side}_duration_valid"] = int(d.pkt_count >= 2)
+    for side, d in sides.items():
+        d_ts = [p.ts for p in d]
+        row[f"{side}_duration"] = ((max(d_ts) - min(d_ts)) / 1e9
+                                   if len(d) >= 2 else 0.0)
+        row[f"{side}_duration_valid"] = int(len(d) >= 2)
     row["flow_duration"] = duration
-    for family, m in (("fwd_size", fwd.size), ("bwd_size", bwd.size),
-                      ("fwd_piat", fwd.piat), ("bwd_piat", bwd.piat)):
-        for stat, v in zip(("mean", "var", "skew", "kurt", "min", "max",
-                            "mean_valid", "var_valid", "shape_valid"),
-                           _moments_oracle(m)):
-            row[f"{family}_{stat}"] = v
-    row["packet_ratio"] = fwd.pkt_count / max(bwd.pkt_count, 1)
-    row["byte_ratio"] = fwd.byte_count / max(bwd.byte_count, 1)
-    row["bytes_per_packet"] = total_bytes / packets
-    row["packets_per_second"] = packets / duration if duration > 0 else 0.0
+    for side, d in sides.items():
+        row.update(zip((f"{side}_size_{s}" for s in _STATS),
+                       _moments_oracle([float(p.ip_len) for p in d])))
+    for side, d in sides.items():
+        row.update(zip((f"{side}_piat_{s}" for s in _STATS), _moments_oracle(
+            [g / 1e9 for g in _gaps([p.ts for p in d])])))
+    row["packet_ratio"] = len(fwd) / max(len(bwd), 1)
+    row["byte_ratio"] = row["fwd_byte_count"] / max(row["bwd_byte_count"], 1)
+    row["bytes_per_packet"] = total_bytes / len(packets)
+    row["packets_per_second"] = (len(packets) / duration if duration > 0
+                                 else 0.0)
     for bit, name in enumerate(_FLAG_NAMES):
-        row[f"flag_{name}_count"] = sum(
-            n for d in (fwd, bwd) for flags, n in d.flags_seen.items()
-            if flags >> bit & 1)
-    row["splt_len"] = len(rec.splt)
+        row[f"flag_{name}_count"] = sum(p.tcp_flags >> bit & 1
+                                        for p in packets if p.proto == 6)
+    splt = [(1 if _five_tuple(p) == init else -1, p.ip_len, gap / 1e9)
+            for p, gap in zip(packets[:meter_splt_n], [0] + _gaps(ts))]
+    row["splt_len"] = len(splt)
     for i in range(splt_n):
-        d, size, gap = rec.splt[i] if i < len(rec.splt) else (0, 0, 0.0)
+        d, size, gap = splt[i] if i < len(splt) else (0, 0, 0.0)
         row.update({f"splt_dir_{i}": d, f"splt_size_{i}": size,
                     f"splt_piat_{i}": gap})
     return row
+
+
+def two_pass_moments(values) -> tuple[float, float, float, float]:
+    """Reference two-pass mean/variance/skewness/kurtosis, in the
+    conventions of flowlab.stats.Moments."""
+    xs = list(values)
+    n = len(xs)
+    if n == 0:
+        return 0.0, 0.0, 0.0, 0.0
+    mean = sum(xs) / n
+    m2 = sum((x - mean) ** 2 for x in xs)
+    m3 = sum((x - mean) ** 3 for x in xs)
+    m4 = sum((x - mean) ** 4 for x in xs)
+    var = m2 / n if n >= 2 else 0.0
+    if n >= 2 and m2 > 0.0:
+        skew = (m3 / n) / (m2 / n) ** 1.5
+        kurt = (m4 / n) / (m2 / n) ** 2 - 3.0
+    else:
+        skew = 0.0
+        kurt = 0.0
+    return mean, var, skew, kurt
 
 
 def flow_gaps_oracle(packets):

@@ -15,14 +15,14 @@ from flowlab.errors import LeakageError
 from flowlab.evaluation import (ConfusionMatrix, accuracy, aggregate,
                                 binary_metrics, roc_auc)
 from flowlab.explain import (partial_dependence, permutation_importance)
-from flowlab.meter import MeterConfig, meter_stream
+from flowlab.meter import MeterConfig, meter_stream, records_to_rows
 from flowlab.models import (ForestParams, HyperGrid, TreeParams, forest_fit,
                             grid_search, knn_fit, tree_fit)
 from flowlab.pcap import make_packet, write_capture
-from flowlab.stats import Moments, two_pass_moments
+from flowlab.stats import Moments
 from conftest import synth_capture
 from oracles import (brute_force_flows, knn_oracle, mann_whitney_auc,
-                     meter_records_summary)
+                     meter_records_summary, two_pass_moments)
 
 
 @contextlib.contextmanager
@@ -46,7 +46,8 @@ def test_01_metering_oracle_equivalence():
                                  idle_gap_prob=0.4, long_lived_prob=0.2,
                                  max_pkts=60)
             assert len(pkts) <= 10_000
-            got = meter_records_summary(meter_stream(pkts, cfg))
+            recs = meter_stream(pkts, cfg)
+            got = meter_records_summary(recs, records_to_rows(recs, cfg))
             want = brute_force_flows(pkts, 30.0, 300.0)
             assert got == want, f"capture seed {seed}"
         elapsed = time.monotonic() - start
@@ -60,9 +61,9 @@ def test_02_packet_conservation():
             rng = np.random.default_rng(100 + seed)
             pkts = synth_capture(rng, n_flows=int(rng.integers(10, 120)),
                                  idle_gap_prob=0.5)
-            recs = meter_stream(pkts, cfg)
-            assert sum(r.total_packets for r in recs) == len(pkts)
-            assert sum(r.total_bytes for r in recs) \
+            table = records_to_rows(meter_stream(pkts, cfg), cfg).data
+            assert sum(table["total_packet_count"]) == len(pkts)
+            assert sum(table["total_byte_count"]) \
                 == sum(p.ip_len for p in pkts)
 
 
@@ -76,7 +77,8 @@ def test_03_idle_timeout_splitting_scenario():
         assert len(recs) == 2
         assert [r.segment_index for r in recs] == [0, 1]
         assert [r.export_reason for r in recs] == ["idle", "end_of_input"]
-        assert [r.total_packets for r in recs] == [3, 1]
+        assert list(records_to_rows(recs).data["total_packet_count"]) \
+            == [3, 1]
 
 
 def test_04_streaming_moments_vs_two_pass():

@@ -314,6 +314,18 @@ class TestExitCodes:
             assert name in capsys.readouterr().err
 
 
+    def test_too_deep_tree_is_2(self, config, capsys, monkeypatch):
+        # one column 0..1399 with alternating labels: a tree 1399 levels
+        # deep, past the nesting json can write
+        assert run(["pipeline", "--config", str(config)]) == 0
+        deep = models.tree_fit(np.arange(1400.0)[:, None],
+                               np.array(["a", "b"] * 700))
+        monkeypatch.setattr(models, "_fit_by_kind", lambda *args: deep)
+        capsys.readouterr()
+        assert run(["train", "--config", str(config)]) == 2
+        assert "a tree 1399 levels deep" in capsys.readouterr().err
+
+
 def _reference_packets():
     """A fixed capture: IPv4 TCP and UDP flows split by idle gaps, active
     timeouts and FINs, one IPv6 conversation and one ICMP packet."""

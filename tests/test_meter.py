@@ -1,5 +1,7 @@
 import ipaddress
 import math
+from collections import OrderedDict
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -14,10 +16,10 @@ from flowlab.meter import (CanonicalKey, FlowCache, FlowKey, MeterConfig,
                            records_to_rows, validity_links, _ts_decimal)
 from flowlab.pcap import (TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN, Packet,
                           make_packet)
-from flowlab.stats import two_pass_moments
 from conftest import synth_capture
 from oracles import (brute_force_flows, finalize_oracle, flow_gaps_oracle,
-                     meter_export_oracle, meter_records_summary)
+                     meter_export_oracle, meter_records_summary,
+                     two_pass_moments)
 
 
 def _pkt(ts_s, src, dst, sport, dport, proto=6, payload=100, flags=0):
@@ -29,6 +31,10 @@ def _rows(records, **cfg) -> list[dict]:
     """The rows records_to_rows gives, as column name -> cell dicts."""
     ds = records_to_rows(records, MeterConfig(**cfg))
     return [dict(zip(ds.names, row)) for row in ds]
+
+
+def _summary(records) -> list:
+    return meter_records_summary(records, records_to_rows(records))
 
 
 def _sized(ts_s, ip_len, fwd=True):
@@ -75,19 +81,21 @@ class TestFlowCache:
             src, dst = ("10.0.0.1", "10.0.0.2") if fwd else ("10.0.0.2", "10.0.0.1")
             sp, dp = (5000, 80) if fwd else (80, 5000)
             pkts.append(_pkt(i * 0.1, src, dst, sp, dp))
-        (rec,) = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
-        assert rec.fwd.pkt_count == 4
-        assert rec.bwd.pkt_count == 3
-        assert rec.total_packets == 7
+        (rec,) = recs = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
+        (row,) = _rows(recs)
+        assert row["fwd_packet_count"] == 4
+        assert row["bwd_packet_count"] == 3
+        assert row["total_packet_count"] == 7
         assert rec.export_reason == "end_of_input"
 
     def test_forward_is_initiator_not_canonical(self):
         # server (lower canonical endpoint) replies; initiator stays forward
         pkts = [_pkt(0.0, "10.9.9.9", "10.0.0.1", 40000, 80),
                 _pkt(0.1, "10.0.0.1", "10.9.9.9", 80, 40000)]
-        (rec,) = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
+        (rec,) = recs = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
+        (row,) = _rows(recs)
         assert rec.initiator.src_port == 40000
-        assert rec.fwd.pkt_count == 1 and rec.bwd.pkt_count == 1
+        assert row["fwd_packet_count"] == 1 and row["bwd_packet_count"] == 1
 
     def test_idle_split_segments(self):
         pkts = [_pkt(0.0, "10.0.0.1", "10.0.0.2", 5000, 80),
@@ -95,8 +103,9 @@ class TestFlowCache:
                 _pkt(40.0, "10.0.0.1", "10.0.0.2", 5000, 80)]
         recs = meter_stream(pkts, MeterConfig(idle_timeout=30.0,
                                               honor_fin_rst=False))
-        assert [(r.export_reason, r.segment_index, r.total_packets)
-                for r in recs] == [("idle", 0, 2), ("end_of_input", 1, 1)]
+        assert [(r.export_reason, r.segment_index, row["total_packet_count"])
+                for r, row in zip(recs, _rows(recs))] \
+            == [("idle", 0, 2), ("end_of_input", 1, 1)]
 
     def test_active_timeout_split(self):
         pkts = [_pkt(t, "10.0.0.1", "10.0.0.2", 5000, 80)
@@ -105,7 +114,9 @@ class TestFlowCache:
                                               active_timeout=60.0,
                                               honor_fin_rst=False))
         assert [r.export_reason for r in recs] == ["active", "end_of_input"]
-        assert recs[0].total_packets == 6 and recs[1].total_packets == 1
+        first, second = _rows(recs)
+        assert first["total_packet_count"] == 6
+        assert second["total_packet_count"] == 1
 
     def test_fin_export(self):
         pkts = [_pkt(0.0, "10.0.0.1", "10.0.0.2", 5000, 80, flags=TCP_SYN),
@@ -114,7 +125,7 @@ class TestFlowCache:
                 _pkt(5.0, "10.0.0.1", "10.0.0.2", 5000, 80, flags=TCP_SYN)]
         recs = meter_stream(pkts, MeterConfig(honor_fin_rst=True))
         assert [r.export_reason for r in recs] == ["fin_rst", "end_of_input"]
-        assert recs[0].total_packets == 3
+        assert _rows(recs)[0]["total_packet_count"] == 3
         assert recs[1].segment_index == 1
 
     def test_rst_export(self):
@@ -155,27 +166,30 @@ class TestFlowCache:
         cfg = MeterConfig(reorder_slack=1.0, honor_fin_rst=False)
         recs = meter_stream([_pkt(10.0, "10.0.0.1", "10.0.0.2", 1, 80),
                              _pkt(9.5, "10.0.0.2", "10.0.0.1", 80, 1)], cfg)
-        (rec,) = recs
-        assert rec.total_packets == 2
-        assert rec.flow_start == int(9.5e9) and rec.flow_end == int(10e9)
+        (row,) = _rows(recs)
+        assert row["total_packet_count"] == 2
+        assert (row["flow_start"], row["flow_end"]) == ("9.500000000",
+                                                        "10.000000000")
 
     def test_flush_ordered_by_flow_start(self, rng):
         cfg = MeterConfig(honor_fin_rst=False)
         pkts = synth_capture(rng, n_flows=20, idle_gap_prob=0.0,
                              long_lived_prob=0.0)
         recs = meter_stream(pkts, cfg)
-        ends = [r for r in recs if r.export_reason == "end_of_input"]
-        starts = [r.flow_start for r in ends]
+        starts = [Decimal(row["flow_start"]) for r, row in zip(recs, _rows(recs))
+                  if r.export_reason == "end_of_input"]
         assert starts == sorted(starts)
 
     def test_splt_capped_and_first_gap_zero(self):
         cfg = MeterConfig(splt_n=4, honor_fin_rst=False)
         pkts = [_pkt(i * 0.5, "10.0.0.1", "10.0.0.2", 1, 80, payload=10 * i)
                 for i in range(8)]
-        (rec,) = meter_stream(pkts, cfg)
-        assert len(rec.splt) == 4
-        assert rec.splt[0] == (1, 40, 0.0)  # 20 IP + 20 TCP, empty payload
-        assert rec.splt[1][2] == pytest.approx(0.5)
+        (row,) = _rows(meter_stream(pkts, cfg), splt_n=4)
+        assert row["splt_len"] == 4
+        # 20 IP + 20 TCP, empty payload
+        assert (row["splt_dir_0"], row["splt_size_0"],
+                row["splt_piat_0"]) == (1, 40, 0.0)
+        assert row["splt_piat_1"] == pytest.approx(0.5)
 
     def test_splt_columns_cut_or_padded_to_splt_n(self):
         pkts = [_pkt(i * 0.5, "10.0.0.1", "10.0.0.2", 1, 80, payload=10 * i)
@@ -200,8 +214,9 @@ class TestFlowCache:
         pkts = [_pkt(0.0, "10.0.0.1", "10.0.0.2", 5000, 80),
                 _pkt(0.1, "10.0.0.2", "10.0.0.1", 80, 5000),
                 _pkt(0.2, "10.0.0.1", "10.0.0.2", 5000, 80)]
-        (rec,) = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
-        assert [d for d, _, _ in rec.splt] == [1, -1, 1]
+        (row,) = _rows(meter_stream(pkts, MeterConfig(honor_fin_rst=False)))
+        assert row["splt_len"] == 3
+        assert [row[f"splt_dir_{i}"] for i in range(3)] == [1, -1, 1]
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):
@@ -219,22 +234,23 @@ class TestOracleEquivalence:
                              active_timeout=300.0)
         cfg = MeterConfig(idle_timeout=30.0, active_timeout=300.0,
                           honor_fin_rst=False)
-        got = meter_records_summary(meter_stream(pkts, cfg))
+        got = _summary(meter_stream(pkts, cfg))
         want = brute_force_flows(pkts, 30.0, 300.0, honor_fin_rst=False)
         assert got == want
 
     def test_matches_brute_force_with_fin(self, rng):
         pkts = synth_capture(rng, n_flows=40, with_fin=True)
         cfg = MeterConfig(honor_fin_rst=True)
-        got = meter_records_summary(meter_stream(pkts, cfg))
+        got = _summary(meter_stream(pkts, cfg))
         want = brute_force_flows(pkts, 30.0, 300.0, honor_fin_rst=True)
         assert got == want
 
     def test_packet_and_byte_conservation(self, rng):
         pkts = synth_capture(rng, n_flows=50, idle_gap_prob=0.5)
-        recs = meter_stream(pkts, MeterConfig(honor_fin_rst=False))
-        assert sum(r.total_packets for r in recs) == len(pkts)
-        assert sum(r.total_bytes for r in recs) == sum(p.ip_len for p in pkts)
+        table = records_to_rows(meter_stream(
+            pkts, MeterConfig(honor_fin_rst=False))).data
+        assert sum(table["total_packet_count"]) == len(pkts)
+        assert sum(table["total_byte_count"]) == sum(p.ip_len for p in pkts)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_canonical_vs_dual_hash_identical(self, seed):
@@ -244,7 +260,7 @@ class TestOracleEquivalence:
                                            honor_fin_rst=False))
         b = meter_stream(pkts, MeterConfig(lookup="dual_hash",
                                            honor_fin_rst=False))
-        assert meter_records_summary(a) == meter_records_summary(b)
+        assert _summary(a) == _summary(b)
 
     def test_periodic_scan_drains_idle_flows(self):
         # flow A goes idle, then >1024 packets of flow B arrive: A must be
@@ -346,7 +362,7 @@ class TestExportOrder:
         cache = FlowCache(cfg)
         with mock.patch.object(meter, "SCAN_INTERVAL", scan_interval):
             records = cache.meter(packets)
-        want, dropped = meter_export_oracle(
+        want, dropped, _ = meter_export_oracle(
             packets, idle, active, max_flows, slack, honor_fin_rst,
             scan_interval)
         assert _exports(records) == want
@@ -372,8 +388,8 @@ class TestExportOrder:
                                       reorder_slack=slack))
         with mock.patch.object(meter, "SCAN_INTERVAL", scan):
             got = _exports(cache.meter(pkts))
-        want, _ = meter_export_oracle(pkts, idle, active, 1 << 20, slack,
-                                      True, scan)
+        want, _, _ = meter_export_oracle(pkts, idle, active, 1 << 20, slack,
+                                         True, scan)
         assert got == want
         assert want[0][2] in ("idle", "active")
 
@@ -387,7 +403,8 @@ class TestExportOrder:
                                        (8, 3, TCP_ACK), (9, 4, TCP_ACK),
                                        (9, 1, TCP_ACK), (1, 5, TCP_ACK),
                                        (30, 4, TCP_ACK))]
-        want, dropped = meter_export_oracle(pkts, 1.0, 1.25, 3, 1.0, True, 2)
+        want, dropped, _ = meter_export_oracle(pkts, 1.0, 1.25, 3, 1.0, True,
+                                               2)
         assert dropped == 1
         assert {reason for _, _, reason in want} == {
             "idle", "active", "fin_rst", "pressure", "end_of_input"}
@@ -558,6 +575,30 @@ def _finalize_streams(draw):
     return packets, slack_units * _UNIT / 1e9
 
 
+def _oracle_rows(records, packets, cfg, splt_n, anonymize="none") -> list:
+    """finalize_oracle's row of each record, built from the packets the
+    export oracle gives its segment; the records must come out in the
+    oracle's export order."""
+    exports, _, segments = meter_export_oracle(
+        packets, cfg.idle_timeout, cfg.active_timeout, cfg.max_flows,
+        cfg.reorder_slack, cfg.honor_fin_rst)
+    assert _exports(records) == exports
+    return [finalize_oracle(pkts, reason, seg, cfg.splt_n, splt_n, anonymize)
+            for (_, seg, reason), pkts in zip(exports, segments)]
+
+
+def _assert_columns_match(ds, rows) -> None:
+    """Every column of ds equals the oracle rows', numbers bit for bit."""
+    assert len(ds) == len(rows)
+    for name in ds.names:
+        want = [row[name] for row in rows]
+        if ds.kinds[name] == "numeric":
+            assert [float(v).hex() for v in want] \
+                == [v.hex() for v in ds.data[name].tolist()], name
+        else:
+            assert list(map(str, want)) == list(ds.data[name]), name
+
+
 class TestFinalizeOracle:
     @settings(max_examples=200, deadline=None)
     @given(stream=_finalize_streams(), meter_splt=st.integers(0, 25),
@@ -566,15 +607,16 @@ class TestFinalizeOracle:
     def test_rows_match_per_record_oracle(self, stream, meter_splt, splt_n,
                                           honor_fin_rst, anonymize):
         packets, slack = stream
-        records = meter_stream(packets, MeterConfig(
-            idle_timeout=2.0, active_timeout=5.0, reorder_slack=slack,
-            splt_n=meter_splt, honor_fin_rst=honor_fin_rst))
+        cfg = MeterConfig(idle_timeout=2.0, active_timeout=5.0,
+                          reorder_slack=slack, splt_n=meter_splt,
+                          honor_fin_rst=honor_fin_rst)
+        records = meter_stream(packets, cfg)
         ds = records_to_rows(records, MeterConfig(splt_n=splt_n,
                                                   anonymize=anonymize))
         assert len(ds) == len(records)
         assert ds.names == feature_column_names(splt_n)
-        for i, rec in enumerate(records):
-            want = finalize_oracle(rec, splt_n, anonymize)
+        rows = _oracle_rows(records, packets, cfg, splt_n, anonymize)
+        for i, want in enumerate(rows):
             assert list(want) == ds.names
             for name, value in want.items():
                 got = ds.data[name][i]
@@ -589,19 +631,94 @@ class TestFinalizeOracle:
         # enough that a var ** 1.5 off in the last bit cannot hide
         pkts = synth_capture(np.random.default_rng(5), n_flows=300,
                              with_fin=True)
-        records = meter_stream(pkts, MeterConfig(splt_n=8))
+        cfg = MeterConfig(splt_n=8)
+        records = meter_stream(pkts, cfg)
         ds = records_to_rows(records, MeterConfig(splt_n=12))
-        rows = [finalize_oracle(rec, 12, "none") for rec in records]
-        for name in ds.names:
-            want = [row[name] for row in rows]
-            if ds.kinds[name] == "numeric":
-                assert [float(v).hex() for v in want] \
-                    == [v.hex() for v in ds.data[name].tolist()], name
-            else:
-                assert list(map(str, want)) == list(ds.data[name]), name
+        _assert_columns_match(ds, _oracle_rows(records, pkts, cfg, 12))
 
     def test_no_records_give_an_empty_table(self):
         ds = records_to_rows([], MeterConfig(splt_n=3))
         assert len(ds) == 0 and list(ds) == []
         assert ds.names == feature_column_names(3)
         assert all(len(ds.data[n]) == 0 for n in ds.names)
+
+
+def _elephant_capture() -> list:
+    """One bidirectional 20,000-packet TCP flow among 500 short ones (1 to
+    6 packets), every packet up to half a second after its slot, so the
+    order is shuffled within a 1 s reorder slack but nothing is late."""
+    rng = np.random.default_rng(11)
+    slots = [(i * 1_000_000, 0, bool(rng.random() < 0.6))
+             for i in range(20_000)]
+    for flow in range(1, 501):
+        t = int(rng.integers(0, 20_000_000_000))
+        for _ in range(int(rng.integers(1, 7))):
+            slots.append((t, flow, bool(rng.random() < 0.5)))
+            t += int(rng.integers(0, 50_000_000))
+    slots.sort(key=lambda slot: slot[0])
+    ip = ipaddress.ip_address
+    packets = []
+    for t, flow, forward in slots:
+        ends = [(ip("10.0.0.1").packed, 40000 + flow),
+                (ip(f"10.1.{flow // 256}.{flow % 256}").packed, 443)]
+        (src, sport), (dst, dport) = ends if forward else ends[::-1]
+        size, tcp = int(rng.integers(40, 1500)), flow % 3 < 2
+        packets.append(Packet(
+            ts=t + int(rng.integers(0, 500_000_000)), src_ip=src, dst_ip=dst,
+            src_port=sport, dst_port=dport, proto=6 if tcp else 17,
+            ip_len=size, payload_len=size - 40,
+            tcp_flags=int(rng.integers(0, 64)) if tcp else 0))
+    return packets
+
+
+class TestFold:
+    @pytest.mark.parametrize("fold, vector_min", [
+        (97, meter._VECTOR_MIN), (meter._FOLD, meter._VECTOR_MIN),
+        (meter._FOLD, 1)], ids=["fold_97", "default", "all_vectorized"])
+    def test_elephant_among_short_flows(self, fold, vector_min):
+        packets = _elephant_capture()
+        cfg = MeterConfig(honor_fin_rst=False)
+        cache = FlowCache(cfg)
+        records, logged = [], 0
+        with mock.patch.object(meter, "_FOLD", fold), \
+                mock.patch.object(meter, "_VECTOR_MIN", vector_min):
+            for pkt in packets:
+                records += cache.process_packet(pkt)
+                logged = max(logged, len(cache.table.log) // 6)
+            records += cache.flush()
+        assert logged == fold - 1      # folded at every fold-th packet
+        assert len(records) == 501
+        ds = records_to_rows(records, cfg)
+        assert max(ds.data["total_packet_count"]) == 20_000
+        _assert_columns_match(ds, _oracle_rows(records, packets, cfg, 20))
+
+
+class _CountedValues(OrderedDict):
+    """An OrderedDict that counts the values its values() walks hand out."""
+
+    visited = 0
+
+    def values(self):
+        for value in super().values():
+            self.visited += 1
+            yield value
+
+
+class TestScanWork:
+    def test_scans_skip_resident_flows(self):
+        # 100k flows stay resident, none expires: the periodic scans must
+        # look at a few entries each, not at every resident flow
+        flows = 100_000
+        cache = FlowCache(MeterConfig(idle_timeout=600.0,
+                                      active_timeout=1200.0, splt_n=0,
+                                      honor_fin_rst=False))
+        cache._entries, cache._born = _CountedValues(), _CountedValues()
+        for i in range(flows):
+            pkt = _pkt(i * 0.0005, f"10.{i >> 16}.{i >> 8 & 255}.{i & 255}",
+                       "10.200.0.1", 1024 + i % 50_000, 443)
+            assert cache.process_packet(pkt) == []
+        assert len(cache) == flows
+        scans = flows // meter.SCAN_INTERVAL
+        assert scans >= 90
+        # each scan stops at the first entry of each walk
+        assert cache._entries.visited + cache._born.visited <= 2 * scans

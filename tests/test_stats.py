@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flowlab.stats import Moments, two_pass_moments
+from flowlab.stats import Moments
+from oracles import two_pass_moments
 
 
 def test_textbook_variance():
