@@ -636,6 +636,16 @@ class TestFinalizeOracle:
         ds = records_to_rows(records, MeterConfig(splt_n=12))
         _assert_columns_match(ds, _oracle_rows(records, pkts, cfg, 12))
 
+    def test_records_of_two_caches_finalize_together(self):
+        # each record reads its own cache's table, whatever the mix
+        caps = [synth_capture(np.random.default_rng(seed), n_flows=8)
+                for seed in (1, 2)]
+        a, b = (meter_stream(pkts, MeterConfig(splt_n=6)) for pkts in caps)
+        mixed = [r for pair in zip(a, b) for r in pair]
+        assert len(a) > 1 and len(b) > 1
+        assert _rows(mixed, splt_n=6) == [row for pair in zip(
+            _rows(a, splt_n=6), _rows(b, splt_n=6)) for row in pair]
+
     def test_no_records_give_an_empty_table(self):
         ds = records_to_rows([], MeterConfig(splt_n=3))
         assert len(ds) == 0 and list(ds) == []
