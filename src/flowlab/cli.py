@@ -180,22 +180,19 @@ def stage_prepare(cfg, config_hash, run_dir: Path, flows_path) -> Path:
         known = np.asarray([str(v) != UNKNOWN_LABEL
                             for v in ds.data["label"]])
         ds = ds.subset(known)
-    cleaned, audit = prep.clean(ds, prep.CleaningConfig(
-        drop_columns=tuple(cfg["cleaning"]["drop_columns"]),
-        missing_drop_threshold=cfg["cleaning"]["missing_drop_threshold"],
-        variance_epsilon=cfg["cleaning"]["variance_epsilon"],
-        min_tcp_packets=cfg["cleaning"]["min_tcp_packets"]))
-    engineered = prep.engineer_stateless(cleaned)
+    # derived columns first: cleaning may then drop any of them, and their
+    # sources once they are constant
+    prepared, audit = prep.clean(prep.engineer_stateless(ds),
+                                 prep.CleaningConfig(**cfg["cleaning"]))
     if cfg["stateful"]["window"]:
-        engineered = prep.engineer_stateful(engineered,
-                                            cfg["stateful"]["window"])
+        prepared = prep.engineer_stateful(prepared, cfg["stateful"]["window"])
     out = run_dir / "dataset.csv"
-    engineered.to_csv(out, config_hash=config_hash)
+    prepared.to_csv(out, config_hash=config_hash)
     prep.write_audit_log(audit, run_dir / "audit.jsonl")
     _write_manifest(run_dir, "prepare", config_hash,
                     {"flows": flows_path},
                     {"label_conflicts": conflicts.count,
-                     "rows": len(engineered),
+                     "rows": len(prepared),
                      "audit_events": len(audit)})
     return out
 
@@ -381,8 +378,8 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
         chosen = best["params"]
     else:
         X, _ = train_ds.feature_matrix()
-        model = models._fit_by_kind(mcfg["kind"], X, train_ds.labels(),
-                                    mcfg["params"], cfg["seed"])
+        model = models.fit(mcfg["kind"], X, train_ds.labels(),
+                           mcfg["params"], cfg["seed"])
         chosen = mcfg["params"]
     out = run_dir / "model.json"
     with open(out, "w") as f:

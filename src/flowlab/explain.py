@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evaluation import METRICS, code_scorer
-from .models import ForestModel, Nodes, TreeModel, mean_leaf_probs, walk
+from .models import ForestModel, TreeModel, mean_leaf_probs, walk
 
 
 @dataclass
@@ -67,27 +67,22 @@ class ImportanceTable:
                             repr(r.std), self.method, self.repeats])
 
 
-def _tree_importances(nodes: Nodes, n_features: int) -> np.ndarray:
-    # bincount adds the weights in preorder, as a walk of the tree would
-    internal = nodes.feature >= 0
-    imp = np.bincount(nodes.feature[internal],
-                      weights=nodes.importance[internal],
-                      minlength=n_features)
-    total = imp.sum()
-    return imp / total if total > 0 else imp
-
-
 def gini_importance(model, feature_names: Sequence[str]) -> ImportanceTable:
-    """Normalized total impurity decrease per feature; forest = tree mean."""
-    if isinstance(model, TreeModel):
-        values = _tree_importances(model.nodes, model.n_features)
-    elif isinstance(model, ForestModel):
-        per_tree = [_tree_importances(t.nodes, model.n_features)
-                    for t in model.trees]
-        values = np.mean(per_tree, axis=0)
-    else:
+    """Each tree's total impurity decrease per feature, normalized to sum
+    to 1 (a tree without splits stays 0), then the mean over the trees."""
+    if not isinstance(model, (TreeModel, ForestModel)):
         raise ConfigError(
             f"{type(model).__name__} has no impurity bookkeeping")
+    nodes, d, trees = model.nodes, model.n_features, len(model.roots)
+    tree = np.repeat(np.arange(trees),
+                     np.diff([*model.roots.tolist(), len(nodes)]))
+    internal = nodes.feature >= 0
+    # bincount adds each tree's weights in preorder, as a walk of it would
+    imp = np.bincount(tree[internal] * d + nodes.feature[internal],
+                      weights=nodes.importance[internal],
+                      minlength=trees * d).reshape(trees, d)
+    total = imp.sum(axis=1, keepdims=True)
+    values = np.mean(imp / np.where(total > 0, total, 1.0), axis=0)
     table = ImportanceTable(method="gini", repeats=1)
     for i, name in enumerate(feature_names):
         table.rows.append(ImportanceRow(feature=name, members=(name,),

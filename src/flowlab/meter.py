@@ -273,11 +273,12 @@ class FlowRecord:
     ``ckey`` is the canonical 5-tuple and ``key`` the first packet's;
     ``opened`` and ``last_pkt_ts`` are the first and the latest packet's
     timestamp; ``wm`` and ``born`` the watermark at the last update and at
-    creation; ``seq`` the LRU rank, the packets processed before the last.
+    creation; ``seq`` the LRU rank, the packets processed before the last;
+    ``ids`` the flow's ids in both orientations (``lookup="dual_hash"``).
     """
 
     __slots__ = ("ckey", "key", "segment_index", "export_reason", "flow",
-                 "table", "opened", "last_pkt_ts", "wm", "born", "seq")
+                 "table", "opened", "last_pkt_ts", "wm", "born", "seq", "ids")
 
     def __init__(self, ckey: tuple, key: tuple, segment_index: int,
                  flow: int, table: "FlowTable", ts: int, watermark: int):
@@ -321,23 +322,26 @@ class FlowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _lookup_ids(self, key: tuple) -> Optional[FlowRecord]:
+    def _lookup_ids(self, key: tuple, fid: int) -> Optional[FlowRecord]:
+        """The resident flow of a packet with this key and id. Each flow is
+        indexed under both orientations' ids, so the packet's own id finds
+        it whichever way the packet goes."""
         rev = _reversed(key)
-        for fid in (_hash64(key), _hash64(rev)):
-            for ckey in self._ids.get(fid, ()):
-                entry = self._entries.get(ckey)
-                if entry is not None and (entry.key == key
-                                          or entry.key == rev):
-                    return entry
+        for ckey in self._ids.get(fid, ()):
+            entry = self._entries[ckey]
+            if entry.key == key or entry.key == rev:
+                return entry
         return None
 
-    def _register(self, entry: FlowRecord) -> None:
+    def _register(self, entry: FlowRecord, fid: Optional[int]) -> None:
+        """Make entry resident; fid is its key's id under dual_hash."""
         ckey = entry.ckey
         self._entries[ckey] = entry
         self._born[ckey] = entry
-        if self._hashed:
-            for fid in set(dual_hash(entry.key)):
-                self._ids.setdefault(fid, []).append(ckey)
+        if fid is not None:
+            entry.ids = {fid, _hash64(_reversed(entry.key))}
+            for i in entry.ids:
+                self._ids.setdefault(i, []).append(ckey)
 
     def _export(self, entry: FlowRecord, reason: str) -> FlowRecord:
         ckey = entry.ckey
@@ -345,7 +349,7 @@ class FlowCache:
         del self._born[ckey]
         self._stragglers.pop(ckey, None)
         if self._hashed:
-            for fid in set(dual_hash(entry.key)):
+            for fid in entry.ids:
                 keys = self._ids[fid]
                 keys.remove(ckey)
                 if not keys:
@@ -365,8 +369,9 @@ class FlowCache:
         else:
             ckey = (dst, dport, src, sport, proto)
         entries = self._entries
-        entry = (self._lookup_ids(key) if self._hashed
-                 else entries.get(ckey))
+        fid = _hash64(key) if self._hashed else None
+        entry = (entries.get(ckey) if fid is None
+                 else self._lookup_ids(key, fid))
 
         late = ts < self._watermark - self._slack_ns
         if late and entry is None:
@@ -397,7 +402,7 @@ class FlowCache:
             entry = FlowRecord(ckey, key, seg, table.flows, table, ts,
                                self._watermark)
             table.flows += 1
-            self._register(entry)
+            self._register(entry, fid)
         if late:
             self._stragglers[ckey] = entry
         entry.seq = self._processed

@@ -102,43 +102,6 @@ class Nodes:
         return Nodes(**cols)
 
 
-class _Builder:
-    """Appends nodes in preorder; `finish` freezes them into Nodes."""
-
-    def __init__(self):
-        self.cols = {f.name: [] for f in fields(Nodes)}
-
-    def __len__(self) -> int:
-        return len(self.cols["feature"])
-
-    def leaf(self, parent: int, side: str, probs, impurity: float,
-             n: int) -> int:
-        """Add a leaf as parent's `side` ("left"/"right") child; its index."""
-        i = len(self)
-        if parent >= 0:
-            self.cols[side][parent] = i
-        for name, value in (("feature", -1), ("threshold", 0.0), ("left", i),
-                            ("right", i), ("probs", probs),
-                            ("impurity", impurity), ("n_samples", n),
-                            ("importance", 0.0)):
-            self.cols[name].append(value)
-        return i
-
-    def split(self, i: int, feature: int, threshold: float,
-              importance: float) -> None:
-        self.cols["feature"][i] = feature
-        self.cols["threshold"][i] = threshold
-        self.cols["importance"][i] = importance
-
-    def finish(self, n_classes: int) -> Nodes:
-        ints = ("feature", "left", "right", "n_samples")
-        cols = {name: np.asarray(values, dtype=np.int64 if name in ints
-                                 else np.float64)
-                for name, values in self.cols.items()}
-        cols["probs"] = cols["probs"].reshape(-1, n_classes)
-        return Nodes(**cols)
-
-
 def walk(nodes: Nodes, start: np.ndarray, X: np.ndarray, rows: np.ndarray,
          moved: Optional[tuple] = None,
          on_path: Optional[np.ndarray] = None) -> np.ndarray:
@@ -518,7 +481,6 @@ class ForestModel(_Classifier):
     n_features: int
     m: int
     seed: int
-    oob_masks: list[np.ndarray] = field(default_factory=list)
 
     @property
     def trees(self) -> list[TreeModel]:
@@ -537,11 +499,13 @@ class ForestParams:
     n_trees: int = 50
     m: Optional[int] = None          # features per split; default ceil(sqrt)
     tree: TreeParams = field(default_factory=TreeParams)
-    bootstrap: bool = True
 
 
 def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
                seed: int = 0) -> ForestModel:
+    """Bagged CART (Breiman, Random Forests, 2001): each tree's generator
+    is seeded from the forest's, and draws the tree's bootstrap sample of
+    n rows, then its m features per split."""
     params = params or ForestParams()
     X = _check_fit(X, y)
     y_enc, classes = _encode_labels(y)
@@ -552,22 +516,13 @@ def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
     if params.n_trees < 1:
         raise ConfigError(f"n_trees={params.n_trees} must be at least 1")
     rng = np.random.default_rng(seed)
-    rngs, samples, oob = [], [], []
-    for _ in range(params.n_trees):
-        tree_rng = np.random.default_rng(rng.integers(2 ** 63))
-        if params.bootstrap:
-            idx = tree_rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        mask = np.ones(n, dtype=bool)
-        mask[np.unique(idx)] = False
-        rngs.append(tree_rng)
-        samples.append(idx)
-        oob.append(mask)
+    rngs = [np.random.default_rng(rng.integers(2 ** 63))
+            for _ in range(params.n_trees)]
+    samples = [tree_rng.integers(0, n, size=n) for tree_rng in rngs]
     nodes, roots = _grow_trees(X, y_enc, len(classes), samples, params.tree,
                                rngs, m)
     return ForestModel(nodes=nodes, roots=roots, classes=classes,
-                       n_features=d, m=m, seed=seed, oob_masks=oob)
+                       n_features=d, m=m, seed=seed)
 
 
 @dataclass
@@ -594,7 +549,7 @@ class KnnModel(_Classifier):
 
 
 def knn_fit(X: np.ndarray, y, k: int) -> KnnModel:
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_fit(X, y)
     if k < 1 or k > len(X):
         raise ConfigError(f"k={k} out of [1, {len(X)}]")
     y_enc, classes = _encode_labels(y)
@@ -656,25 +611,52 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _add_tree(tree: _Builder, root: dict, n_features: int,
-              n_classes: int) -> None:
-    """Append one nested JSON tree to `tree` in preorder."""
-    stack = [(root, -1, "")]
-    while stack:
-        d, parent, side = stack.pop()
-        probs = [float(p) for p in d["probs"]]
-        if len(probs) != n_classes:
-            raise DataError(f"node has {len(probs)} class probabilities, "
-                            f"the model has {n_classes} classes")
-        i = tree.leaf(parent, side, probs, float(d["impurity"]),
-                      int(d["n"]))
-        if "feature" in d:
-            f = d["feature"]
-            if not _is_int(f) or not 0 <= f < n_features:
-                raise DataError(f"split feature {f!r} not in "
-                                f"[0, {n_features})")
-            tree.split(i, f, float(d["threshold"]), float(d["importance"]))
-            stack += [(d["right"], i, "right"), (d["left"], i, "left")]
+def _parse_trees(tree_dicts: list, n_features: int, n_classes: int
+                 ) -> tuple[Nodes, np.ndarray]:
+    """The nodes of nested JSON trees, appended in preorder straight into
+    their columns, and each tree's root index. A split's left child is the
+    next node; its right child is set when the walk reaches it."""
+    feature, threshold, left, right, importance = [], [], [], [], []
+    probs, impurity, n_samples, roots = [], [], [], []
+    for root in tree_dicts:
+        roots.append(len(feature))
+        stack = [(root, -1)]
+        while stack:
+            d, parent = stack.pop()
+            i = len(feature)
+            if parent >= 0:
+                right[parent] = i
+            p = [float(v) for v in d["probs"]]
+            if len(p) != n_classes:
+                raise DataError(f"node has {len(p)} class probabilities, "
+                                f"the model has {n_classes} classes")
+            probs.append(p)
+            impurity.append(float(d["impurity"]))
+            n_samples.append(int(d["n"]))
+            right.append(i)
+            if "feature" in d:
+                f = d["feature"]
+                if not _is_int(f) or not 0 <= f < n_features:
+                    raise DataError(f"split feature {f!r} not in "
+                                    f"[0, {n_features})")
+                feature.append(f)
+                threshold.append(float(d["threshold"]))
+                importance.append(float(d["importance"]))
+                left.append(i + 1)
+                stack += [(d["right"], i), (d["left"], -1)]
+            else:
+                feature.append(-1)
+                threshold.append(0.0)
+                importance.append(0.0)
+                left.append(i)
+    i64 = np.int64
+    nodes = Nodes(feature=np.asarray(feature, i64),
+                  threshold=np.asarray(threshold), left=np.asarray(left, i64),
+                  right=np.asarray(right, i64), probs=np.asarray(probs),
+                  impurity=np.asarray(impurity),
+                  n_samples=np.asarray(n_samples, i64),
+                  importance=np.asarray(importance))
+    return nodes, np.asarray(roots, i64)
 
 
 def model_from_json(text: str):
@@ -723,21 +705,15 @@ def _parse_model(text: str):
         tree_dicts = [d["root"]] if kind == "tree" else d["trees"]
         if not isinstance(tree_dicts, list) or not tree_dicts:
             raise DataError("trees must be a nonempty list")
-        nodes, roots = _Builder(), []
-        for root in tree_dicts:
-            roots.append(len(nodes))
-            _add_tree(nodes, root, n_features, len(classes))
-        frozen = nodes.finish(len(classes))
+        nodes, roots = _parse_trees(tree_dicts, n_features, len(classes))
         if kind == "tree":
-            return TreeModel(nodes=frozen, classes=classes,
+            return TreeModel(nodes=nodes, classes=classes,
                              n_features=n_features)
         m, seed = d["m"], d["seed"]
         if not _is_int(m) or not _is_int(seed):
             raise DataError("forest m and seed must be integers")
-        return ForestModel(nodes=frozen, roots=np.asarray(roots,
-                                                          dtype=np.int64),
-                           classes=classes, n_features=n_features, m=m,
-                           seed=seed)
+        return ForestModel(nodes=nodes, roots=roots, classes=classes,
+                           n_features=n_features, m=m, seed=seed)
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as e:
         raise DataError(f"malformed model JSON: {type(e).__name__}: {e}"
@@ -760,23 +736,21 @@ class HyperGrid:
                               f"{sorted(evaluation.METRICS)}")
 
 
-def _fit_by_kind(kind: str, X, y, params: dict, seed: int):
-    if kind == "tree":
-        return tree_fit(X, y, TreeParams(
-            max_depth=params.get("max_depth"),
-            min_samples_split=params.get("min_samples_split", 2),
-            min_impurity_decrease=params.get("min_impurity_decrease", 0.0)))
-    if kind == "forest":
-        return forest_fit(X, y, ForestParams(
-            n_trees=params.get("n_trees", 50),
-            m=params.get("m"),
-            tree=TreeParams(
-                max_depth=params.get("max_depth"),
-                min_samples_split=params.get("min_samples_split", 2),
-                min_impurity_decrease=params.get("min_impurity_decrease", 0.0))),
-            seed=seed)
+def fit(kind: str, X, y, params: dict, seed: int):
+    """A "tree", "forest" or "knn" model fitted with the config's params;
+    each kind reads only its own keys, and a missing key is its default."""
     if kind == "knn":
         return knn_fit(X, y, params.get("k", 5))
+    tree = TreeParams(
+        max_depth=params.get("max_depth"),
+        min_samples_split=params.get("min_samples_split", 2),
+        min_impurity_decrease=params.get("min_impurity_decrease", 0.0))
+    if kind == "tree":
+        return tree_fit(X, y, tree)
+    if kind == "forest":
+        return forest_fit(X, y, ForestParams(
+            n_trees=params.get("n_trees", 50), m=params.get("m"), tree=tree),
+            seed=seed)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -814,7 +788,7 @@ def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0,
                 tr, va = preprocess(tr, va)
             Xtr, _ = tr.feature_matrix()
             Xva, _ = va.feature_matrix()
-            model = _fit_by_kind(model_kind, Xtr, tr.labels(), params, seed)
+            model = fit(model_kind, Xtr, tr.labels(), params, seed)
             pred = model.predict(Xva)
             scores.append(score_fn(va.labels(), pred))
         mean = float(np.mean(scores))
@@ -826,6 +800,5 @@ def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0,
     full = design if preprocess is None else preprocess(design, design)[0]
     Xd, _ = full.feature_matrix()
     best = dict(best)
-    best["model"] = _fit_by_kind(model_kind, Xd, full.labels(),
-                                 best["params"], seed)
+    best["model"] = fit(model_kind, Xd, full.labels(), best["params"], seed)
     return best, table

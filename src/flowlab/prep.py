@@ -43,12 +43,16 @@ class CleaningConfig:
     min_tcp_packets: int = 3
 
 
-def _is_missing_numeric(col: np.ndarray) -> np.ndarray:
-    return np.isnan(col)
-
-
-def _is_missing_object(col: np.ndarray) -> np.ndarray:
+def _missing(ds: Dataset, name: str) -> np.ndarray:
+    """The cells of a column that are NaN, or a missing token as text."""
+    col = ds.data[name]
+    if ds.kinds[name] == "numeric":
+        return np.isnan(col)
     return np.asarray([str(v) in MISSING_TOKENS for v in col], dtype=bool)
+
+
+def _fraction(mask: np.ndarray) -> float:
+    return float(np.mean(mask)) if len(mask) else 0.0
 
 
 def _non_metadata_row_tuples(ds: Dataset) -> list[tuple]:
@@ -98,16 +102,14 @@ def diagnose(ds: Dataset) -> QualityReport:
     """Compute the quality report without mutating the dataset."""
     missing, distinct, variance = {}, {}, {}
     for name in ds.names:
-        col = ds.data[name]
+        col, miss = ds.data[name], _missing(ds, name)
         if ds.kinds[name] == "numeric":
-            miss = _is_missing_numeric(col)
             vals = col[~miss]
             variance[name] = float(np.var(vals)) if len(vals) else 0.0
             distinct[name] = int(len(np.unique(vals)))
         else:
-            miss = _is_missing_object(col)
             distinct[name] = len({str(v) for v in col[~miss]})
-        missing[name] = float(np.mean(miss)) if len(col) else 0.0
+        missing[name] = _fraction(miss)
     tuples = _non_metadata_row_tuples(ds)
     duplicates = len(tuples) - len(set(tuples))
     violations = {rule: int(mask.sum())
@@ -149,10 +151,9 @@ def _clean_pass(ds: Dataset, rules: CleaningConfig
         audit.append({"rule": "explicit_drop", "columns": explicit,
                       "count": len(explicit)})
 
-    report = diagnose(out)
     miss_drop = [n for n in out.names
-                 if report.missing_fraction[n] > rules.missing_drop_threshold
-                 and out.kinds[n] not in ("label", "metadata")]
+                 if out.kinds[n] not in ("label", "metadata")
+                 and _fraction(_missing(out, n)) > rules.missing_drop_threshold]
     if miss_drop:
         out.drop_columns(miss_drop)
         audit.append({"rule": "missing_columns", "columns": miss_drop,

@@ -470,11 +470,10 @@ def tree_oracle(X, y, max_depth=None, min_samples_split=2,
 
 
 def forest_oracle(X, y, n_trees, seed, m=None, max_depth=None,
-                  min_samples_split=2, bootstrap=True) -> dict:
+                  min_samples_split=2) -> dict:
     """The document `model_to_json` writes for `forest_fit`: one seed per
-    tree drawn from the forest seed, then the tree's bootstrap rows (or
-    every row, in order) and per-node feature samples from that tree's
-    generator."""
+    tree drawn from the forest seed, then the tree's bootstrap rows and
+    per-node feature samples from that tree's generator."""
     X = np.asarray(X, dtype=np.float64)
     y_enc, classes = _labels_oracle(y)
     n, d = X.shape
@@ -485,7 +484,7 @@ def forest_oracle(X, y, n_trees, seed, m=None, max_depth=None,
     trees = []
     for _ in range(n_trees):
         tree_rng = np.random.default_rng(rng.integers(2 ** 63))
-        idx = tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        idx = tree_rng.integers(0, n, size=n)
         trees.append(_grow_oracle(X[idx], y_enc[idx], len(classes), 0, params,
                                   n, tree_rng, m if m < d else None))
     return {"kind": "forest", "classes": classes, "n_features": d, "m": m,

@@ -83,6 +83,42 @@ class TestStages:
         assert manifest["ingest_summary"]["decoded"] > 0
         assert manifest["inputs"]["capture"]  # hash of the pcap
 
+    def test_explicit_drop_of_derived_column_holds(self, config):
+        # the derived columns are built before cleaning, so none comes
+        # back after an explicit drop
+        drop = ("cleaning.drop_columns", '["packet_ratio"]')
+        for stage in ("meter", "prepare"):
+            assert run([stage, "--config", str(config),
+                        f"--{drop[0]}", drop[1]]) == 0
+        cfg, h = load_config(config, [drop])
+        run_dir = run_dir_for(cfg, h)
+        names = dataset.Dataset.from_csv(run_dir / "dataset.csv").names
+        assert "packet_ratio" not in names and "byte_ratio" in names
+        first = (run_dir / "audit.jsonl").read_text().splitlines()[0]
+        assert json.loads(first) == {"rule": "explicit_drop", "count": 1,
+                                     "columns": ["packet_ratio"]}
+
+    def test_one_way_flows_run_through(self, tmp_path):
+        # 120 UDP flows of three packets that get no reply: cleaning drops
+        # the constant packet counts of both directions, after the derived
+        # columns were built from them
+        base = 1_700_000_000 * 10 ** 9
+        pkts = [make_packet(base + i * 10 ** 9 + j * (i % 7 + 1) * 10 ** 7,
+                            f"10.0.0.{i + 1}", "192.168.1.1", 40000 + i,
+                            (53, 123)[i % 2], 17, payload_len=40 + i + j)
+                for i in range(120) for j in range(3)]
+        write_capture(tmp_path / "one_way.pcap", sorted(pkts,
+                                                        key=lambda p: p.ts))
+        pairs = [("capture", str(tmp_path / "one_way.pcap")),
+                 ("out_dir", str(tmp_path / "runs"))]
+        assert run(["pipeline"] + [a for k, v in pairs
+                                   for a in (f"--{k}", v)]) == 0
+        cfg, h = load_config(None, pairs)
+        names = dataset.Dataset.from_csv(
+            run_dir_for(cfg, h) / "dataset.csv").names
+        assert "bwd_packet_count" not in names
+        assert "fwd_packet_count" not in names and "byte_ratio" in names
+
     def test_pipeline_end_to_end(self, config):
         assert run(["pipeline", "--config", str(config)]) == 0
         cfg, h = load_config(config, [])
@@ -320,7 +356,7 @@ class TestExitCodes:
         assert run(["pipeline", "--config", str(config)]) == 0
         deep = models.tree_fit(np.arange(1400.0)[:, None],
                                np.array(["a", "b"] * 700))
-        monkeypatch.setattr(models, "_fit_by_kind", lambda *args: deep)
+        monkeypatch.setattr(models, "fit", lambda *args: deep)
         capsys.readouterr()
         assert run(["train", "--config", str(config)]) == 2
         assert "a tree 1399 levels deep" in capsys.readouterr().err

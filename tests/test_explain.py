@@ -41,6 +41,18 @@ class TestGini:
         assert vals["signal"] > vals["noise"]
         assert sum(vals.values()) == pytest.approx(1.0)
 
+    def test_forest_is_the_mean_of_its_trees(self, rng):
+        # bit for bit, with a single-leaf tree (no splits) counting as 0
+        X = np.round(rng.normal(size=(12, 11)), 1)
+        y = ["A"] * 10 + ["B"] * 2
+        names = [f"f{i}" for i in range(11)]
+        model = forest_fit(X, y, ForestParams(n_trees=12), seed=3)
+        assert min(len(t.nodes) for t in model.trees) == 1
+        per_tree = [[r.importance for r in gini_importance(t, names).rows]
+                    for t in model.trees]
+        assert [r.importance for r in gini_importance(model, names).rows] \
+            == np.mean(per_tree, axis=0).tolist()
+
     def test_knn_rejected(self, rng):
         X, y = _data(rng)
         with pytest.raises(ConfigError):

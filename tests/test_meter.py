@@ -262,6 +262,22 @@ class TestOracleEquivalence:
                                            honor_fin_rst=False))
         assert _summary(a) == _summary(b)
 
+    @pytest.mark.parametrize("constant_ids", [False, True],
+                             ids=["keyed", "one_chain"])
+    def test_dual_hash_hashes_each_packet_once(self, monkeypatch,
+                                               constant_ids):
+        # one id per packet, plus the reverse id of each new flow; with
+        # every id equal, all flows share one chain and key equality alone
+        # tells them apart
+        calls, real = [], meter._hash64
+        monkeypatch.setattr(meter, "_hash64", lambda key: calls.append(key)
+                            or (7 if constant_ids else real(key)))
+        pkts = synth_capture(np.random.default_rng(3), n_flows=60,
+                             idle_gap_prob=0.4)
+        hashed = meter_stream(pkts, MeterConfig(lookup="dual_hash"))
+        assert len(calls) == len(pkts) + len(hashed)
+        assert _summary(hashed) == _summary(meter_stream(pkts))
+
     def test_periodic_scan_drains_idle_flows(self):
         # flow A goes idle, then >1024 packets of flow B arrive: A must be
         # exported by the scan even though its own key never recurs

@@ -166,14 +166,6 @@ class TestForest:
         assert a == b
         assert a != c
 
-    def test_oob_masks(self, rng):
-        X, y = _blobs(rng, n_per=30)
-        model = forest_fit(X, y, ForestParams(n_trees=10), seed=1)
-        assert len(model.oob_masks) == 10
-        for mask in model.oob_masks:
-            frac = mask.mean()
-            assert 0.2 < frac < 0.55   # ~1/e of rows land out-of-bag
-
     def test_json_round_trip(self, rng):
         X, y = _blobs(rng, n_per=20)
         model = forest_fit(X, y, ForestParams(n_trees=5), seed=2)
@@ -230,6 +222,16 @@ class TestKnn:
             knn_fit(np.zeros((3, 1)), ["A", "A", "B"], 4)
         with pytest.raises(ConfigError):
             knn_fit(np.zeros((3, 1)), ["A", "A", "B"], 0)
+
+    def test_input_checked_as_for_trees(self):
+        # fewer labels than rows failed only at predict, more fitted
+        # silently, and a 1-D matrix failed at predict
+        X = np.zeros((5, 2))
+        for labels in (["A"] * 3, ["A"] * 7):
+            with pytest.raises(ShapeError):
+                knn_fit(X, labels, 1)
+        with pytest.raises(FitError):
+            knn_fit(np.zeros(5), ["A"] * 5, 1)
 
     def test_json_round_trip(self, rng):
         X, y = _blobs(rng, n_per=10)
@@ -368,15 +370,16 @@ class TestLockstepGrowth:
                   max_depth=data.draw(st.sampled_from([None, 1, 3]),
                                       label="max_depth"),
                   min_samples_split=data.draw(st.sampled_from([2, 3, 6]),
-                                              label="min_samples_split"),
-                  bootstrap=data.draw(st.booleans(), label="bootstrap"))
+                                              label="min_samples_split"))
         model = forest_fit(X, y, ForestParams(
-            n_trees=kw["n_trees"], m=kw["m"], bootstrap=kw["bootstrap"],
+            n_trees=kw["n_trees"], m=kw["m"],
             tree=TreeParams(max_depth=kw["max_depth"],
                             min_samples_split=kw["min_samples_split"])),
             seed=kw["seed"])
         doc = forest_oracle(X, y, **kw)
-        assert model_to_json(model) == json.dumps(doc, sort_keys=True)
+        text = model_to_json(model)
+        assert text == json.dumps(doc, sort_keys=True)
+        assert model_to_json(model_from_json(text)) == text
 
     def test_blocked_search_is_byte_identical(self, rng, monkeypatch):
         X, y = _blobs(rng, n_per=40)
@@ -444,6 +447,18 @@ class TestModelFromJson:
     def test_malformed_is_data_error(self, make):
         with pytest.raises(DataError):
             model_from_json(make())
+
+    def test_reload_writes_the_same_text(self, rng):
+        # each tree of a forest is parsed after the last one's nodes,
+        # also after a tree that is a single leaf
+        X, y = _blobs(rng, n_per=20)
+        stump = forest_fit([[0.0], [1.0]], ["A", "B"],
+                           ForestParams(n_trees=6), seed=0)
+        assert {len(t.nodes) for t in stump.trees} == {1, 3}
+        for model in (tree_fit(X, y), stump,
+                      forest_fit(X, y, ForestParams(n_trees=5), seed=4)):
+            text = model_to_json(model)
+            assert model_to_json(model_from_json(text)) == text
 
     def test_valid_document_loads(self):
         model = model_from_json(json.dumps(_tree_doc()))
