@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -48,6 +49,21 @@ def synth_capture(rng, n_flows=40, base_ts=1_700_000_000,
                 t += float(rng.random() * 2.0)
     packets.sort(key=lambda p: p.ts)
     return packets
+
+
+def pcap_bytes(frames, linktype=1, big_endian=False, nanosecond=True):
+    """A classic PCAP file holding frames, a list of (ts_ns, frame bytes).
+
+    Unlike write_capture, the frames are any bytes at all."""
+    e = ">" if big_endian else "<"
+    magic = 0xA1B23C4D if nanosecond else 0xA1B2C3D4
+    out = [struct.pack(e + "IHHiIII", magic, 2, 4, 0, 0, 262144, linktype)]
+    for ts, frame in frames:
+        sec, sub = divmod(ts, 1_000_000_000)
+        out.append(struct.pack(e + "IIII", sec,
+                               sub if nanosecond else sub // 1000,
+                               len(frame), len(frame)) + frame)
+    return b"".join(out)
 
 
 @pytest.fixture

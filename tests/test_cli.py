@@ -1,4 +1,5 @@
 import hashlib
+import ipaddress
 import json
 import struct
 
@@ -10,7 +11,7 @@ from flowlab.cli import (DEFAULT_CONFIG, load_config, run, run_dir_for)
 from flowlab.errors import ConfigError
 from flowlab.meter import feature_column_names
 from flowlab.pcap import make_packet, write_capture
-from conftest import synth_capture
+from conftest import pcap_bytes, synth_capture
 
 
 @pytest.fixture
@@ -397,4 +398,136 @@ def test_flows_csv_reference_digest(tmp_path, overrides, digest):
         b"\n", 1)
     assert head == f"# config_hash: {h}".encode()
     assert body.count(b"\r\n") == 252          # header and 251 flows
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
+# Frames built field by field, so that a capture can hold what
+# write_capture never writes: tags, options, fragments, cut or bad headers.
+def _eth(ethertype, body, vlan=False):
+    tag = struct.pack("!HH", 0x8100, 7) if vlan else b""
+    return bytes(12) + tag + struct.pack("!H", ethertype) + body
+
+
+def _ipv4(proto, src, dst, body, ihl=5, frag=0, total=None, version=4):
+    total = 4 * ihl + len(body) if total is None else total
+    return struct.pack("!BBHHHBBH4s4s", version << 4 | ihl, 0, total, 0,
+                       frag, 64, proto, 0, ipaddress.ip_address(src).packed,
+                       ipaddress.ip_address(dst).packed) \
+        + bytes(max(4 * ihl - 20, 0)) + body
+
+
+def _ipv6(next_header, src, dst, body):
+    return struct.pack("!IHBB16s16s", 6 << 28, len(body), next_header, 64,
+                       ipaddress.ip_address(src).packed,
+                       ipaddress.ip_address(dst).packed) + body
+
+
+def _tcp(sport, dport, flags, payload=0, doff=5):
+    return struct.pack("!HHIIBBHHH", sport, dport, 0, 0, doff << 4, flags,
+                       65535, 0, 0) + bytes(max(4 * doff - 20, 0) + payload)
+
+
+def _udp(sport, dport, payload=0):
+    return struct.pack("!HHHH", sport, dport, 8 + payload, 0) + bytes(payload)
+
+
+def _ethernet_frames():
+    """Every outcome of an Ethernet frame: decoded (IPv4, IPv6, 802.1Q,
+    options, a first fragment, ICMP, a super packet), skipped and cut
+    inside each header. Addresses end in zero bytes on purpose."""
+    a, b = "10.1.0.0", "192.168.0.10"
+    v6a, v6b = "2001:db8::", "2001:db8::1:0"
+    syn, ack, fin = 0x02, 0x10, 0x01
+    tcp4 = _ipv4(6, a, b, _tcp(40000, 443, ack, 30))
+    frames = [
+        _eth(0x0800, _ipv4(6, a, b, _tcp(40000, 443, syn))),
+        _eth(0x0800, _ipv4(6, b, a, _tcp(443, 40000, syn | ack))),
+        _eth(0x0800, tcp4),
+        _eth(0x0800, _ipv4(6, b, a, _tcp(443, 40000, ack, 1200))),
+        _eth(0x0800, _ipv4(6, a, b, _tcp(40000, 443, fin | ack, 0, doff=8))),
+        _eth(0x0800, _ipv4(17, "10.2.0.1", "10.2.0.0", _udp(5353, 53, 20)),
+             vlan=True),
+        _eth(0x0800, _ipv4(17, "10.2.0.0", "10.2.0.1", _udp(53, 5353, 90))),
+        _eth(0x86DD, _ipv6(6, v6a, v6b, _tcp(40001, 443, syn))),
+        _eth(0x86DD, _ipv6(6, v6b, v6a, _tcp(443, 40001, ack, 700))),
+        _eth(0x86DD, _ipv6(17, "2001:db8::2", "2001:db8::3", _udp(123, 123, 48)),
+             vlan=True),
+        _eth(0x0800, _ipv4(1, "10.3.0.1", "10.3.0.2", bytes(64))),
+        _eth(0x0800, _ipv4(17, "10.4.0.1", "10.4.0.2", _udp(9, 9, 12), ihl=7)),
+        _eth(0x0800, _ipv4(17, "10.5.0.1", "10.5.0.2", _udp(7, 7, 40),
+                           frag=0x2000)),
+        # a jumbo datagram cut to its headers by the snap length
+        _eth(0x0800, _ipv4(17, "10.6.0.1", "10.6.0.2", _udp(7, 7),
+                           total=9000)),
+        # skipped
+        _eth(0x0806, bytes(28)),
+        _eth(0x0800, _ipv4(17, a, b, _udp(1, 2, 8), frag=0x00B9)),
+        _eth(0x0800, _ipv4(17, a, b, _udp(1, 2), version=6)),
+        _eth(0x0800, _ipv4(17, a, b, _udp(1, 2), ihl=4)),
+        _eth(0x0800, _ipv4(17, a, b, _udp(1, 2), total=19)),
+        _eth(0x0800, _ipv4(6, a, b, _tcp(40000, 443, ack, 10, doff=4))),
+        _eth(0x0800, _ipv4(6, a, b, _tcp(40000, 443, ack, doff=15),
+                           total=50)),
+        _eth(0x86DD, _ipv4(17, a, b, _udp(1, 2, 20))),
+        # cut inside a header
+        bytes(10),
+        _eth(0x0800, b"", vlan=True)[:16],
+        _eth(0x0800, tcp4)[:14 + 12],
+        _eth(0x0800, _ipv4(17, a, b, _udp(1, 2), ihl=8))[:14 + 24],
+        _eth(0x86DD, _ipv6(17, v6a, v6b, _udp(1, 2)))[:14 + 30],
+        _eth(0x0800, tcp4)[:14 + 20 + 12],
+        _eth(0x0800, _ipv4(17, a, b, _udp(1, 2)))[:14 + 20 + 4],
+        _eth(0x0800, _ipv4(6, a, b, bytes(24), total=30)),
+        _eth(0x0800, _ipv4(17, a, b, _udp(1, 2), total=25)),
+    ]
+    return [(1_700_000_000_000_000_000 + 1_000_003 * i, f)
+            for i, f in enumerate(frames)]
+
+
+def _raw_ip_frames():
+    frames = [
+        _ipv4(17, "10.7.0.1", "10.7.0.0", _udp(1000, 53, 33)),
+        _ipv6(6, "2001:db8::7", "2001:db8::", _tcp(5000, 22, 0x02)),
+        _ipv4(17, "10.7.0.0", "10.7.0.1", _udp(53, 1000, 80)),
+        b"\x50" + bytes(40),                           # IP version 5
+        b"",
+        _ipv4(6, "10.7.0.1", "10.7.0.0", _tcp(1, 2, 0x10))[:30],
+    ]
+    return [(1_700_000_100_000_000_000 + 2_500_000 * i, f)
+            for i, f in enumerate(frames)]
+
+
+def _be_micro_frames():
+    a, b = "172.16.0.0", "172.16.9.9"
+    frames = [_eth(0x0800, _ipv4(6, a, b, _tcp(3333, 80, 0x02))),
+              _eth(0x0800, _ipv4(6, b, a, _tcp(80, 3333, 0x12, 100))),
+              _eth(0x0800, _ipv4(6, a, b, _tcp(3333, 80, 0x11)))]
+    return [(1_700_000_200_123_456_000 + 1_250_000 * i, f)
+            for i, f in enumerate(frames)]
+
+
+# The flows.csv digest and ingest counts of hand-built captures: every
+# outcome of the frame decoder, both link types and both byte orders
+@pytest.mark.parametrize("capture, counts, digest", [
+    (lambda: pcap_bytes(_ethernet_frames()), (31, 14, 8, 9),
+     "7e17545b4011a54b0bc52b02eb054e2418e7e667bdcf8f030aa8add54a944aec"),
+    (lambda: pcap_bytes(_raw_ip_frames(), linktype=101), (6, 3, 1, 2),
+     "0baaa7a84bdf01614d4a714d7108cc1988362e4879f11ce45e05750e138875ee"),
+    (lambda: pcap_bytes(_be_micro_frames(), big_endian=True,
+                        nanosecond=False), (3, 3, 0, 0),
+     "9dd0f2461ff62506cc35dafe59359f3095bb1fdfc9bdf96d53988ec2d41d0eee"),
+], ids=["ethernet", "raw_ip", "big_endian_micro"])
+def test_hand_built_capture_digest(tmp_path, capture, counts, digest):
+    path = tmp_path / "hand.pcap"
+    path.write_bytes(capture())
+    pairs = [("capture", str(path)), ("out_dir", str(tmp_path / "runs"))]
+    assert run(["meter"] + [a for k, v in pairs for a in (f"--{k}", v)]) == 0
+    cfg, h = load_config(None, pairs)
+    run_dir = run_dir_for(cfg, h)
+    summary = json.loads(
+        (run_dir / "meter_manifest.json").read_text())["ingest_summary"]
+    assert (summary["total_frames"], summary["decoded"], summary["skipped"],
+            summary["truncated"]) == counts
+    assert summary["emitted"] == summary["decoded"]
+    body = (run_dir / "flows.csv").read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == digest
