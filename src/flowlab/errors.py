@@ -61,14 +61,3 @@ class TruncatedCaptureError(DataError):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
-
-class DecodeError(DataError):
-    """Malformed frame contents; carries the byte offset within the frame."""
-
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (offset {offset})")
-        self.offset = offset
-
-
-class TruncatedFrameError(DecodeError):
-    """Frame shorter than its headers declare."""

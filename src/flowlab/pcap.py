@@ -6,6 +6,11 @@ PCAPNG, tunnels and reassembly are out of scope. A single 802.1Q tag is
 stripped; anything else non-IP is counted and skipped. IPv4 fragments other
 than the first are skipped (no reassembly).
 
+The capture is read in chunks of CHUNK_BYTES. A Python loop walks only the
+16-byte record headers; the header fields of a chunk's frames are then
+gathered by numpy index arithmetic, and one mask per check, in the order of
+the checks, marks each frame decoded, skipped or truncated.
+
 Timestamps are normalized to integer nanoseconds since the epoch.
 """
 
@@ -16,12 +21,12 @@ import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
+import numpy as np
+
 from .errors import (
     DataError,
-    DecodeError,
     InvalidArgumentError,
     TruncatedCaptureError,
-    TruncatedFrameError,
     UnsupportedFormatError,
     UnsupportedLinkTypeError,
 )
@@ -54,18 +59,6 @@ class Packet:
     payload_len: int        # transport payload bytes
     tcp_flags: int = 0
     super_packet: bool = False
-
-
-class NonIP:
-    """Marker result for frames that carry no usable IP packet."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-    def __repr__(self):
-        return f"NonIP({self.reason!r})"
 
 
 @dataclass
@@ -133,103 +126,17 @@ class IngestSummary:
         return asdict(self)
 
 
-def decode_frame(data: bytes, linktype: int, mtu: int = 1500, ts: int = 0):
-    """Decode one captured frame into a Packet, or NonIP if not plain IP.
+# Bytes read from the capture per step. The decoder holds one chunk plus
+# the record that straddles its end, so memory does not grow with the file.
+CHUNK_BYTES = 1 << 20
 
-    Raises DecodeError/TruncatedFrameError for frames that claim to be IP
-    but are malformed or cut short.
-    """
-    if linktype == LINKTYPE_ETHERNET:
-        if len(data) < 14:
-            raise TruncatedFrameError("frame shorter than Ethernet header", 0)
-        ethertype = struct.unpack_from("!H", data, 12)[0]
-        off = 14
-        if ethertype == 0x8100:  # single 802.1Q tag
-            if len(data) < 18:
-                raise TruncatedFrameError("frame shorter than 802.1Q header", 14)
-            ethertype = struct.unpack_from("!H", data, 16)[0]
-            off = 18
-        if ethertype == 0x0800:
-            return _decode_ipv4(data, off, mtu, ts)
-        if ethertype == 0x86DD:
-            return _decode_ipv6(data, off, mtu, ts)
-        return NonIP(f"ethertype 0x{ethertype:04x}")
-    if linktype == LINKTYPE_RAW_IP:
-        if len(data) < 1:
-            raise TruncatedFrameError("empty raw-IP frame", 0)
-        version = data[0] >> 4
-        if version == 4:
-            return _decode_ipv4(data, 0, mtu, ts)
-        if version == 6:
-            return _decode_ipv6(data, 0, mtu, ts)
-        raise DecodeError(f"raw-IP frame with IP version {version}", 0)
-    raise UnsupportedLinkTypeError(f"unsupported link type {linktype}")
+# A frame's fields are read at most 92 bytes past its start (802.1Q tag,
+# 60-byte IPv4 header, TCP flags byte). With this much zero padding after a
+# chunk, every read stays in bounds whatever the frames' lengths; the masks
+# then discard what a short frame read past its end.
+_PAD = bytes(96)
 
-
-def _decode_ipv4(data: bytes, off: int, mtu: int, ts: int):
-    if len(data) < off + 20:
-        raise TruncatedFrameError("frame shorter than IPv4 header", off)
-    vihl = data[off]
-    if vihl >> 4 != 4:
-        raise DecodeError(f"IPv4 version nibble {vihl >> 4}", off)
-    ihl = (vihl & 0x0F) * 4
-    if ihl < 20:
-        raise DecodeError(f"IPv4 header length {ihl} < 20", off)
-    if len(data) < off + ihl:
-        raise TruncatedFrameError("frame shorter than declared IPv4 IHL", off)
-    total_len = struct.unpack_from("!H", data, off + 2)[0]
-    if total_len < ihl:
-        raise DecodeError(f"IPv4 total length {total_len} < IHL {ihl}", off + 2)
-    flags_frag = struct.unpack_from("!H", data, off + 6)[0]
-    frag_offset = flags_frag & 0x1FFF
-    if frag_offset != 0:
-        return NonIP("ipv4-fragment")
-    proto = data[off + 9]
-    src = data[off + 12:off + 16]
-    dst = data[off + 16:off + 20]
-    return _finish_transport(data, off + ihl, ts, src, dst, proto,
-                             ip_len=total_len,
-                             transport_len=total_len - ihl, mtu=mtu)
-
-
-def _decode_ipv6(data: bytes, off: int, mtu: int, ts: int):
-    if len(data) < off + 40:
-        raise TruncatedFrameError("frame shorter than IPv6 header", off)
-    if data[off] >> 4 != 6:
-        raise DecodeError(f"IPv6 version nibble {data[off] >> 4}", off)
-    payload_len = struct.unpack_from("!H", data, off + 4)[0]
-    next_header = data[off + 6]
-    src = data[off + 8:off + 24]
-    dst = data[off + 24:off + 40]
-    # extension headers are not walked; treat them as opaque payload
-    return _finish_transport(data, off + 40, ts, src, dst, next_header,
-                             ip_len=40 + payload_len,
-                             transport_len=payload_len, mtu=mtu)
-
-
-def _finish_transport(data: bytes, toff: int, ts: int, src: bytes, dst: bytes,
-                      proto: int, ip_len: int, transport_len: int, mtu: int):
-    src_port = dst_port = 0
-    tcp_flags = 0
-    payload_len = transport_len
-    if proto == 6:
-        if len(data) < toff + 20 or transport_len < 20:
-            raise TruncatedFrameError("frame shorter than TCP header", toff)
-        src_port, dst_port = struct.unpack_from("!HH", data, toff)
-        doff = (data[toff + 12] >> 4) * 4
-        if doff < 20 or transport_len < doff:
-            raise DecodeError(f"TCP data offset {doff} invalid", toff + 12)
-        tcp_flags = data[toff + 13] & 0x3F
-        payload_len = transport_len - doff
-    elif proto == 17:
-        if len(data) < toff + 8 or transport_len < 8:
-            raise TruncatedFrameError("frame shorter than UDP header", toff)
-        src_port, dst_port = struct.unpack_from("!HH", data, toff)
-        payload_len = transport_len - 8
-    return Packet(ts=ts, src_ip=src, dst_ip=dst, src_port=src_port,
-                  dst_port=dst_port, proto=proto, ip_len=ip_len,
-                  payload_len=payload_len, tcp_flags=tcp_flags,
-                  super_packet=ip_len > mtu)
+_TRUNCATED, _SKIPPED = 1, 2
 
 
 def _open(path):
@@ -267,38 +174,45 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
     summary = IngestSummary()
 
     def frames() -> Iterator[Packet]:
-        rec_hdr = struct.Struct(endian + "IIII")
-        offset = 24
+        incl_len = struct.Struct(endian + "I").unpack_from
+        buf = bytearray()       # one buffer, reused for every chunk
+        offset, kept = 24, 0    # file offset of buf[0]; bytes carried over
         # a handle of its own, opened on the first next(): a stream that is
         # never consumed holds no open file
         with _open(path) as f:
             f.seek(offset)
             while True:
-                hdr = f.read(16)
-                if not hdr:
+                stop = kept + CHUNK_BYTES
+                if len(buf) < stop + len(_PAD):     # a record past a chunk
+                    buf.extend(bytes(stop + len(_PAD) - len(buf)))
+                with memoryview(buf) as view:
+                    stop = kept + f.readinto(view[kept:stop])
+                if stop == kept:
                     break
-                if len(hdr) < 16:
-                    raise TruncatedCaptureError("truncated record header", offset)
-                ts_sec, ts_sub, incl_len, orig_len = rec_hdr.unpack(hdr)
-                data = f.read(incl_len)
-                if len(data) < incl_len:
-                    raise TruncatedCaptureError("truncated record body", offset + 16)
-                offset += 16 + incl_len
-                summary.total_frames += 1
-                ts = ts_sec * 1_000_000_000 + ts_sub * subsec_scale
-                try:
-                    result = decode_frame(data, linktype, cfg.mtu, ts)
-                except TruncatedFrameError:
-                    summary.truncated += 1
-                    continue
-                except DecodeError:
-                    summary.skipped += 1
-                    continue
-                if isinstance(result, NonIP):
-                    summary.skipped += 1
-                    continue
-                summary.decoded += 1
-                yield result
+                buf[stop:stop + len(_PAD)] = _PAD
+                # the record walk, in Python: only the record headers. The
+                # padding keeps each read in bounds, and a record whose
+                # header runs past stop also ends past it.
+                starts, p = [], 0
+                while (q := p + 16 + incl_len(buf, p + 8)[0]) <= stop:
+                    starts.append(p)
+                    p = q
+                if starts:
+                    columns, outcomes = _decode_records(
+                        buf, starts, endian, subsec_scale, linktype, cfg.mtu)
+                    decoded, truncated, skipped = outcomes
+                    summary.total_frames += len(starts)
+                    summary.decoded += decoded
+                    summary.truncated += truncated
+                    summary.skipped += skipped
+                    yield from map(Packet, *columns)
+                offset, kept = offset + p, stop - p
+                if p:
+                    buf[:kept] = buf[p:stop]
+        if kept >= 16:
+            raise TruncatedCaptureError("truncated record body", offset + 16)
+        if kept:
+            raise TruncatedCaptureError("truncated record header", offset)
 
     stream: Iterable[Packet] = frames()
     if cfg.filter is not None:
@@ -312,6 +226,99 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
             yield pkt
 
     return counted(), summary
+
+
+def _uint(a: np.ndarray, pos: np.ndarray, width: int, endian: str = ">"):
+    """The unsigned ints of width bytes at positions pos of a, as int64."""
+    if width == 1:
+        return a[pos].astype(np.int64)
+    cells = a[pos[:, None] + np.arange(width)]
+    return cells.view(f"{endian}u{width}")[:, 0].astype(np.int64)
+
+
+def _addresses(a: np.ndarray, pos: np.ndarray, width: int) -> list:
+    """The width-byte strings at positions pos of a. A void view, unlike a
+    bytes ("S") one, keeps trailing zero bytes."""
+    return a[pos[:, None] + np.arange(width)].view(f"V{width}")[:, 0].tolist()
+
+
+def _decode_records(chunk: bytearray, starts: list, endian: str,
+                    subsec_scale: int, linktype: int, mtu: int):
+    """Decode the records whose headers start at offsets starts of chunk.
+
+    Returns the Packet fields of the decoded frames as one list per field,
+    in Packet's order, and the (decoded, truncated, skipped) counts. A
+    frame is truncated when it is cut inside a header it claims, and
+    skipped when it carries no plain IP packet: a non-IP ethertype, a bad
+    IP version, IHL, total length or TCP data offset, or an IPv4 fragment
+    other than the first. Each check marks only frames that passed every
+    earlier one, so each frame gets the outcome of its first failed check.
+    """
+    a = np.frombuffer(chunk, np.uint8)
+    hdr = np.asarray(starts, np.int64)
+    ts = (_uint(a, hdr, 4, endian) * 1_000_000_000
+          + _uint(a, hdr + 4, 4, endian) * subsec_scale)
+    length = _uint(a, hdr + 8, 4, endian)
+    s = hdr + 16                            # frame starts
+    outcome = np.zeros(len(hdr), np.int8)   # 0: decoded
+
+    def fail(mask, why):
+        outcome[mask & (outcome == 0)] = why
+
+    if linktype == LINKTYPE_ETHERNET:
+        fail(length < 14, _TRUNCATED)
+        ethertype = _uint(a, s + 12, 2)
+        tagged = ethertype == 0x8100        # a single 802.1Q tag
+        fail(tagged & (length < 18), _TRUNCATED)
+        ethertype = np.where(tagged, _uint(a, s + 16, 2), ethertype)
+        off = np.where(tagged, 18, 14)
+        v4, v6 = ethertype == 0x0800, ethertype == 0x86DD
+    else:
+        fail(length < 1, _TRUNCATED)
+        version = a[s] >> 4
+        v4, v6 = version == 4, version == 6
+        off = 0
+    fail(~(v4 | v6), _SKIPPED)
+    ip = s + off
+    version = a[ip] >> 4
+    fail(v4 & (length < off + 20) | v6 & (length < off + 40), _TRUNCATED)
+    fail(v4 & (version != 4) | v6 & (version != 6), _SKIPPED)
+    ihl = (_uint(a, ip, 1) & 0x0F) * 4
+    fail(v4 & (ihl < 20), _SKIPPED)
+    fail(v4 & (length < off + ihl), _TRUNCATED)
+    total_len = _uint(a, ip + 2, 2)
+    fail(v4 & (total_len < ihl), _SKIPPED)
+    fail(v4 & (_uint(a, ip + 6, 2) & 0x1FFF != 0), _SKIPPED)  # fragment
+    # extension headers are not walked; IPv6 treats them as opaque payload
+    v6_payload = _uint(a, ip + 4, 2)
+    proto = np.where(v4, a[ip + 9], a[ip + 6])
+    ip_len = np.where(v4, total_len, 40 + v6_payload)
+    transport_len = np.where(v4, total_len - ihl, v6_payload)
+    toff = off + np.where(v4, ihl, 40)
+    tcp, udp = proto == 6, proto == 17
+    fail(tcp & ((length < toff + 20) | (transport_len < 20))
+         | udp & ((length < toff + 8) | (transport_len < 8)), _TRUNCATED)
+    doff = (_uint(a, s + toff + 12, 1) >> 4) * 4
+    fail(tcp & ((doff < 20) | (transport_len < doff)), _SKIPPED)
+
+    k = np.flatnonzero(outcome == 0)
+    v4, tcp, udp, ip, ip_len = v4[k], tcp[k], udp[k], ip[k], ip_len[k]
+    t = (s + toff)[k]
+    ports = tcp | udp
+    src, dst = np.empty(len(k), object), np.empty(len(k), object)
+    for rows, at, width in ((v4, 12, 4), (~v4, 8, 16)):
+        pos = ip[rows] + at
+        src[rows] = _addresses(a, pos, width)
+        dst[rows] = _addresses(a, pos + width, width)
+    columns = (ts[k], src, dst,
+               np.where(ports, _uint(a, t, 2), 0),
+               np.where(ports, _uint(a, t + 2, 2), 0),
+               proto[k], ip_len,
+               transport_len[k] - np.where(tcp, doff[k], np.where(udp, 8, 0)),
+               np.where(tcp, a[t + 13] & 0x3F, 0),
+               ip_len > mtu)
+    return ([c.tolist() for c in columns],
+            np.bincount(outcome, minlength=3).tolist())
 
 
 def sample_stream(stream: Iterable[Packet], n: int) -> Iterator[Packet]:

@@ -1,7 +1,7 @@
 """Independent brute-force references used to check the fast paths.
 
 These deliberately share no code with the implementations they verify:
-flow grouping is a sort + group-by + greedy split, the meter's export order
+a captured frame is decoded one header at a time with struct, flow grouping is a sort + group-by + greedy split, the meter's export order
 comes from a full walk of every resident flow, k-NN is a literal O(n^2)
 scan, AUC is the Mann-Whitney rank statistic, the dataset CSV is written
 one cell at a time, a flow segment is finalized from its own packets,
@@ -19,10 +19,136 @@ import decimal
 import io
 import ipaddress
 import math
+import struct
 
 import numpy as np
 
 from flowlab.pcap import TCP_FIN, TCP_RST
+
+
+def decode_frame(data: bytes, linktype: int, mtu: int = 1500, ts: int = 0):
+    """Decode one captured frame, one header at a time.
+
+    Returns the Packet fields (ts, src_ip, dst_ip, src_port, dst_port,
+    proto, ip_len, payload_len, tcp_flags, super_packet) as a tuple,
+    "skipped" for a frame that carries no plain IP packet or a malformed
+    one, and "truncated" for a frame cut inside a header it claims.
+    linktype is 1 (Ethernet) or 101 (raw IP).
+    """
+    if linktype == 1:
+        if len(data) < 14:
+            return "truncated"
+        ethertype = struct.unpack_from("!H", data, 12)[0]
+        off = 14
+        if ethertype == 0x8100:  # single 802.1Q tag
+            if len(data) < 18:
+                return "truncated"
+            ethertype = struct.unpack_from("!H", data, 16)[0]
+            off = 18
+        if ethertype == 0x0800:
+            return _decode_ipv4(data, off, mtu, ts)
+        if ethertype == 0x86DD:
+            return _decode_ipv6(data, off, mtu, ts)
+        return "skipped"
+    if len(data) < 1:
+        return "truncated"
+    version = data[0] >> 4
+    if version == 4:
+        return _decode_ipv4(data, 0, mtu, ts)
+    if version == 6:
+        return _decode_ipv6(data, 0, mtu, ts)
+    return "skipped"
+
+
+def _decode_ipv4(data: bytes, off: int, mtu: int, ts: int):
+    if len(data) < off + 20:
+        return "truncated"
+    vihl = data[off]
+    if vihl >> 4 != 4:
+        return "skipped"
+    ihl = (vihl & 0x0F) * 4
+    if ihl < 20:
+        return "skipped"
+    if len(data) < off + ihl:
+        return "truncated"
+    total_len = struct.unpack_from("!H", data, off + 2)[0]
+    if total_len < ihl:
+        return "skipped"
+    flags_frag = struct.unpack_from("!H", data, off + 6)[0]
+    if flags_frag & 0x1FFF != 0:    # a fragment other than the first
+        return "skipped"
+    return _finish_transport(data, off + ihl, ts, data[off + 12:off + 16],
+                             data[off + 16:off + 20], data[off + 9],
+                             total_len, total_len - ihl, mtu)
+
+
+def _decode_ipv6(data: bytes, off: int, mtu: int, ts: int):
+    if len(data) < off + 40:
+        return "truncated"
+    if data[off] >> 4 != 6:
+        return "skipped"
+    payload_len = struct.unpack_from("!H", data, off + 4)[0]
+    # extension headers are not walked; they count as opaque payload
+    return _finish_transport(data, off + 40, ts, data[off + 8:off + 24],
+                             data[off + 24:off + 40], data[off + 6],
+                             40 + payload_len, payload_len, mtu)
+
+
+def _finish_transport(data: bytes, toff: int, ts: int, src: bytes,
+                      dst: bytes, proto: int, ip_len: int,
+                      transport_len: int, mtu: int):
+    src_port = dst_port = tcp_flags = 0
+    payload_len = transport_len
+    if proto == 6:
+        if len(data) < toff + 20 or transport_len < 20:
+            return "truncated"
+        src_port, dst_port = struct.unpack_from("!HH", data, toff)
+        doff = (data[toff + 12] >> 4) * 4
+        if doff < 20 or transport_len < doff:
+            return "skipped"
+        tcp_flags = data[toff + 13] & 0x3F
+        payload_len = transport_len - doff
+    elif proto == 17:
+        if len(data) < toff + 8 or transport_len < 8:
+            return "truncated"
+        src_port, dst_port = struct.unpack_from("!HH", data, toff)
+        payload_len = transport_len - 8
+    return (ts, src, dst, src_port, dst_port, proto, ip_len, payload_len,
+            tcp_flags, ip_len > mtu)
+
+
+def read_capture(data: bytes, mtu: int = 1500):
+    """Walk the records of a classic PCAP file's bytes one at a time.
+
+    Returns (packets, counts, cut): the decode_frame tuples of the decoded
+    frames in order, {"total_frames", "decoded", "skipped", "truncated"},
+    and (message, offset) of the record cut short at the end of data, or
+    None. The global header must be valid.
+    """
+    e = "<" if data[:4] in (b"\xd4\xc3\xb2\xa1", b"\x4d\x3c\xb2\xa1") else ">"
+    subsec_ns = 1 if struct.unpack(e + "I", data[:4])[0] == 0xA1B23C4D \
+        else 1000
+    linktype = struct.unpack_from(e + "I", data, 20)[0]
+    packets = []
+    counts = dict.fromkeys(("total_frames", "decoded", "skipped",
+                            "truncated"), 0)
+    off = 24
+    while off < len(data):
+        if len(data) < off + 16:
+            return packets, counts, ("truncated record header", off)
+        sec, sub, incl_len, _ = struct.unpack_from(e + "IIII", data, off)
+        if len(data) < off + 16 + incl_len:
+            return packets, counts, ("truncated record body", off + 16)
+        got = decode_frame(data[off + 16:off + 16 + incl_len], linktype, mtu,
+                           sec * 1_000_000_000 + sub * subsec_ns)
+        counts["total_frames"] += 1
+        if isinstance(got, tuple):
+            counts["decoded"] += 1
+            packets.append(got)
+        else:
+            counts[got] += 1
+        off += 16 + incl_len
+    return packets, counts, None
 
 
 def _five_tuple(pkt) -> tuple:

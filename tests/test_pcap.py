@@ -1,19 +1,24 @@
+import dataclasses
 import gc
 import ipaddress
 import struct
 import sys
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from flowlab import pcap
 from flowlab.errors import (InvalidArgumentError, TruncatedCaptureError,
                             UnsupportedFormatError, UnsupportedLinkTypeError)
-from flowlab.pcap import (FilterSpec, IngestConfig, Packet, NonIP,
-                          build_frame, decode_frame, filter_stream,
-                          ip_to_str, make_packet, parse_capture,
-                          sample_stream, write_capture, TCP_SYN)
+from flowlab.pcap import (FilterSpec, IngestConfig, Packet, build_frame,
+                          filter_stream, ip_to_str, make_packet,
+                          parse_capture, sample_stream, write_capture, TCP_SYN)
+from conftest import pcap_bytes
+from oracles import read_capture
 
 
 def _udp(ts_s, src="10.0.0.1", dst="10.0.0.2", sport=1000, dport=53,
@@ -134,50 +139,165 @@ class TestParseCapture:
         assert summary.decoded == len(pkts)
 
 
+def _parse_frames(tmp_path, frames, linktype=1, mtu=1500):
+    """The packets and summary of a capture holding frames, all at ts 0."""
+    path = tmp_path / "frames.pcap"
+    path.write_bytes(pcap_bytes([(0, f) for f in frames], linktype))
+    stream, summary = parse_capture(path, IngestConfig(mtu=mtu))
+    return list(stream), summary
+
+
 class TestDecodeFrame:
-    def test_minimal_tcp_syn(self):
+    def test_minimal_tcp_syn(self, tmp_path):
         pkt = make_packet(0, "1.2.3.4", "5.6.7.8", 1234, 80, 6,
                           tcp_flags=TCP_SYN)
-        decoded = decode_frame(build_frame(pkt), 1)
+        (decoded,), _ = _parse_frames(tmp_path, [build_frame(pkt)])
         assert decoded.proto == 6
         assert decoded.ip_len == 40
         assert decoded.payload_len == 0
         assert decoded.tcp_flags == TCP_SYN
 
-    def test_super_packet_flagged(self):
+    def test_super_packet_flagged(self, tmp_path):
         pkt = make_packet(0, "1.2.3.4", "5.6.7.8", 1, 2, 17,
                           payload_len=9000 - 28)
-        decoded = decode_frame(build_frame(pkt), 1, mtu=1500)
+        (decoded,), _ = _parse_frames(tmp_path, [build_frame(pkt)], mtu=1500)
         assert decoded.ip_len == 9000
         assert decoded.super_packet
 
-    def test_vlan_tag_transparent(self):
+    def test_vlan_tag_transparent(self, tmp_path):
         pkt = make_packet(0, "1.2.3.4", "5.6.7.8", 10, 20, 17, payload_len=4)
         frame = build_frame(pkt)
         tagged = frame[:12] + struct.pack("!HH", 0x8100, 100) + frame[12:]
-        plain = decode_frame(frame, 1)
-        via_tag = decode_frame(tagged, 1)
-        assert (plain.src_ip, plain.dst_ip, plain.src_port, plain.dst_port,
-                plain.proto) == (via_tag.src_ip, via_tag.dst_ip,
-                                 via_tag.src_port, via_tag.dst_port,
-                                 via_tag.proto)
+        (plain, via_tag), _ = _parse_frames(tmp_path, [frame, tagged])
+        assert plain == via_tag == pkt
 
-    def test_ipv6_round_trip(self):
+    def test_ipv6_round_trip(self, tmp_path):
         pkt = make_packet(0, "2001:db8::1", "2001:db8::2", 40000, 443, 6,
                           payload_len=100)
-        decoded = decode_frame(build_frame(pkt), 1)
+        (decoded,), _ = _parse_frames(tmp_path, [build_frame(pkt)])
         assert decoded == pkt
 
-    def test_non_tcp_udp_ports_zero(self):
+    def test_non_tcp_udp_ports_zero(self, tmp_path):
         pkt = make_packet(0, "1.1.1.1", "2.2.2.2", 0, 0, 1, payload_len=8)
-        decoded = decode_frame(build_frame(pkt), 1)
+        (decoded,), _ = _parse_frames(tmp_path, [build_frame(pkt)])
         assert decoded.src_port == 0 and decoded.dst_port == 0
 
-    def test_ipv4_fragment_skipped(self):
+    def test_ipv4_fragment_skipped(self, tmp_path):
         frame = bytearray(build_frame(make_packet(0, "1.1.1.1", "2.2.2.2",
                                                   1, 2, 17, payload_len=8)))
         frame[14 + 6:14 + 8] = struct.pack("!H", 0x00FF)  # frag offset 255
-        assert isinstance(decode_frame(bytes(frame), 1), NonIP)
+        pkts, summary = _parse_frames(tmp_path, [bytes(frame)])
+        assert pkts == [] and summary.skipped == 1
+
+    def test_huge_record_length_is_truncated_capture(self, tmp_path):
+        # the claimed length is never allocated: the capture ends first
+        path = tmp_path / "huge.pcap"
+        path.write_bytes(pcap_bytes([])
+                         + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 0xFFFFFFF0)
+                         + bytes(100))
+        stream, _ = parse_capture(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedCaptureError) as exc:
+                list(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == 40
+        assert peak < 4 * pcap.CHUNK_BYTES
+
+
+@st.composite
+def _frame(draw, linktype):
+    """A frame of arbitrary bytes, or a valid one, maybe tagged, with a few
+    bytes overwritten and maybe cut short."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=64))
+    width = draw(st.sampled_from([4, 16]))
+    src, dst = (str(ipaddress.ip_address(draw(st.binary(min_size=width,
+                                                        max_size=width))))
+                for _ in range(2))
+    pkt = make_packet(0, src, dst, draw(st.integers(0, 65535)),
+                      draw(st.integers(0, 65535)),
+                      draw(st.sampled_from([6, 17, 1])),
+                      payload_len=draw(st.integers(0, 24)),
+                      tcp_flags=draw(st.integers(0, 255)) & 0x3F)
+    frame = bytearray(build_frame(pkt))
+    if linktype == 101:
+        del frame[:14]
+    elif draw(st.booleans()):
+        frame[12:12] = struct.pack("!HH", 0x8100, 1)
+    for _ in range(draw(st.integers(0, 3))):
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(
+            st.integers(0, 255))
+    if draw(st.booleans()):
+        del frame[draw(st.integers(0, len(frame))):]
+    return bytes(frame)
+
+
+@st.composite
+def _capture(draw, max_frames):
+    """The bytes of a classic PCAP file of _frame records, and the file
+    offset at which each record ends."""
+    linktype = draw(st.sampled_from([1, 101]))
+    frames = draw(st.lists(_frame(linktype), min_size=1, max_size=max_frames))
+    data = pcap_bytes([(i * 1_000_003_000, f) for i, f in enumerate(frames)],
+                      linktype, big_endian=draw(st.booleans()),
+                      nanosecond=draw(st.booleans()))
+    return data, 24 + np.cumsum([16 + len(f) for f in frames])
+
+
+def _drain(path, mtu=1500):
+    """(packet tuples, summary, TruncatedCaptureError or None) of a parse."""
+    stream, summary = parse_capture(path, IngestConfig(mtu=mtu))
+    got = []
+    try:
+        for pkt in stream:
+            got.append(dataclasses.astuple(pkt))
+    except TruncatedCaptureError as e:
+        return got, summary, e
+    return got, summary, None
+
+
+def _same_as_oracle(path, data, mtu=1500):
+    got, summary, error = _drain(path, mtu)
+    packets, counts, cut = read_capture(data, mtu)
+    assert got == packets
+    assert {k: getattr(summary, k) for k in counts} == counts
+    if cut is None:
+        assert error is None
+    else:
+        assert error is not None
+        assert (str(error), error.offset) == (f"{cut[0]} (offset {cut[1]})",
+                                              cut[1])
+
+
+# Both properties read in chunks of a few dozen bytes, so that records
+# straddle chunks and a record can span several.
+@settings(max_examples=300, deadline=None)
+@given(capture=_capture(max_frames=8), tail=st.binary(max_size=40),
+       mtu=st.integers(68, 1500), chunk=st.integers(1, 64))
+def test_decode_matches_oracle(tmp_path_factory, capture, tail, mtu, chunk):
+    # the tail's bytes make record headers that claim any length, so a
+    # parse may also end in TruncatedCaptureError; any other exception fails
+    data = capture[0] + tail
+    path = tmp_path_factory.mktemp("decode") / "capture.pcap"
+    path.write_bytes(data)
+    with mock.patch.object(pcap, "CHUNK_BYTES", chunk):
+        _same_as_oracle(path, data, mtu)
+
+
+@settings(max_examples=25, deadline=None)
+@given(capture=_capture(max_frames=4), chunk=st.integers(1, 64))
+def test_every_cut_point(tmp_path_factory, capture, chunk):
+    data, ends = capture
+    path = tmp_path_factory.mktemp("cut") / "capture.pcap"
+    with mock.patch.object(pcap, "CHUNK_BYTES", chunk):
+        for cut in range(24, len(data) + 1):
+            path.write_bytes(data[:cut])
+            _same_as_oracle(path, data[:cut])
+            if cut == 24 or cut in ends:    # a record boundary ends cleanly
+                assert _drain(path)[2] is None
 
 
 class TestSampleStream:
