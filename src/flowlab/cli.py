@@ -406,7 +406,7 @@ def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
     try:
         with open(run_dir / "model.json") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"model.json: {e}") from None
     model = models.model_from_json(text)
     train_manifest = _load_manifest(run_dir / "train_manifest.json",

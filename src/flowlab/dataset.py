@@ -317,9 +317,12 @@ def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:
     if not buf.readline().startswith("#"):
         buf.seek(0)
     reader = csv.reader(buf)
-    header = next(reader, None)
-    body = buf.tell()
-    rows = list(reader)
+    try:
+        header = next(reader, None)
+        body = buf.tell()
+        rows = list(reader)
+    except csv.Error as e:    # e.g. a stray '"' that swallows the file
+        raise DataError(f"{name}: {e}") from None
     if not header or header[0] != "row_id":
         raise ConfigError("dataset CSV must start with row_id column")
     names = header[1:]

@@ -70,18 +70,21 @@ class SplitAssignment:
         """The assignment `to_csv` wrote; DataError naming the file and
         line on malformed input."""
         name = Path(path).name
+        try:
+            with open(path, newline="") as f:
+                rows = list(csv.reader(f))
+        except (OSError, UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{name}: {e}") from None
+        if not rows:
+            raise DataError(f"{name}: empty file, no header")
         tags = {}
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            if next(reader, None) is None:
-                raise DataError(f"{name}: empty file, no header")
-            for line, row in enumerate(reader, start=2):
-                try:
-                    rid, tag = row
-                    tags[int(rid)] = tag
-                except ValueError:
-                    raise DataError(f"{name}, line {line}: expected "
-                                    f"row_id,partition, got {row!r}") from None
+        for line, row in enumerate(rows[1:], start=2):
+            try:
+                rid, tag = row
+                tags[int(rid)] = tag
+            except ValueError:
+                raise DataError(f"{name}, line {line}: expected "
+                                f"row_id,partition, got {row!r}") from None
         return cls(tags=tags, manifest=manifest or {})
 
     def write_manifest(self, path) -> None:

@@ -340,7 +340,9 @@ class TestExitCodes:
     # transforms.json, so each file is missing only for its readers
     @pytest.mark.parametrize("name, stages", [
         ("model.json", ("evaluate", "explain")),
-        ("transforms.json", ("train",))], ids=["model", "transforms"])
+        ("transforms.json", ("train",)),
+        ("assignment.csv", ("transform", "train", "evaluate", "explain"))],
+        ids=["model", "transforms", "assignment"])
     def test_missing_file_is_2(self, config, capsys, name, stages):
         assert run(["pipeline", "--config", str(config)]) == 0
         cfg, h = load_config(config, [])
@@ -349,6 +351,40 @@ class TestExitCodes:
             capsys.readouterr()
             assert run([stage, "--config", str(config)]) == 2
             assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, stages", [
+        ("model.json", ("evaluate", "explain")),
+        ("assignment.csv", ("transform", "train", "evaluate", "explain"))],
+        ids=["model", "assignment"])
+    def test_non_utf8_file_is_2(self, config, capsys, name, stages):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        path = run_dir_for(cfg, h) / name
+        data = path.read_bytes()
+        path.write_bytes(data[:20] + b"\xff" + data[21:])
+        for stage in stages:
+            capsys.readouterr()
+            assert run([stage, "--config", str(config)]) == 2
+            assert name in capsys.readouterr().err
+
+    def test_runaway_quote_in_flows_csv_is_2(self, tmp_path, capsys):
+        # a '"' flipped into a cell opens a quoted field that swallows the
+        # rest of the file, past the csv module's field size limit
+        capture = tmp_path / "big.pcap"
+        write_capture(capture, synth_capture(np.random.default_rng(7),
+                                             n_flows=300, max_pkts=6))
+        pairs = [("capture", str(capture)), ("out_dir", str(tmp_path / "r"))]
+        argv = [a for k, v in pairs for a in (f"--{k}", v)]
+        assert run(["meter", *argv]) == 0
+        cfg, h = load_config(None, pairs)
+        path = run_dir_for(cfg, h) / "flows.csv"
+        data = path.read_bytes()
+        row = data.index(b"\r\n", data.index(b"row_id")) + 2
+        assert len(data) - row > 131072
+        path.write_bytes(data[:row] + b'"' + data[row + 1:])
+        capsys.readouterr()
+        assert run(["diagnose", *argv]) == 2
+        assert "flows.csv" in capsys.readouterr().err
 
 
     def test_too_deep_tree_is_2(self, config, capsys, monkeypatch):
