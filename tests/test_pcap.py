@@ -80,6 +80,23 @@ class TestParseCapture:
             list(stream)
         assert exc.value.offset == 24
 
+    def test_huge_record_length_is_truncated_capture(self, tmp_path):
+        # the claimed length is never allocated: the capture ends first
+        path = tmp_path / "huge.pcap"
+        path.write_bytes(pcap_bytes([])
+                         + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 0xFFFFFFF0)
+                         + bytes(100))
+        stream, _ = parse_capture(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedCaptureError) as exc:
+                list(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == 40
+        assert peak < 4 * pcap.CHUNK_BYTES
+
     def test_unknown_linktype(self, tmp_path):
         path = tmp_path / "lt.pcap"
         write_capture(path, [])
@@ -189,23 +206,6 @@ class TestDecodeFrame:
         pkts, summary = _parse_frames(tmp_path, [bytes(frame)])
         assert pkts == [] and summary.skipped == 1
 
-    def test_huge_record_length_is_truncated_capture(self, tmp_path):
-        # the claimed length is never allocated: the capture ends first
-        path = tmp_path / "huge.pcap"
-        path.write_bytes(pcap_bytes([])
-                         + struct.pack("<IIII", 0, 0, 0xFFFFFFF0, 0xFFFFFFF0)
-                         + bytes(100))
-        stream, _ = parse_capture(path)
-        tracemalloc.start()
-        try:
-            with pytest.raises(TruncatedCaptureError) as exc:
-                list(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert exc.value.offset == 40
-        assert peak < 4 * pcap.CHUNK_BYTES
-
 
 @st.composite
 def _frame(draw, linktype):
@@ -221,7 +221,7 @@ def _frame(draw, linktype):
                       draw(st.integers(0, 65535)),
                       draw(st.sampled_from([6, 17, 1])),
                       payload_len=draw(st.integers(0, 24)),
-                      tcp_flags=draw(st.integers(0, 255)) & 0x3F)
+                      tcp_flags=draw(st.integers(0, 0x3F)))
     frame = bytearray(build_frame(pkt))
     if linktype == 101:
         del frame[:14]
