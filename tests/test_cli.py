@@ -567,3 +567,34 @@ def test_hand_built_capture_digest(tmp_path, capture, counts, digest):
     assert summary["emitted"] == summary["decoded"]
     body = (run_dir / "flows.csv").read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+# SHA-256 of the model, explanation and report artifacts of a pipeline run
+# on the fixed capture. Relative paths keep the config hash, and so every
+# byte, the same in any directory.
+@pytest.mark.parametrize("overrides, digests", [
+    ((), (
+        "a44dc231c876c319ea998c90a98e74073ae47fc25bd9c1b22e632426088d7527",
+        "b5af4f4c7072d8115ac30e033e98e084989de325523047286cd42b4161cc1ead",
+        "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
+        "6d7d0ad94b6242eca648662488ff209adca5bdd719f20c1d5fcc2634cbd4bf63")),
+    ((("explain.group_threshold", "0.9"), ("explain.repeats", "9"),
+      ("model.params.n_trees", "7")), (
+        "5398307b743749fd1bdc5b91a8526121c90c316f9cf005e56298bb6f6b03b0d6",
+        "6d7b67d0c506690165edcbc76ab0a74927c76dcce9eefe76c6e6a331ced027ee",
+        "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
+        "d7e98fb695d48bfdb00c4a811d485ff31cd401fc7b3e67e8b7b0a8f02f1e71d0")),
+], ids=["default", "grouped_9_repeats"])
+def test_pipeline_reference_digest(tmp_path, monkeypatch, overrides,
+                                   digests):
+    monkeypatch.chdir(tmp_path)
+    write_capture(tmp_path / "reference.pcap", _reference_packets())
+    pairs = [("capture", "reference.pcap"), ("out_dir", "runs"), *overrides]
+    assert run(["pipeline"]
+               + [a for k, v in pairs for a in (f"--{k}", v)]) == 0
+    cfg, h = load_config(None, pairs)
+    run_dir = run_dir_for(cfg, h)
+    names = ("importance.csv", "model.json", "quality_report.json",
+             "report.txt")
+    assert tuple(hashlib.sha256((run_dir / n).read_bytes()).hexdigest()
+                 for n in names) == digests
