@@ -340,13 +340,7 @@ def _load_manifest(path: Path, *keys: str) -> dict:
 
 def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
                 assignment_path) -> Path:
-    ds = Dataset.from_csv(dataset_path)
-    assignment = SplitAssignment.from_csv(assignment_path)
-    tags = dict(assignment.tags)
-    for rid in ds.row_ids:       # synthetic SMOTE rows are train rows
-        tags.setdefault(int(rid), "train")
-    ds.set_partitions(tags)
-
+    ds, assignment = _load_partitioned(dataset_path, assignment_path)
     fitted = _load_transforms(run_dir / "transforms.json")
     tmanifest = _load_manifest(run_dir / "transform_manifest.json",
                                "assignment_train_fingerprint",
@@ -371,9 +365,8 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
         best, table = models.grid_search(design, grid, mcfg["kind"],
                                          seed=cfg["seed"])
         model = best["model"]
-        cv_out = [{k: v for k, v in row.items()} for row in table]
         with open(run_dir / "cv_table.json", "w") as f:
-            json.dump(cv_out, f, indent=2, sort_keys=True)
+            json.dump(table, f, indent=2, sort_keys=True)
             f.write("\n")
         chosen = best["params"]
     else:
@@ -396,13 +389,18 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
     return out
 
 
-def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
+def _load_partitioned(dataset_path, assignment_path):
     ds = Dataset.from_csv(dataset_path)
     assignment = SplitAssignment.from_csv(assignment_path)
     tags = dict(assignment.tags)
-    for rid in ds.row_ids:
+    for rid in ds.row_ids:       # synthetic SMOTE rows are train rows
         tags.setdefault(int(rid), "train")
     ds.set_partitions(tags)
+    return ds, assignment
+
+
+def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
+    ds, assignment = _load_partitioned(dataset_path, assignment_path)
     try:
         with open(run_dir / "model.json") as f:
             text = f.read()
@@ -514,22 +512,14 @@ def _parse_args(argv):
     parser.add_argument("--dataset", help="input dataset CSV (stage input)")
     parser.add_argument("--assignment", help="split assignment CSV")
     known, rest = parser.parse_known_args(argv)
-    overrides = []
-    i = 0
-    while i < len(rest):
-        arg = rest[i]
+    overrides, rest = [], iter(rest)
+    for arg in rest:
         if not arg.startswith("--"):
             raise ConfigError(f"unexpected argument {arg!r}")
-        key = arg[2:]
-        if "=" in key:
-            key, raw = key.split("=", 1)
-        else:
-            if i + 1 >= len(rest):
-                raise ConfigError(f"flag {arg} needs a value")
-            raw = rest[i + 1]
-            i += 1
+        key, eq, raw = arg[2:].partition("=")
+        if not eq and (raw := next(rest, None)) is None:
+            raise ConfigError(f"flag {arg} needs a value")
         overrides.append((key, raw))
-        i += 1
     return known, overrides
 
 

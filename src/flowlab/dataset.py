@@ -99,10 +99,7 @@ class Dataset:
     def from_rows(cls, rows: Sequence[dict], kinds: dict[str, str],
                   validity_links: Optional[dict] = None,
                   provenance: Optional[dict] = None) -> "Dataset":
-        if not rows:
-            names = list(kinds)
-        else:
-            names = list(rows[0].keys())
+        names = list(rows[0].keys()) if rows else list(kinds)
         for n in names:
             if kinds.get(n) not in KINDS:
                 raise ConfigError(f"column {n!r} has no valid kind")
@@ -185,10 +182,7 @@ class Dataset:
 
     @property
     def label_column(self) -> Optional[str]:
-        for n in self.names:
-            if self.kinds[n] == "label":
-                return n
-        return None
+        return next((n for n in self.names if self.kinds[n] == "label"), None)
 
     def labels(self) -> np.ndarray:
         col = self.label_column

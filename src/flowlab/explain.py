@@ -10,16 +10,18 @@ correlations are strong.
 Both permutation importance and partial dependence ask how the predictions
 change when some columns are moved: shuffled, or set to a grid value. For
 a tree or forest the unmoved matrix is walked once (`models.walk`),
-keeping each (tree, row) pair's leaf and the features split on along its
-path. A pair whose path reads none of the moved columns reaches the same
-leaf, so only the other pairs are walked again, all repeats of one group
-(or all grid values) in one batch. The result is bit-identical to a full
-predict of each moved matrix: each pair reaches the leaf a full walk would
-reach, the leaves are added up in tree order and divided by the tree count
-as `predict_proba` does, and the permutations are drawn from the generator
-in the same order, group by group, repeat by repeat. A k-NN model has no
-paths and predicts each moved matrix in full. Scores come from class codes
-(`evaluation.code_scorer`), with the same confusion counts as labels give.
+keeping each (tree, row) pair's leaf and the first node of its path that
+splits on each feature. A pair whose path reads none of the moved columns
+reaches the same leaf; the others walk again from their first moved split,
+in one walk per block: whole groups x repeats (or all grid values), at most
+_MOVE_BLOCK batch rows x pairs, which bounds memory. The result is
+bit-identical to a full predict of each moved matrix: each pair reaches
+the leaf a full walk would reach, the leaves are added up in tree order and
+divided by the tree count as `predict_proba` does, and the permutations
+come from one generator, group by group, repeat by repeat. A k-NN model
+has no paths and predicts each moved matrix in full. Scores come from
+class codes (`evaluation.code_scorer`), each distinct prediction scored
+once, with the same confusion counts as labels give.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import numpy as np
 from .errors import ConfigError
 from .evaluation import METRICS, code_scorer
 from .models import ForestModel, TreeModel, mean_leaf_probs, walk
+
+_MOVE_BLOCK = 1 << 16     # batch rows x pairs; a block holds >= 1 group
 
 
 @dataclass
@@ -125,41 +129,46 @@ def correlation_groups(X: np.ndarray, threshold: float = 0.9) -> list[tuple]:
 
 class _PairWalk:
     """Every (tree, row) pair of a tree or forest on X, walked once: the
-    leaf each pair reaches and, as a (features, pairs) bool array, the
-    features split on along its path."""
+    leaf each pair reaches and, as a (features, pairs) array, the first
+    node of its path that splits on each feature (len(nodes) if none)."""
 
     def __init__(self, model, X: np.ndarray):
         X = model._rows(X)
         self.nodes, self.n, self.trees = model.nodes, len(X), len(model.roots)
         self.start = np.repeat(model.roots, self.n)
         self.rows = np.tile(np.arange(self.n), self.trees)
-        self.on_path = np.zeros((X.shape[1], len(self.start)), dtype=bool)
+        self.width = len(self.start)
+        self.first = np.full((X.shape[1], self.width), len(self.nodes),
+                             dtype=np.int32)
         self.leaves = walk(self.nodes, self.start, X, self.rows,
-                           on_path=self.on_path)
+                           first=self.first)
         self.probs = mean_leaf_probs(
             self.nodes.probs, self.leaves.reshape(self.trees, self.n))
 
-    def moved_probs(self, Xs: np.ndarray, features: Sequence[int],
+    def moved_probs(self, Xs: np.ndarray, masks: np.ndarray,
                     src: np.ndarray) -> np.ndarray:
         """(batch, rows, classes) probabilities: in batch b, row r reads
-        the columns `features` from row src[b, r] of Xs, whose first rows
-        are X. Only the pairs whose path splits on one of them walk again.
-        """
-        b = len(src)
-        out = np.tile(self.probs, (b, 1, 1))
-        pairs = np.flatnonzero(self.on_path[list(features)].any(axis=0))
-        if not pairs.size:
-            return out
+        every feature f with masks[b, f] from row src[b, r] of Xs, whose
+        first rows are X. Only the pairs whose path splits on one walk
+        again, from that split on, every batch row's in one walk."""
+        b, n, none = len(src), self.n, len(self.nodes)
+        distinct, inverse = np.unique(masks, axis=0, return_inverse=True)
+        starts = np.empty((len(distinct), self.width), dtype=np.int32)
+        for m, row in zip(distinct, starts):
+            row[:] = self.first[m].min(axis=0, initial=none)
+        batch, pairs = np.nonzero(starts[inverse] < none)
         rows = self.rows[pairs]
-        mask = np.zeros(Xs.shape[1], dtype=bool)
-        mask[list(features)] = True
-        leaves = np.tile(self.leaves, (b, 1))
-        leaves[:, pairs] = walk(
-            self.nodes, np.tile(self.start[pairs], b), Xs, np.tile(rows, b),
-            moved=(mask, src[:, rows].ravel())).reshape(b, len(pairs))
-        hit = np.unique(rows)
-        out[:, hit] = mean_leaf_probs(
-            self.nodes.probs, leaves.reshape(b, self.trees, self.n)[..., hit])
+        # the (batch, row) cells a moved pair reaches, and their leaves
+        touched = np.zeros(b * n, dtype=bool)
+        touched[batch * n + rows] = True
+        cells = np.flatnonzero(touched)
+        leaves = self.leaves.reshape(self.trees, n)[:, cells % n]
+        leaves[pairs // n, (np.cumsum(touched) - 1)[batch * n + rows]] = walk(
+            self.nodes, starts[inverse[batch], pairs], Xs, rows,
+            moved=(masks, batch, src[batch, rows]))
+        out = np.tile(self.probs, (b, 1, 1))
+        out.reshape(b * n, out.shape[2])[cells] = mean_leaf_probs(
+            self.nodes.probs, leaves)
         return out
 
 
@@ -167,28 +176,26 @@ class _FullPredict:
     """The same questions for a model without paths: predict in full."""
 
     def __init__(self, model, X: np.ndarray):
-        self.model, self.X = model, X
+        self.model, self.X, self.width = model, X, len(X)
 
     @cached_property
     def probs(self) -> np.ndarray:
         return self.model.predict_proba(self.X)
 
-    def moved_probs(self, Xs: np.ndarray, features: Sequence[int],
+    def moved_probs(self, Xs: np.ndarray, masks: np.ndarray,
                     src: np.ndarray) -> np.ndarray:
-        cols = list(features)
         out = []
-        for s in src:
+        for m, s in zip(masks, src):
             Xp = self.X.copy()
-            Xp[:, cols] = Xs[np.ix_(s, cols)]
+            Xp[:, m] = Xs[s][:, m]
             out.append(self.model.predict_proba(Xp))
         return np.asarray(out).reshape(len(src), len(self.X),
                                         len(self.model.classes))
 
 
 def _explainer(model, X: np.ndarray):
-    if isinstance(model, (TreeModel, ForestModel)):
-        return _PairWalk(model, X)
-    return _FullPredict(model, X)
+    paths = isinstance(model, (TreeModel, ForestModel))
+    return (_PairWalk if paths else _FullPredict)(model, X)
 
 
 def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
@@ -207,30 +214,41 @@ def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
     if not isinstance(repeats, int) or repeats < 1:
         raise ConfigError(f"repeats {repeats!r} must be an integer >= 1")
     X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
     if feature_names is None:
-        feature_names = [f"f{i}" for i in range(X.shape[1])]
+        feature_names = [f"f{i}" for i in range(d)]
     if groups is None:
-        if group_threshold is not None:
-            groups = correlation_groups(X, group_threshold)
-        else:
-            groups = [(i,) for i in range(X.shape[1])]
+        groups = ([(i,) for i in range(d)] if group_threshold is None
+                  else correlation_groups(X, group_threshold))
     explainer = _explainer(model, X)
     score = code_scorer(metric, model.classes, y)
     base = explainer.probs.argmax(axis=1)
     baseline = score(base)
+    # each distinct prediction is scored once; an unchanged one drops 0.0
+    scores = {base.tobytes(): baseline}
+    masks = np.zeros((len(groups) * repeats, d), dtype=bool)
+    for i, group in enumerate(groups):
+        masks[i * repeats:(i + 1) * repeats, list(group)] = True
+    drops = np.empty(len(masks))
     rng = np.random.default_rng(seed)
+    step = repeats * max(1, _MOVE_BLOCK // max(1, repeats * explainer.width))
+    for a in range(0, len(masks), step):
+        block = masks[a:a + step]
+        # row k is the k-th draw of rng.permutation(n), group by group
+        perms = rng.permuted(np.tile(np.arange(n), (len(block), 1)), axis=1)
+        moved = explainer.moved_probs(X, block, perms)
+        for k, p in enumerate(moved.argmax(axis=2), start=a):
+            if p.tobytes() not in scores:
+                scores[p.tobytes()] = score(p)
+            drops[k] = baseline - scores[p.tobytes()]
+    drops = drops.reshape(len(groups), repeats)
     table = ImportanceTable(method=f"permutation:{metric}", repeats=repeats)
-    for group in groups:
-        perms = np.array([rng.permutation(len(X)) for _ in range(repeats)],
-                         dtype=np.int64).reshape(repeats, len(X))
-        predicted = explainer.moved_probs(X, group, perms).argmax(axis=2)
-        # unchanged predictions score the baseline: their drop is 0.0
-        drops = [0.0 if (p == base).all() else baseline - score(p)
-                 for p in predicted]
-        name = "+".join(feature_names[i] for i in group)
+    for group, mean, std in zip(groups, np.mean(drops, axis=1),
+                                np.std(drops, axis=1)):
         table.rows.append(ImportanceRow(
-            feature=name, members=tuple(feature_names[i] for i in group),
-            importance=float(np.mean(drops)), std=float(np.std(drops))))
+            feature="+".join(feature_names[i] for i in group),
+            members=tuple(feature_names[i] for i in group),
+            importance=float(mean), std=float(std)))
     return table
 
 
@@ -249,13 +267,16 @@ def partial_dependence(model, X: np.ndarray, feature: int,
     if grid is None:
         qs = np.linspace(0.0, 1.0, grid_points)
         col = np.sort(X[:, feature])
-        grid = np.unique([col[min(int(q * (len(col) - 1) + 0.5),
-                                  len(col) - 1)] for q in qs])
+        at = [min(int(q * (len(col) - 1) + 0.5), len(col) - 1) for q in qs]
+        # return_counts keeps numpy.ma, which a plain np.unique imports, out
+        grid = np.unique(col[at], return_counts=True)[0]
     grid = np.asarray(grid, dtype=np.float64)
     # row len(X) + g holds grid value g in every column
     Xs = np.vstack([X, np.repeat(grid[:, None], X.shape[1], axis=1)])
     src = np.repeat(len(X) + np.arange(len(grid))[:, None], len(X), axis=1)
-    probs = _explainer(model, X).moved_probs(Xs, (feature,), src)
+    masks = np.zeros((len(grid), X.shape[1]), dtype=bool)
+    masks[:, feature] = True
+    probs = _explainer(model, X).moved_probs(Xs, masks, src)
     return grid, np.asarray([p.mean(axis=0) for p in probs])
 
 

@@ -68,11 +68,8 @@ def validate_rules(rules: Sequence[PortRule]) -> None:
 def label_by_port(dst_port: int, proto: int,
                   rules: Sequence[PortRule] = DEFAULT_PORT_RULES) -> LabelOutcome:
     """Highest-priority (lowest number) matching (dst_port, proto) rule."""
-    best: Optional[PortRule] = None
-    for r in rules:
-        if r.dst_port == dst_port and r.proto == proto:
-            if best is None or r.priority < best.priority:
-                best = r
+    best = min((r for r in rules if r.dst_port == dst_port
+                and r.proto == proto), key=lambda r: r.priority, default=None)
     if best is None:
         return LabelOutcome()
     return LabelOutcome(best.label, "port", best.confidence)
@@ -98,11 +95,8 @@ class EndpointMap:
             label, conf = self.exact[ip]
             return LabelOutcome(label, "map", conf)
         addr = ipaddress.ip_address(ip)
-        best = None
-        for net, label, conf in self.prefixes:
-            if addr.version == net.version and addr in net:
-                if best is None or net.prefixlen > best[0].prefixlen:
-                    best = (net, label, conf)
+        best = max((p for p in self.prefixes if addr in p[0]),
+                   key=lambda p: p[0].prefixlen, default=None)
         if best is None:
             return LabelOutcome()
         return LabelOutcome(best[1], "map", best[2])
@@ -144,10 +138,8 @@ def resolve(outcomes: Sequence[LabelOutcome],
         if conflicts is not None:
             conflicts.count += 1
         return LabelOutcome()
-    label = next(iter(winners))
-    winner = next(o for o in known
-                  if _PRECEDENCE[(o.source, o.confidence)] == top)
-    return LabelOutcome(label, winner.source, winner.confidence)
+    return next(o for o in known
+                if _PRECEDENCE[(o.source, o.confidence)] == top)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ class FlowKey(NamedTuple):
     proto: int
 
     def reverse(self) -> "FlowKey":
-        return FlowKey(self.dst_ip, self.src_ip, self.dst_port,
-                       self.src_port, self.proto)
+        return FlowKey(*_reversed(self))
 
     @classmethod
     def of(cls, pkt: Packet) -> "FlowKey":

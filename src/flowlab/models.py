@@ -104,14 +104,14 @@ class Nodes:
 
 def walk(nodes: Nodes, start: np.ndarray, X: np.ndarray, rows: np.ndarray,
          moved: Optional[tuple] = None,
-         on_path: Optional[np.ndarray] = None) -> np.ndarray:
+         first: Optional[np.ndarray] = None) -> np.ndarray:
     """The leaf each (start node, row) pair reaches. Pair i starts at node
     start[i] and reads row rows[i] of X; all pairs step down one level per
     numpy step, and a pair leaves the walk once it reaches a leaf.
 
-    moved=(features, src): pair i reads every feature f with features[f]
-    True from row src[i] of X instead. on_path: a (features, pairs) bool
-    array; every split pair i passes on feature f sets on_path[f, i].
+    moved=(masks, batch, src): pair i reads every feature f with
+    masks[batch[i], f] from row src[i] of X instead. first: (features,
+    pairs) node numbers, each lowered to the nodes where pair i splits on f.
     """
     d = X.shape[1]
     cells = X.ravel()
@@ -121,13 +121,13 @@ def walk(nodes: Nodes, start: np.ndarray, X: np.ndarray, rows: np.ndarray,
     pos = np.flatnonzero(nodes.feature[leaf] >= 0)
     node, at = leaf[pos], rows[pos] * d
     if moved is not None:
-        features, src = moved
-        alt = src[pos] * d
+        masks, batch, src = moved
+        flags, key, alt = masks.ravel(), batch[pos] * d, src[pos] * d
     while pos.size:
         f = nodes.feature[node]
-        if on_path is not None:
-            on_path[f, pos] = True
-        row = at if moved is None else np.where(features[f], alt, at)
+        if first is not None:
+            first[f, pos] = np.minimum(first[f, pos], node)
+        row = at if moved is None else np.where(flags[key + f], alt, at)
         node = children[2 * node + (cells[row + f] <= nodes.threshold[node])]
         inner = nodes.feature[node] >= 0
         keep = np.flatnonzero(inner)
@@ -136,7 +136,7 @@ def walk(nodes: Nodes, start: np.ndarray, X: np.ndarray, rows: np.ndarray,
             leaf[pos[done]] = node[done]
             pos, node, at = pos[keep], node[keep], at[keep]
             if moved is not None:
-                alt = alt[keep]
+                key, alt = key[keep], alt[keep]
     return leaf
 
 

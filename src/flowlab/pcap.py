@@ -17,6 +17,7 @@ Timestamps are normalized to integer nanoseconds since the epoch.
 from __future__ import annotations
 
 import ipaddress
+import itertools
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -71,7 +72,7 @@ class FilterSpec:
 
     protocols: Optional[set[int]] = None
     ports: Optional[set[int]] = None
-    prefixes: Optional[list] = None  # list of ip_network
+    prefixes: Optional[list] = None  # (address bytes, network, mask) ints
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
@@ -82,9 +83,11 @@ class FilterSpec:
             prefixes = []
             for s in d["prefixes"]:
                 try:
-                    prefixes.append(ipaddress.ip_network(s, strict=False))
+                    net = ipaddress.ip_network(s, strict=False)
                 except ValueError as e:
                     raise InvalidArgumentError(f"bad prefix {s!r}: {e}") from e
+                prefixes.append((net.max_prefixlen // 8,
+                                 int(net.network_address), int(net.netmask)))
         return cls(protocols=protos, ports=ports, prefixes=prefixes)
 
     def matches(self, pkt: Packet) -> bool:
@@ -94,10 +97,13 @@ class FilterSpec:
                                        and pkt.dst_port not in self.ports):
             return False
         if self.prefixes is not None:
-            src = ipaddress.ip_address(pkt.src_ip)
-            dst = ipaddress.ip_address(pkt.dst_ip)
-            if not any(src in net or dst in net for net in self.prefixes):
-                return False
+            src, dst = pkt.src_ip, pkt.dst_ip
+            a, b = int.from_bytes(src, "big"), int.from_bytes(dst, "big")
+            for size, net, mask in self.prefixes:
+                if ((len(src) == size and a & mask == net)
+                        or (len(dst) == size and b & mask == net)):
+                    return True
+            return False
         return True
 
 
@@ -325,16 +331,12 @@ def sample_stream(stream: Iterable[Packet], n: int) -> Iterator[Packet]:
     """Deterministic 1-in-N systematic sampling (positions 0, n, 2n, ...)."""
     if n < 1:
         raise InvalidArgumentError("sample_n must be >= 1")
-    for i, pkt in enumerate(stream):
-        if i % n == 0:
-            yield pkt
+    return itertools.islice(stream, 0, None, n)
 
 
 def filter_stream(stream: Iterable[Packet], spec: FilterSpec) -> Iterator[Packet]:
     """Emit exactly the packets matching the conjunctive spec, in order."""
-    for pkt in stream:
-        if spec.matches(pkt):
-            yield pkt
+    return filter(spec.matches, stream)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,8 @@ def diagnose(ds: Dataset) -> QualityReport:
         if ds.kinds[name] == "numeric":
             vals = col[~miss]
             variance[name] = float(np.var(vals)) if len(vals) else 0.0
-            distinct[name] = int(len(np.unique(vals)))
+            # return_counts keeps numpy.ma, which a plain call imports, out
+            distinct[name] = len(np.unique(vals, return_counts=True)[0])
         else:
             distinct[name] = len({str(v) for v in col[~miss]})
         missing[name] = _fraction(miss)
@@ -151,19 +152,24 @@ def _clean_pass(ds: Dataset, rules: CleaningConfig
         audit.append({"rule": "explicit_drop", "columns": explicit,
                       "count": len(explicit)})
 
+    num = out.numeric_feature_names()    # one C-contiguous block of them
+    block = np.array([out.data[n] for n in num]).reshape(len(num), len(out))
+    nan = np.isnan(block)
+    frac = dict(zip(num, nan.sum(axis=1) / max(1, len(out))))
     miss_drop = [n for n in out.names
                  if out.kinds[n] not in ("label", "metadata")
-                 and _fraction(_missing(out, n)) > rules.missing_drop_threshold]
+                 and (frac[n] if n in frac else _fraction(_missing(out, n)))
+                 > rules.missing_drop_threshold]
     if miss_drop:
         out.drop_columns(miss_drop)
         audit.append({"rule": "missing_columns", "columns": miss_drop,
                       "count": len(miss_drop)})
 
-    const_drop = [n for n in out.names
-                  if out.kinds[n] == "numeric"
-                  and float(np.var(out.data[n][~np.isnan(out.data[n])]
-                                   if np.isnan(out.data[n]).any()
-                                   else out.data[n])) <= rules.variance_epsilon]
+    # a column holding NaN: the variance of the rest
+    live = [i for i, n in enumerate(num) if n in out.data]
+    const_drop = [num[i] for i, v in zip(live, np.var(block[live], axis=1))
+                  if (np.var(block[i][~nan[i]]) if nan[i].any() else v)
+                  <= rules.variance_epsilon]
     if const_drop:
         out.drop_columns(const_drop)
         audit.append({"rule": "near_zero_variance", "columns": const_drop,
@@ -221,11 +227,7 @@ def engineer_stateless(ds: Dataset) -> Dataset:
         if src not in ds.data:
             raise ConfigError(f"missing source column {src!r}")
     out = ds.copy()
-    fp = out.data["fwd_packet_count"]
-    bp = out.data["bwd_packet_count"]
-    fb = out.data["fwd_byte_count"]
-    bb = out.data["bwd_byte_count"]
-    dur = out.data["flow_duration"]
+    fp, bp, fb, bb, dur = (out.data[c] for c in STATELESS_SOURCES)
     derived = {
         "total_packet_count": fp + bp,
         "total_byte_count": fb + bb,

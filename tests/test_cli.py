@@ -1,11 +1,16 @@
 import hashlib
 import ipaddress
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flowlab
 from flowlab import dataset, models
 from flowlab.cli import (DEFAULT_CONFIG, load_config, run, run_dir_for)
 from flowlab.errors import ConfigError
@@ -162,6 +167,20 @@ class TestStages:
         assert run(["pipeline", "--config", str(config)]) == 0
         assert tables == ["flows.csv", "dataset.csv", "transformed.csv"]
         assert len(texts) == 1
+
+    def test_pipeline_leaves_numpy_ma_unloaded(self, config):
+        # a plain np.unique imports numpy.ma, ~13 ms of a fresh process
+        argv = ["pipeline", "--config", str(config),
+                "--explain.pdp_features", '["flow_duration"]']
+        code = ("import sys\nfrom flowlab.cli import run\n"
+                f"assert run({argv!r}) == 0\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(flowlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_manifest_counts_late_drops(self, tmp_path):
         # the third packet starts a new flow 1.5 s behind the newest packet,

@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flowlab import explain
 from flowlab.errors import ConfigError
 from flowlab.evaluation import METRICS
 from flowlab.explain import (correlation_groups, gini_importance,
@@ -228,15 +230,22 @@ class TestPermutation:
         with pytest.raises(ConfigError):
             permutation_importance(tree_fit(X, y), X, y, metric="bogus")
 
-    @settings(max_examples=80, deadline=None)
+    # from 8 repeats on, numpy sums the drops pairwise; a block of the
+    # batched re-walk holds every group, one group, or three
+    @settings(max_examples=120, deadline=None)
     @given(shuffle_problems(), st.sampled_from(["accuracy", "macro_f1"]),
-           st.sampled_from([None, 0.5]), st.integers(1, 3))
+           st.sampled_from([None, 0.5]), st.integers(1, 12),
+           st.sampled_from([None, 1, 3]))
     def test_matches_full_predict_oracle(self, problem, metric,
-                                         group_threshold, repeats):
+                                         group_threshold, repeats,
+                                         groups_per_block):
         model, X, y, seed = problem
-        table = permutation_importance(model, X, y, metric=metric,
-                                       repeats=repeats, seed=seed,
-                                       group_threshold=group_threshold)
+        budget = (explain._MOVE_BLOCK if groups_per_block is None else
+                  groups_per_block * repeats * len(model.roots) * len(X))
+        with mock.patch.object(explain, "_MOVE_BLOCK", budget):
+            table = permutation_importance(model, X, y, metric=metric,
+                                           repeats=repeats, seed=seed,
+                                           group_threshold=group_threshold)
         groups = ([(i,) for i in range(X.shape[1])]
                   if group_threshold is None
                   else correlation_groups(X, group_threshold))
@@ -272,6 +281,21 @@ class TestPermutation:
 
 
 class TestPartialDependence:
+    @settings(max_examples=60, deadline=None)
+    @given(shuffle_problems(), st.data())
+    def test_matches_full_predict_oracle(self, problem, data):
+        model, X, _, _ = problem
+        feature = data.draw(st.integers(0, X.shape[1] - 1))
+        grid = data.draw(st.none() | st.lists(
+            st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5, np.nan]), max_size=4))
+        grid, curves = partial_dependence(model, X, feature, grid=grid)
+        doc = json.loads(model_to_json(model))
+        for v, curve in zip(grid, curves):
+            Xv = X.copy()
+            Xv[:, feature] = v
+            assert curve.tobytes() == \
+                tree_proba_oracle(doc, Xv).mean(axis=0).tobytes()
+
     def test_flat_for_unused_feature(self, rng):
         X, y = _data(rng)
         model = tree_fit(X, y)

@@ -351,6 +351,34 @@ class TestFilterStream:
         spec = FilterSpec.from_dict({"prefixes": ["10.0.0.0/8"]})
         assert list(filter_stream(iter([inside, outside]), spec)) == [inside]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(st.ip_addresses(v=4),
+                                        st.integers(0, 32)),
+                              st.tuples(st.ip_addresses(v=6),
+                                        st.integers(0, 128))),
+                    min_size=1, max_size=4), st.data())
+    def test_prefix_matches_ipaddress_membership(self, prefixes, data):
+        nets = [ipaddress.ip_network(f"{a}/{n}", strict=False)
+                for a, n in prefixes]
+
+        def near(net):
+            # inside the prefix, or one bit outside its last prefix bit
+            inside = st.integers(0, net.num_addresses - 1).map(
+                lambda k: net.network_address + k)
+            if not net.prefixlen:
+                return inside
+            flip = 1 << (net.max_prefixlen - net.prefixlen)
+            return inside | st.just(type(net.network_address)(
+                int(net.network_address) ^ flip))
+
+        src, dst = (data.draw(st.sampled_from(nets).flatmap(near)
+                              | st.ip_addresses()) for _ in range(2))
+        pkt = Packet(ts=0, src_ip=src.packed, dst_ip=dst.packed,
+                     src_port=1, dst_port=2, proto=17, ip_len=28,
+                     payload_len=0)
+        spec = FilterSpec.from_dict({"prefixes": [str(n) for n in nets]})
+        assert spec.matches(pkt) == any(src in n or dst in n for n in nets)
+
     def test_bad_prefix(self):
         with pytest.raises(InvalidArgumentError):
             FilterSpec.from_dict({"prefixes": ["10.0.0.0/99"]})
