@@ -20,7 +20,7 @@ import ipaddress
 import itertools
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 

@@ -9,8 +9,7 @@ the TCP minimal-handshake rule. Every drop is written to an audit log.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
