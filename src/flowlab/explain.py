@@ -152,7 +152,9 @@ class _PairWalk:
         first rows are X. Only the pairs whose path splits on one walk
         again, from that split on, every batch row's in one walk."""
         b, n, none = len(src), self.n, len(self.nodes)
-        distinct, inverse = np.unique(masks, axis=0, return_inverse=True)
+        # a caller's equal masks come in runs: one start row per run
+        fresh = np.r_[True, (masks[1:] != masks[:-1]).any(axis=1)][:b]
+        distinct, inverse = masks[fresh], np.cumsum(fresh) - 1
         starts = np.empty((len(distinct), self.width), dtype=np.int32)
         for m, row in zip(distinct, starts):
             row[:] = self.first[m].min(axis=0, initial=none)
@@ -229,7 +231,7 @@ def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
     masks = np.zeros((len(groups) * repeats, d), dtype=bool)
     for i, group in enumerate(groups):
         masks[i * repeats:(i + 1) * repeats, list(group)] = True
-    drops = np.empty(len(masks))
+    drops = np.empty((len(groups), repeats))
     rng = np.random.default_rng(seed)
     step = repeats * max(1, _MOVE_BLOCK // max(1, repeats * explainer.width))
     for a in range(0, len(masks), step):
@@ -240,8 +242,7 @@ def permutation_importance(model, X: np.ndarray, y, metric: str = "accuracy",
         for k, p in enumerate(moved.argmax(axis=2), start=a):
             if p.tobytes() not in scores:
                 scores[p.tobytes()] = score(p)
-            drops[k] = baseline - scores[p.tobytes()]
-    drops = drops.reshape(len(groups), repeats)
+            drops.flat[k] = baseline - scores[p.tobytes()]
     table = ImportanceTable(method=f"permutation:{metric}", repeats=repeats)
     for group, mean, std in zip(groups, np.mean(drops, axis=1),
                                 np.std(drops, axis=1)):
