@@ -617,3 +617,135 @@ def test_pipeline_reference_digest(tmp_path, monkeypatch, overrides,
              "report.txt")
     assert tuple(hashlib.sha256((run_dir / n).read_bytes()).hexdigest()
                  for n in names) == digests
+
+
+# SHA-256 of every artifact of pipeline runs that set the options the
+# default runs leave unset: the stateful window, PCA, outlier removal, both
+# resamplers, grid search, a capture filter and 1-in-N sampling, the
+# temporal, disjoint and OOD splits and the tree and kNN models. SMOTE runs
+# on a larger capture, where every class has more than k train rows.
+OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
+                    "model.json", "importance.csv", "report.txt",
+                    "quality_report.json", "audit.jsonl", "cv_table.json")
+
+
+@pytest.mark.parametrize("overrides, digests", [
+    ((
+        ("split.strategy", "temporal"),
+        ("split.time_key", "flow_start"),
+        ("stateful.window", "60"),
+        ("transform.pca_components", "6"),
+        ("model.kind", "knn"),
+        ("explain.repeats", "2"),
+     ), (
+        "67153c725dfb7d1e095b9cd108cab52bddd4d646263bc557ac790735749aa43b",
+        "e2794e4e67389338b7911d9b96e4c976012794a2bb58e6b040cd0784a2d14aea",
+        "3e3fc69d09ac2a798373738b4d7506f6d1d4568a64533f1566a8a8d38b3b45bf",
+        "9a6e32c056de0c22bdad4950bd86883c84ea3fb064648bd8b8ae45c11fa83f4f",
+        "63909921faa33c9f3d7fd3813c5d1b21a8f18f6ce82a990af29941d3f98606c1",
+        "98bfd4b230b65840903dc7d3a367c28845777aad894309b48851a2191c0ed8c5",
+        "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
+        "c2a3d7f41fa0e93cd8756565eef87d2f3da782603c26680e8f25e4ec54a2db82",
+    )),
+    ((
+        ("split.strategy", "disjoint"),
+        ("split.group_key", "src_ip"),
+        ("transform.outlier_method", "zscore"),
+        ("transform.undersample_ratio", "1.5"),
+        ("transform.scaler", "robust"),
+        ("model.kind", "tree"),
+        ("model.params.max_depth", "6"),
+     ), (
+        "a44ccb99e72516a1a3d16ad1f22cdc9771ffaf0543d8a01d849769d338b6705f",
+        "949306b921d52d23543a7cb1234e23d1044abbb3c3c2df08a775dd9cedc9a94b",
+        "df7a4298b051b763d2dba00952b8a39ecd533b3f68ac60cf2e7c903197cc6839",
+        "2f62735104549b7682ba9fec4b507a8a731ff036a87ef57be58b90ee6244adbf",
+        "7faab8d489b477ec808f07809823bbd83c60cb3fdf028496ebd1804bb8903a7a",
+        "cee3dfed9aed2d59eb457a1b0e1205f0fafa8614011fbe3d34a02e5506cea384",
+        "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
+        "c2a3d7f41fa0e93cd8756565eef87d2f3da782603c26680e8f25e4ec54a2db82",
+    )),
+    ((
+        ("split.strategy", "ood"),
+        ("split.held_out_classes", '["NTP"]'),
+        ("ingest.filter", '{"protocols": [6, 17], '
+         '"prefixes": ["10.0.0.0/8", "192.168.0.0/16"]}'),
+        ("ingest.sample_n", "2"),
+        ("model.params.n_trees", "5"),
+     ), (
+        "f8b1b380737373087ba695af5732b8cacbfc11c27c0a9d8c88a4ee78e04d379e",
+        "52089593f6166a1871e3362b30c6bb9dd8daf43f4e4f920fa51a7c3f3935bc93",
+        "5f75a0e0c6ddc60f1be1856e64b9727e9210a3c00a409a908b16a60f0a091ae1",
+        "2bf7247c8f74478aa957209d5db8cc404d0e284b3b4d69bd05f13cd58f2b2aae",
+        "534cfc802e9517435d5e52320f29b431d680cc4267e28dffe70e4c7a574fef9b",
+        "f99613a22cb0f86da8b00700a8caea07883847abc1966b2f6aa2be88793c6d9d",
+        "4ba3a3caa3ee5664919726ba210e6b09c6ca34fb3bcfd9f903b774869fd7aad9",
+        "6973c57c5dcf6e2c13a184f17c92f5bc4b564ea8e8d1691f3050f10789ebd656",
+    )),
+    ((
+        ("capture", "synth.pcap"),
+        ("transform.scaler", "minmax"),
+        ("transform.outlier_method", "iqr"),
+        ("transform.smote_k", "2"),
+        ("model.kind", "tree"),
+        ("model.grid", '{"max_depth": [3, 5]}'),
+        ("explain.pdp_features", '["flow_duration"]'),
+     ), (
+        "b8f6caa53f820938560a3948c94fa94a0d02555201c3960b47d95decce517d02",
+        "79c16a321fbd2a4c02ecf6d90ed3fa4333e95ddef6a734c4a1bec867b7091de0",
+        "f7366da99a094fdab4c530dfc79cbc14604e975b7ffc161f0af0e716096e3e74",
+        "2e05b9b876b9586bcc1f396bbcea067ed80871faa3d3a472a841713a96370605",
+        "60fa273bf7dbecd9840e4fd8e1267faff70ba19806ecdc5320631d1663fdce75",
+        "e4109008366b1ceb61482c173722a9bf847c74e905b4501ea9f6bcdb35805e87",
+        "832eb294434f86247b7c76c0f30c9536cd0713169674196ddfdc1c9b874cd1a1",
+        "8e7e67e221095ff91998968e14774590ca47fd064064e60a34121fc6b2231b0c",
+        "bfcc6aa2030edbe90555a7654297b9bcfa5dbf229c021cdb5e3caa072df9dbd2",
+    )),
+    ((
+        ("model.grid", '{"n_trees": [3, 5]}'),
+        ("model.cv_folds", "2"),
+        ("explain.repeats", "2"),
+     ), (
+        "5c3b989b224e3848786b4b905537ddfe5c7ae2627952c3200dbb3f055613c807",
+        "c866f7e73834735c6950d01b6b04827d62c7f612fe7b6e9dc4c79863671cf2b0",
+        "16a381b99789449f7b3aa71469697b7899ed9bab9ff05c00a69320621e726e1b",
+        "3c4536f4f50d07b4a583803647e6f45a77e5c1c1ad51c4cc9872980c03fde275",
+        "c413b958c5fb613d6416ae6c33ff5d8258cce58e6557b62b96d6f8b89b671e04",
+        "b7b84dc73bf925b75ebb3c5556232c3b96e9607adfaff895ae3e3a5879ebdafe",
+        "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
+        "c2a3d7f41fa0e93cd8756565eef87d2f3da782603c26680e8f25e4ec54a2db82",
+        "cc55088d22d9b3fbe59cc2d19bf49d29e383ad1a484a86be747dd6176c421409",
+    )),
+    ((
+        ("ingest.filter", '{"ports": [22, 53, 80, 123, 443]}'),
+        ("model.kind", "knn"),
+        ("model.grid", '{"k": [3, 7]}'),
+        ("transform.outlier_method", "zscore"),
+        ("explain.repeats", "2"),
+     ), (
+        "16b770524f87b150a456155b48906833886e464a0057b018d8f4d5b1d58dbac5",
+        "fa0748a535f2cf974c4afe11113a2a15f8ef923278289ef0578b27f224673688",
+        "b849209ef4489edb936ba1f5dca4a7a7ab11b31c3552892c3e0fa028b5ddf494",
+        "1f2fe2ecf2ed488b169084cca81c27b4623d5092e1bb613d268f3b17a77ae027",
+        "3fb22e7e566f0c54ea67e5ea1be284f3d4d049d9c3b8e6653a9a6c9504dc7a0b",
+        "839f2a50d7751bef1bf678451e5a35a1d98acd4c712b41b9d11b22178b16b85d",
+        "df8295c8c0ef732321c38388f66fdda62029ddfecd42e1ca5af7e78ec8c5f4e4",
+        "c2a3d7f41fa0e93cd8756565eef87d2f3da782603c26680e8f25e4ec54a2db82",
+        "327799c304d35358986f86f80b99c0b234a017c2a31a3ef91596d9ad2cee3d6a",
+    )),
+], ids=["stateful_temporal_knn", "disjoint_zscore_undersample_tree",
+        "ood_filter_sample", "smote_grid_pdp", "grid_forest",
+        "filter_ports_knn_grid"])
+def test_pipeline_option_digests(tmp_path, monkeypatch, overrides, digests):
+    monkeypatch.chdir(tmp_path)
+    write_capture(tmp_path / "reference.pcap", _reference_packets())
+    write_capture(tmp_path / "synth.pcap",
+                  synth_capture(np.random.default_rng(7), n_flows=300,
+                                max_pkts=20))
+    pairs = [("capture", "reference.pcap"), ("out_dir", "runs"), *overrides]
+    assert run(["pipeline"]
+               + [a for k, v in pairs for a in (f"--{k}", v)]) == 0
+    run_dir = run_dir_for(*load_config(None, pairs))
+    assert tuple(hashlib.sha256((run_dir / n).read_bytes()).hexdigest()
+                 for n in OPTION_ARTIFACTS
+                 if (run_dir / n).exists()) == digests
