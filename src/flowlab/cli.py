@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, explain, labeling, models, prep, transforms
 from .dataset import Dataset, UNKNOWN_LABEL
 from .errors import ConfigError, DataError, FlowlabError, LeakageError
@@ -177,9 +175,7 @@ def stage_prepare(cfg, config_hash, run_dir: Path, flows_path) -> Path:
     emap = labeling.load_map_file(lab["map_file"]) if lab["map_file"] else None
     conflicts = labeling.label_dataset(ds, rules, emap)
     if lab["drop_unknown"]:
-        known = np.asarray([str(v) != UNKNOWN_LABEL
-                            for v in ds.data["label"]])
-        ds = ds.subset(known)
+        ds = ds.subset(ds.data["label"] != UNKNOWN_LABEL)
     # derived columns first: cleaning may then drop any of them, and their
     # sources once they are constant
     prepared, audit = prep.clean(prep.engineer_stateless(ds),
@@ -278,7 +274,7 @@ def stage_transform(cfg, config_hash, run_dir: Path, dataset_path,
 
     # exported table: transformed non-train rows + (possibly resampled) train
     non_train = full_t.subset(full_t.partitions != "train")
-    out_ds = _concat(train_t, non_train)
+    out_ds = Dataset.concat(train_t, non_train)
     out = run_dir / "transformed.csv"
     out_ds.to_csv(out, config_hash=config_hash)
     with open(run_dir / "transforms.json", "w") as f:
@@ -293,19 +289,6 @@ def stage_transform(cfg, config_hash, run_dir: Path, dataset_path,
                         assignment.fingerprint("train"),
                      "train_rows": len(train_t)})
     return out
-
-
-def _concat(a: Dataset, b: Dataset) -> Dataset:
-    if a.names != b.names:
-        raise ConfigError("cannot concatenate datasets with different columns")
-    data = {n: np.concatenate([a.data[n], b.data[n]]) for n in a.names}
-    parts = None
-    if a.partitions is not None and b.partitions is not None:
-        parts = np.concatenate([a.partitions, b.partitions])
-    return Dataset(names=list(a.names), kinds=dict(a.kinds), data=data,
-                   row_ids=np.concatenate([a.row_ids, b.row_ids]),
-                   partitions=parts, validity_links=dict(a.validity_links),
-                   provenance=dict(a.provenance))
 
 
 def _load_transforms(path: Path) -> list:

@@ -67,6 +67,16 @@ def _number(cell: str) -> float:
     return float(cell)
 
 
+def class_codes(values) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct str values, and each value's index among them
+    (int64): the one encoding of classes, vocabularies and groups."""
+    text = list(map(str, values))
+    classes = sorted(set(text))
+    index = {c: i for i, c in enumerate(classes)}
+    return classes, np.fromiter(map(index.__getitem__, text), np.int64,
+                                len(text))
+
+
 def _parse_cells(vals: list[str], parse, dtype, where: str,
                  row_ids) -> np.ndarray:
     """One column of CSV cells through parse; a cell it rejects is a
@@ -137,13 +147,7 @@ class Dataset:
     # -- views -------------------------------------------------------------
 
     def copy(self) -> "Dataset":
-        return Dataset(names=list(self.names), kinds=dict(self.kinds),
-                       data={n: self.data[n].copy() for n in self.names},
-                       row_ids=self.row_ids.copy(),
-                       partitions=None if self.partitions is None
-                       else self.partitions.copy(),
-                       validity_links=dict(self.validity_links),
-                       provenance=dict(self.provenance))
+        return self.subset(np.arange(len(self)))
 
     def subset(self, mask_or_indices) -> "Dataset":
         idx = np.asarray(mask_or_indices)
@@ -178,6 +182,22 @@ class Dataset:
         self.kinds[name] = kind
         self.data[name] = arr
 
+    @classmethod
+    def concat(cls, a: "Dataset", b: "Dataset") -> "Dataset":
+        """The rows of a, then those of b, under a's schema."""
+        if a.names != b.names:
+            raise ConfigError("cannot concatenate datasets with different "
+                              "columns")
+        parts = None
+        if a.partitions is not None and b.partitions is not None:
+            parts = np.concatenate([a.partitions, b.partitions])
+        return cls(names=list(a.names), kinds=dict(a.kinds),
+                   data={n: np.concatenate([a.data[n], b.data[n]])
+                         for n in a.names},
+                   row_ids=np.concatenate([a.row_ids, b.row_ids]),
+                   partitions=parts, validity_links=dict(a.validity_links),
+                   provenance=dict(a.provenance))
+
     # -- accessors ----------------------------------------------------------
 
     @property
@@ -189,6 +209,21 @@ class Dataset:
         if col is None:
             raise ConfigError("dataset has no label column")
         return self.data[col]
+
+    def numbers(self, name: str, integral: bool = False) -> np.ndarray:
+        """Column name as float64: a numeric column as it is, a text one
+        parsed cell by cell. A cell that is not a number, or with integral
+        not a whole number, is a DataError naming the column and the row."""
+        where, col = f"column {name!r}", self.data[name]
+        if self.kinds[name] != "numeric":
+            col = _parse_cells(list(map(str, col)), _number, np.float64,
+                               where, self.row_ids)
+        if integral:
+            bad = np.flatnonzero(~np.isfinite(col) | (col != np.trunc(col)))
+            if len(bad):
+                raise DataError(f"{where}, row_id {self.row_ids[bad[0]]}: "
+                                f"not an integer: {col[bad[0]].item()!r}")
+        return col
 
     def feature_names(self, kinds: tuple = ("numeric", "categorical")) -> list[str]:
         return [n for n in self.names if self.kinds[n] in kinds]

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import class_codes
 from .errors import ShapeError, UndefinedMetricError
 
 ZERO_DIV_NOTE = "0/0 metric values reported as 0 by convention"
@@ -33,14 +34,9 @@ class ConfusionMatrix:
     @classmethod
     def from_labels(cls, actual, predicted) -> "ConfusionMatrix":
         """Over the classes that occur in either label list, sorted."""
-        actual = [str(v) for v in actual]
-        predicted = [str(v) for v in predicted]
-        classes = sorted(set(actual) | set(predicted))
-        index = {c: i for i, c in enumerate(classes)}
-        return cls.from_codes(np.asarray([index[a] for a in actual],
-                                         dtype=np.int64),
-                              np.asarray([index[p] for p in predicted],
-                                         dtype=np.int64), classes)
+        classes, codes = class_codes([*actual, *predicted])
+        return cls.from_codes(codes[:len(actual)], codes[len(actual):],
+                              classes)
 
     @classmethod
     def from_codes(cls, actual: np.ndarray, predicted: np.ndarray,
@@ -269,11 +265,8 @@ def code_scorer(metric: str, classes: Sequence[str], actual):
     """fn(predicted indices into classes) -> the metric against the labels
     `actual`, equal to METRICS[metric] on the predicted class names. The
     labels are encoded once, over the union of classes and actual."""
-    actual = [str(v) for v in actual]
-    union = sorted(set(classes) | set(actual))
-    index = {c: i for i, c in enumerate(union)}
-    codes = np.asarray([index[a] for a in actual], dtype=np.int64)
-    to_union = np.asarray([index[c] for c in classes], dtype=np.int64)
+    union, codes = class_codes([*classes, *actual])
+    to_union, codes = codes[:len(classes)], codes[len(classes):]
     score = SCORES[metric]
     return lambda predicted: score(
         ConfusionMatrix.from_codes(codes, to_union[predicted], union))

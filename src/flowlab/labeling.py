@@ -185,12 +185,11 @@ def label_dataset(ds, rules: Sequence[PortRule] = DEFAULT_PORT_RULES,
     """Attach label/label_source/label_confidence columns to a flow dataset."""
     conflicts = ConflictCounter()
     labels, sources, confs = [], [], []
-    dst_ports = ds.data["dst_port"]
-    protos = ds.data["proto"]
+    ports = list(map(int, ds.numbers("dst_port", True).tolist()))
+    protos = list(map(int, ds.numbers("proto", True).tolist()))
     dst_ips = ds.data["dst_ip"]
     for i in range(len(ds)):
-        outcomes = [label_by_port(int(float(dst_ports[i])),
-                                  int(float(protos[i])), rules)]
+        outcomes = [label_by_port(ports[i], protos[i], rules)]
         if emap is not None:
             outcomes.append(label_by_map(str(dst_ips[i]), emap))
         out = resolve(outcomes, conflicts)

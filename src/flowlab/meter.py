@@ -37,6 +37,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError
 from .pcap import (Packet, TCP_FIN, TCP_RST, TCP_FLAG_NAMES, ip_to_str)
+from .prep import derived_features
 from .stats import Moments
 
 SCAN_INTERVAL = 1024
@@ -585,9 +586,7 @@ def records_to_rows(records: Iterable[FlowRecord],
     segment = [r.segment_index for r in records]
 
     start, end = np.minimum(ffirst, bfirst), np.maximum(flast, blast)
-    packets, total_bytes = fpk + bpk, fby + bby
     flow_duration = (end - start) / 1e9
-    moving = flow_duration > 0
 
     mode = cfg.anonymize
     data = {
@@ -601,20 +600,14 @@ def records_to_rows(records: Iterable[FlowRecord],
         "proto": list(map(str, proto.tolist())),
         "dst_port": dport,
         "fwd_packet_count": fpk, "bwd_packet_count": bpk,
-        "total_packet_count": packets,
         "fwd_byte_count": fby, "bwd_byte_count": bby,
-        "total_byte_count": total_bytes,
         "fwd_payload_bytes": fpay, "bwd_payload_bytes": bpay,
         "fwd_duration": np.where(fpk >= 2, (flast - ffirst) / 1e9, 0.0),
         "fwd_duration_valid": fpk >= 2,
         "bwd_duration": np.where(bpk >= 2, (blast - bfirst) / 1e9, 0.0),
         "bwd_duration_valid": bpk >= 2,
         "flow_duration": flow_duration,
-        "packet_ratio": fpk / np.maximum(bpk, 1),
-        "byte_ratio": fby / np.maximum(bby, 1),
-        "bytes_per_packet": total_bytes / packets,
-        "packets_per_second": np.where(
-            moving, packets / np.where(moving, flow_duration, 1.0), 0.0),
+        **derived_features(fpk, bpk, fby, bby, flow_duration),
         "splt_len": splt_len,
     }
     for j, prefix in enumerate(_MOMENT_PREFIXES):

@@ -47,6 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .dataset import class_codes
 from .errors import ConfigError, DataError, FitError, LeakageError, ShapeError
 from . import evaluation
 from .partition import kfold
@@ -54,12 +55,6 @@ from .partition import kfold
 # cells x classes per block of the batched split search (bounds its memory)
 _SPLIT_BLOCK = 1 << 18
 _ROOT = np.zeros(1, dtype=np.int64)
-
-
-def _encode_labels(y) -> tuple[np.ndarray, list[str]]:
-    classes = sorted({str(v) for v in y})
-    index = {c: i for i, c in enumerate(classes)}
-    return np.asarray([index[str(v)] for v in y], dtype=np.int64), classes
 
 
 class _Classifier:
@@ -75,8 +70,7 @@ class _Classifier:
     def predict(self, X) -> np.ndarray:
         """The most probable class per row (lowest class index on ties)."""
         probs = self.predict_proba(X)
-        return np.asarray([self.classes[i] for i in probs.argmax(axis=1)],
-                          dtype=object)
+        return np.asarray(self.classes, dtype=object)[probs.argmax(axis=1)]
 
 
 @dataclass
@@ -467,7 +461,7 @@ def tree_fit(X: np.ndarray, y, params: Optional[TreeParams] = None
              ) -> TreeModel:
     """Greedy CART with Gini decrease; thresholds at midpoints."""
     X = _check_fit(X, y)
-    y_enc, classes = _encode_labels(y)
+    classes, y_enc = class_codes(y)
     nodes, _ = _grow_trees(X, y_enc, len(classes), [np.arange(len(X))],
                            params or TreeParams())
     return TreeModel(nodes=nodes, classes=classes, n_features=X.shape[1])
@@ -508,7 +502,7 @@ def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
     n rows, then its m features per split."""
     params = params or ForestParams()
     X = _check_fit(X, y)
-    y_enc, classes = _encode_labels(y)
+    classes, y_enc = class_codes(y)
     n, d = X.shape
     m = params.m if params.m is not None else max(1, math.ceil(math.sqrt(d)))
     if not (1 <= m <= d):
@@ -552,7 +546,7 @@ def knn_fit(X: np.ndarray, y, k: int) -> KnnModel:
     X = _check_fit(X, y)
     if k < 1 or k > len(X):
         raise ConfigError(f"k={k} out of [1, {len(X)}]")
-    y_enc, classes = _encode_labels(y)
+    classes, y_enc = class_codes(y)
     return KnnModel(X=X, y=y_enc, classes=classes, k=k)
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, UNKNOWN_LABEL, rows_fingerprint
+from .dataset import Dataset, UNKNOWN_LABEL, class_codes, rows_fingerprint
 from .errors import ConfigError, DataError, LeakageError, StratificationError
 
 TAGS = ("train", "val", "test")
@@ -128,13 +128,13 @@ def _manifest(spec: SplitSpec, ds: Dataset, tags: dict[int, str]) -> dict:
 
 
 def split_random_stratified(ds: Dataset, spec: SplitSpec) -> SplitAssignment:
-    labels = ds.labels()
-    if any(str(v) == UNKNOWN_LABEL for v in labels):
+    classes, codes = class_codes(ds.labels())
+    if UNKNOWN_LABEL in classes:
         raise ConfigError("dataset contains UNKNOWN-labeled rows")
     rng = np.random.default_rng(spec.seed)
     tags: dict[int, str] = {}
-    for cls in sorted({str(v) for v in labels}):
-        idx = np.flatnonzero(np.asarray([str(v) == cls for v in labels]))
+    for c, cls in enumerate(classes):
+        idx = np.flatnonzero(codes == c)
         if len(idx) < 3:
             raise StratificationError(
                 f"class {cls!r} has {len(idx)} rows; need >= 3 to stratify")
@@ -154,7 +154,7 @@ def split_random_stratified(ds: Dataset, spec: SplitSpec) -> SplitAssignment:
 def split_temporal(ds: Dataset, spec: SplitSpec) -> SplitAssignment:
     if spec.time_key not in ds.data:
         raise ConfigError(f"missing time_key column {spec.time_key!r}")
-    times = np.asarray([float(v) for v in ds.data[spec.time_key]])
+    times = ds.numbers(spec.time_key)
     order = np.lexsort((np.arange(len(ds)), times))  # stable tie-break
     n_train, n_val, n_test = _largest_remainder(len(ds), spec.fractions)
     tags: dict[int, str] = {}
@@ -172,28 +172,26 @@ def split_temporal(ds: Dataset, spec: SplitSpec) -> SplitAssignment:
 def split_disjoint(ds: Dataset, spec: SplitSpec) -> SplitAssignment:
     if spec.group_key not in ds.data:
         raise ConfigError(f"missing group_key column {spec.group_key!r}")
-    groups = [str(v) for v in ds.data[spec.group_key]]
-    distinct = sorted(set(groups))
+    distinct, groups = class_codes(ds.data[spec.group_key])
     if len(distinct) < 3:
         raise ConfigError("disjoint split needs at least 3 distinct groups")
     rng = np.random.default_rng(spec.seed)
-    shuffled = [distinct[i] for i in rng.permutation(len(distinct))]
-    mass = {g: 0 for g in distinct}
-    for g in groups:
-        mass[g] += 1
+    mass = np.bincount(groups).tolist()
     # greedy: largest group first, into the partition furthest below target
-    ordered = sorted(shuffled, key=lambda g: -mass[g])
+    ordered = sorted(rng.permutation(len(distinct)).tolist(),
+                     key=lambda g: -mass[g])
     total = len(ds)
     targets = [f * total for f in spec.fractions]
     filled = [0.0, 0.0, 0.0]
-    group_tag: dict[str, str] = {}
+    group_tag = [""] * len(distinct)
     for g in ordered:
         deficits = [(targets[j] - filled[j]) / max(targets[j], 1e-12)
                     for j in range(3)]
         j = max(range(3), key=lambda j: (deficits[j], -j))
         group_tag[g] = TAGS[j]
         filled[j] += mass[g]
-    tags = {int(ds.row_ids[i]): group_tag[groups[i]] for i in range(len(ds))}
+    tags = dict(zip(ds.row_ids.tolist(), map(group_tag.__getitem__,
+                                             groups.tolist())))
     man = _manifest(spec, ds, tags)
     man["group_key"] = spec.group_key
     man["realized_fractions"] = [filled[j] / total for j in range(3)]
@@ -256,10 +254,10 @@ def kfold(ds_design: Dataset, k: int, seed: int = 0,
     fold_of = np.empty(n, dtype=np.int64)
     label_col = ds_design.label_column
     if label_col is not None:
-        labels = [str(v) for v in ds_design.data[label_col]]
+        classes, codes = class_codes(ds_design.data[label_col])
         counter = 0
-        for cls in sorted(set(labels)):
-            idx = np.flatnonzero(np.asarray([l == cls for l in labels]))
+        for c in range(len(classes)):
+            idx = np.flatnonzero(codes == c)
             idx = idx[rng.permutation(len(idx))]
             for i in idx:
                 fold_of[i] = counter % k

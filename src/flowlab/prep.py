@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 MISSING_TOKENS = {"", "nan", "NaN", "None"}
 
@@ -42,16 +42,22 @@ class CleaningConfig:
     min_tcp_packets: int = 3
 
 
-def _missing(ds: Dataset, name: str) -> np.ndarray:
-    """The cells of a column that are NaN, or a missing token as text."""
-    col = ds.data[name]
-    if ds.kinds[name] == "numeric":
-        return np.isnan(col)
-    return np.asarray([str(v) in MISSING_TOKENS for v in col], dtype=bool)
-
-
-def _fraction(mask: np.ndarray) -> float:
-    return float(np.mean(mask)) if len(mask) else 0.0
+def _profile(ds: Dataset) -> tuple[np.ndarray, dict, dict]:
+    """The numeric columns as one C-contiguous (columns x rows) block; every
+    column's missing fraction (NaN cells, or missing tokens as text); and
+    each numeric column's variance over its non-NaN cells, NaN if none."""
+    num = ds.numeric_feature_names()
+    block = np.array([ds.data[n] for n in num]).reshape(len(num), len(ds))
+    nan = np.isnan(block)
+    missing = dict(zip(num, (nan.sum(axis=1) / max(1, len(ds))).tolist()))
+    missing.update((n, sum(str(v) in MISSING_TOKENS for v in ds.data[n])
+                    / max(1, len(ds))) for n in ds.names if n not in missing)
+    # np.var(axis=1) is bit-equal to np.var of each column on its own
+    var = np.var(block, axis=1)
+    for i in np.flatnonzero(nan.any(axis=1)):
+        x = block[i][~nan[i]]
+        var[i] = np.var(x) if len(x) else np.nan
+    return block, missing, dict(zip(num, var.tolist()))
 
 
 def _non_metadata_row_tuples(ds: Dataset) -> list[tuple]:
@@ -85,31 +91,28 @@ def _plausibility_masks(ds: Dataset) -> dict[str, np.ndarray]:
         if c is not None:
             masks.setdefault("oversize_packet", np.zeros(n, dtype=bool))
             masks["oversize_packet"] |= c > 65535
-    start, end = None, None
     if "flow_start" in ds.data and "flow_end" in ds.data:
         try:
-            start = np.asarray([float(v) for v in ds.data["flow_start"]])
-            end = np.asarray([float(v) for v in ds.data["flow_end"]])
-        except ValueError:
-            start = end = None
-    if start is not None:
-        masks["end_before_start"] = end < start
+            masks["end_before_start"] = (ds.numbers("flow_end")
+                                         < ds.numbers("flow_start"))
+        except DataError:
+            pass        # a rule whose columns are not numbers is skipped
     return masks
 
 
 def diagnose(ds: Dataset) -> QualityReport:
     """Compute the quality report without mutating the dataset."""
-    missing, distinct, variance = {}, {}, {}
-    for name in ds.names:
-        col, miss = ds.data[name], _missing(ds, name)
-        if ds.kinds[name] == "numeric":
-            vals = col[~miss]
-            variance[name] = float(np.var(vals)) if len(vals) else 0.0
-            # return_counts keeps numpy.ma, which a plain call imports, out
-            distinct[name] = len(np.unique(vals, return_counts=True)[0])
-        else:
-            distinct[name] = len({str(v) for v in col[~miss]})
-        missing[name] = _fraction(miss)
+    block, missing, var = _profile(ds)
+    cells = len(ds) - np.isnan(block).sum(axis=1)
+    # distinct non-NaN values: the changes between neighbours in sorted
+    # order (NaN sorts last), and the first value
+    ordered = np.sort(block, axis=1)
+    changes = ((ordered[:, 1:] != ordered[:, :-1])
+               & (np.arange(1, len(ds)) < cells[:, None])).sum(axis=1)
+    distinct = dict(zip(var, (changes + (cells > 0)).tolist()))
+    distinct.update((n, len(set(map(str, ds.data[n])) - MISSING_TOKENS))
+                    for n in ds.names if n not in var)
+    variance = {n: v if c else 0.0 for (n, v), c in zip(var.items(), cells)}
     tuples = _non_metadata_row_tuples(ds)
     duplicates = len(tuples) - len(set(tuples))
     violations = {rule: int(mask.sum())
@@ -151,24 +154,17 @@ def _clean_pass(ds: Dataset, rules: CleaningConfig
         audit.append({"rule": "explicit_drop", "columns": explicit,
                       "count": len(explicit)})
 
-    num = out.numeric_feature_names()    # one C-contiguous block of them
-    block = np.array([out.data[n] for n in num]).reshape(len(num), len(out))
-    nan = np.isnan(block)
-    frac = dict(zip(num, nan.sum(axis=1) / max(1, len(out))))
+    _, missing, variance = _profile(out)
     miss_drop = [n for n in out.names
                  if out.kinds[n] not in ("label", "metadata")
-                 and (frac[n] if n in frac else _fraction(_missing(out, n)))
-                 > rules.missing_drop_threshold]
+                 and missing[n] > rules.missing_drop_threshold]
     if miss_drop:
         out.drop_columns(miss_drop)
         audit.append({"rule": "missing_columns", "columns": miss_drop,
                       "count": len(miss_drop)})
 
-    # a column holding NaN: the variance of the rest
-    live = [i for i, n in enumerate(num) if n in out.data]
-    const_drop = [num[i] for i, v in zip(live, np.var(block[live], axis=1))
-                  if (np.var(block[i][~nan[i]]) if nan[i].any() else v)
-                  <= rules.variance_epsilon]
+    const_drop = [n for n, v in variance.items()
+                  if n in out.data and v <= rules.variance_epsilon]
     if const_drop:
         out.drop_columns(const_drop)
         audit.append({"rule": "near_zero_variance", "columns": const_drop,
@@ -198,7 +194,7 @@ def _clean_pass(ds: Dataset, rules: CleaningConfig
     # TCP flows showing a SYN but fewer packets than a minimal handshake
     if ("proto" in out.data and "flag_syn_count" in out.data
             and "total_packet_count" in out.data):
-        protos = np.asarray([float(v) for v in out.data["proto"]])
+        protos = out.numbers("proto")
         syn = out.data["flag_syn_count"]
         pkts = out.data["total_packet_count"]
         short = (protos == 6) & (syn >= 1) & (pkts < rules.min_tcp_packets)
@@ -220,21 +216,29 @@ STATELESS_SOURCES = ("fwd_packet_count", "bwd_packet_count",
                      "fwd_byte_count", "bwd_byte_count", "flow_duration")
 
 
+def derived_features(fp, bp, fb, bb, dur) -> dict[str, np.ndarray]:
+    """The directional aggregates of forward and backward packet and byte
+    counts and the flow duration (s): totals, guarded ratios and rates."""
+    packets, total_bytes = fp + bp, fb + bb
+    moving = dur > 0
+    return {
+        "total_packet_count": packets,
+        "total_byte_count": total_bytes,
+        "packet_ratio": fp / np.maximum(bp, 1),
+        "byte_ratio": fb / np.maximum(bb, 1),
+        "bytes_per_packet": total_bytes / np.maximum(packets, 1),
+        "packets_per_second": np.where(
+            moving, packets / np.where(moving, dur, 1.0), 0.0),
+    }
+
+
 def engineer_stateless(ds: Dataset) -> Dataset:
     """Add directional-aggregation features where absent; never overwrites."""
     for src in STATELESS_SOURCES:
         if src not in ds.data:
             raise ConfigError(f"missing source column {src!r}")
     out = ds.copy()
-    fp, bp, fb, bb, dur = (out.data[c] for c in STATELESS_SOURCES)
-    derived = {
-        "total_packet_count": fp + bp,
-        "total_byte_count": fb + bb,
-        "packet_ratio": fp / np.maximum(bp, 1.0),
-        "byte_ratio": fb / np.maximum(bb, 1.0),
-        "bytes_per_packet": (fb + bb) / np.maximum(fp + bp, 1.0),
-        "packets_per_second": np.where(dur > 0, (fp + bp) / np.where(dur > 0, dur, 1.0), 0.0),
-    }
+    derived = derived_features(*(out.data[c] for c in STATELESS_SOURCES))
     for name, values in derived.items():
         if name not in out.data:
             out.add_column(name, "numeric", values)
@@ -256,12 +260,14 @@ def engineer_stateful(ds: Dataset, window: float,
             raise ConfigError(f"missing metadata column {k!r}")
     out = ds.copy()
     n = len(out)
-    times = np.asarray([float(v) for v in out.data[time_key]])
+    times = out.numbers(time_key)
     order = np.lexsort((out.row_ids, times))  # stable, permutation-invariant
 
     srcs = out.data[src_key]
     dsts = [tuple(str(out.data[k][i]) for k in dst_keys) for i in range(n)]
 
+    ports = (out.numbers("dst_port").tolist() if "dst_port" in out.data
+             else [0.0] * n)
     src_active = np.zeros(n)
     src_rate = np.zeros(n)
     src_ports = np.zeros(n)
@@ -286,8 +292,7 @@ def engineer_stateful(ds: Dataset, window: float,
             vq.popleft()
         svc_fanin[i] = len({src for tt, src in vq if tt < t})
 
-        port = out.data["dst_port"][i] if "dst_port" in out.data else 0
-        dq.append((t, float(port)))
+        dq.append((t, ports[i]))
         vq.append((t, s))
 
     out.add_column("src_active_flows", "numeric", src_active)

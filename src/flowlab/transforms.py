@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, class_codes
 from .errors import (ConfigError, DataError, InvalidArgumentError,
                      LeakageError, TransformMismatchError)
 
@@ -103,53 +103,53 @@ def quantile(values: np.ndarray, p: float) -> float:
     return float(xs[lo] + (h - lo) * (xs[hi] - xs[lo]))
 
 
+def _moments(x) -> tuple[float, float]:
+    """Mean and population standard deviation."""
+    mu = float(np.mean(x))
+    return mu, float(np.sqrt(np.mean((x - mu) ** 2)))
+
+
+def _quartiles(x) -> tuple[float, float, float]:
+    return quantile(x, 0.25), quantile(x, 0.50), quantile(x, 0.75)
+
+
+def _fit(kind: str, train: Dataset, columns: Optional[Sequence[str]], stat,
+         params, degenerate=None, warning: str = "") -> FittedTransform:
+    """kind fitted on train: params(*stat(x)) of each numeric column x; a
+    column whose stat is degenerate gets the warning."""
+    _guard_fit(train)
+    columns = _numeric_columns(train, columns)
+    stats = {c: stat(train.data[c]) for c in columns}
+    return FittedTransform(
+        kind, {c: params(*v) for c, v in stats.items()}, train.fingerprint(),
+        columns, [f"{c}: {warning}" for c, v in stats.items()
+                  if degenerate is not None and degenerate(*v)])
+
+
 # -- scalers -----------------------------------------------------------------
 
 def fit_standard(train: Dataset,
                  columns: Optional[Sequence[str]] = None) -> FittedTransform:
-    _guard_fit(train)
-    columns = _numeric_columns(train, columns)
-    params, warnings = {}, []
-    for c in columns:
-        x = train.data[c]
-        mu = float(np.mean(x))
-        sigma = float(np.sqrt(np.mean((x - mu) ** 2)))  # population
-        if sigma == 0.0:
-            warnings.append(f"{c}: sigma=0, column passes through unchanged")
-        params[c] = {"mu": mu, "sigma": sigma}
-    return FittedTransform("standard", params, train.fingerprint(),
-                           columns, warnings)
+    return _fit("standard", train, columns, _moments,
+                lambda mu, sigma: {"mu": mu, "sigma": sigma},
+                lambda mu, sigma: sigma == 0.0,
+                "sigma=0, column passes through unchanged")
 
 
 def fit_minmax(train: Dataset,
                columns: Optional[Sequence[str]] = None) -> FittedTransform:
-    _guard_fit(train)
-    columns = _numeric_columns(train, columns)
-    params, warnings = {}, []
-    for c in columns:
-        lo = float(np.min(train.data[c]))
-        hi = float(np.max(train.data[c]))
-        if hi == lo:
-            warnings.append(f"{c}: max=min, outputs 0")
-        params[c] = {"min": lo, "max": hi}
-    return FittedTransform("minmax", params, train.fingerprint(),
-                           columns, warnings)
+    return _fit("minmax", train, columns,
+                lambda x: (float(np.min(x)), float(np.max(x))),
+                lambda lo, hi: {"min": lo, "max": hi},
+                lambda lo, hi: hi == lo, "max=min, outputs 0")
 
 
 def fit_robust(train: Dataset,
                columns: Optional[Sequence[str]] = None) -> FittedTransform:
-    _guard_fit(train)
-    columns = _numeric_columns(train, columns)
-    params, warnings = {}, []
-    for c in columns:
-        q1 = quantile(train.data[c], 0.25)
-        q2 = quantile(train.data[c], 0.50)
-        q3 = quantile(train.data[c], 0.75)
-        if q3 == q1:
-            warnings.append(f"{c}: IQR=0, column passes through unchanged")
-        params[c] = {"q1": q1, "q2": q2, "q3": q3}
-    return FittedTransform("robust", params, train.fingerprint(),
-                           columns, warnings)
+    return _fit("robust", train, columns, _quartiles,
+                lambda q1, q2, q3: {"q1": q1, "q2": q2, "q3": q3},
+                lambda q1, q2, q3: q3 == q1,
+                "IQR=0, column passes through unchanged")
 
 
 def apply_scaler(ds: Dataset, fitted: FittedTransform) -> Dataset:
@@ -180,7 +180,7 @@ def fit_onehot(train: Dataset, column: str) -> FittedTransform:
     _guard_fit(train)
     if column not in train.data:
         raise ConfigError(f"unknown column {column!r}")
-    vocab = sorted({str(v) for v in train.data[column]})
+    vocab = class_codes(train.data[column])[0]
     return FittedTransform("onehot", {"vocabulary": vocab},
                            train.fingerprint(), [column])
 
@@ -223,7 +223,7 @@ def bin_ports(ds: Dataset, column: str = "dst_port",
     if column not in ds.data:
         raise ConfigError(f"unknown column {column!r}")
     out = ds.copy()
-    bins = [bin_port(int(float(v))) for v in out.data[column]]
+    bins = [bin_port(int(p)) for p in out.numbers(column, True).tolist()]
     out.add_column(out_column or f"{column}_bin", "categorical", bins)
     return out
 
@@ -232,30 +232,15 @@ def bin_ports(ds: Dataset, column: str = "dst_port",
 
 def outlier_bounds_zscore(train: Dataset, columns: Optional[Sequence[str]] = None,
                           t: float = 3.0) -> FittedTransform:
-    _guard_fit(train)
-    columns = _numeric_columns(train, columns)
-    params = {}
-    for c in columns:
-        x = train.data[c]
-        mu = float(np.mean(x))
-        sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
-        params[c] = {"lo": mu - t * sigma, "hi": mu + t * sigma}
-    return FittedTransform("zscore_outlier", params, train.fingerprint(),
-                           columns)
+    return _fit("zscore_outlier", train, columns, _moments,
+                lambda mu, sigma: {"lo": mu - t * sigma, "hi": mu + t * sigma})
 
 
 def outlier_bounds_iqr(train: Dataset, columns: Optional[Sequence[str]] = None,
                        m: float = 1.5) -> FittedTransform:
-    _guard_fit(train)
-    columns = _numeric_columns(train, columns)
-    params = {}
-    for c in columns:
-        q1 = quantile(train.data[c], 0.25)
-        q3 = quantile(train.data[c], 0.75)
-        iqr = q3 - q1
-        params[c] = {"lo": q1 - m * iqr, "hi": q3 + m * iqr}
-    return FittedTransform("iqr_outlier", params, train.fingerprint(),
-                           columns)
+    return _fit("iqr_outlier", train, columns, _quartiles,
+                lambda q1, q2, q3: {"lo": q1 - m * (q3 - q1),
+                                    "hi": q3 + m * (q3 - q1)})
 
 
 def remove_outliers(train: Dataset, fitted: FittedTransform
@@ -280,14 +265,13 @@ def undersample(train: Dataset, ratio: float = 1.0,
     _guard_fit(train)
     if ratio < 1.0:
         raise ConfigError("undersample ratio must be >= 1")
-    labels = [str(v) for v in train.labels()]
-    counts = {c: labels.count(c) for c in sorted(set(labels))}
-    minority = min(counts.values())
-    cap = int(round(ratio * minority))
+    codes = class_codes(train.labels())[1]
+    counts = np.bincount(codes)
+    cap = int(round(ratio * int(counts.min())))
     rng = np.random.default_rng(seed)
     keep = np.zeros(len(train), dtype=bool)
-    for cls in sorted(counts):
-        idx = np.flatnonzero(np.asarray([l == cls for l in labels]))
+    for c in range(len(counts)):
+        idx = np.flatnonzero(codes == c)
         if len(idx) > cap:
             idx = np.sort(idx[rng.permutation(len(idx))[:cap]])
         keep[idx] = True
@@ -304,23 +288,22 @@ def smote(train: Dataset, k: int = 5, seed: int = 0,
     """
     _guard_fit(train)
     columns = _numeric_columns(train, columns)
-    labels = [str(v) for v in train.labels()]
-    counts = {c: labels.count(c) for c in sorted(set(labels))}
-    majority = max(counts.values())
+    classes, codes = class_codes(train.labels())
+    counts = np.bincount(codes).tolist()
+    majority = max(counts)
     rng = np.random.default_rng(seed)
 
     X = np.column_stack([train.data[c] for c in columns])
-    new_rows: dict[str, list] = {n: [] for n in train.names}
-    n_new = 0
-    for cls in sorted(counts):
-        need = majority - counts[cls]
+    seeds, synth = [], []
+    for c, cls in enumerate(classes):
+        need = majority - counts[c]
         if need == 0:
             continue
-        if counts[cls] <= k:
+        if counts[c] <= k:
             raise ConfigError(
-                f"class {cls!r} has {counts[cls]} rows <= k={k}; "
+                f"class {cls!r} has {counts[c]} rows <= k={k}; "
                 "use a smaller k")
-        idx = np.flatnonzero(np.asarray([l == cls for l in labels]))
+        idx = np.flatnonzero(codes == c)
         Xc = X[idx]
         d2 = ((Xc[:, None, :] - Xc[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
@@ -329,33 +312,17 @@ def smote(train: Dataset, k: int = 5, seed: int = 0,
             a = int(rng.integers(len(idx)))
             b = int(nn[a][int(rng.integers(k))])
             lam = float(rng.random())
-            synth = Xc[a] + lam * (Xc[b] - Xc[a])
-            src = idx[a]
-            for name in train.names:
-                if name in columns:
-                    new_rows[name].append(synth[columns.index(name)])
-                else:
-                    new_rows[name].append(train.data[name][src])
-            n_new += 1
+            synth.append(Xc[a] + lam * (Xc[b] - Xc[a]))
+            seeds.append(idx[a])
 
-    if n_new == 0:
+    if not seeds:
         return train.copy()
-    out = train.copy()
-    next_id = int(out.row_ids.max()) + 1 if len(out) else 0
-    out.row_ids = np.concatenate([out.row_ids,
-                                  np.arange(next_id, next_id + n_new)])
-    if out.partitions is not None:
-        out.partitions = np.concatenate(
-            [out.partitions, np.asarray(["train"] * n_new, dtype=object)])
-    for name in out.names:
-        add = new_rows[name]
-        if out.kinds[name] == "numeric":
-            out.data[name] = np.concatenate(
-                [out.data[name], np.asarray(add, dtype=np.float64)])
-        else:
-            out.data[name] = np.concatenate(
-                [out.data[name], np.asarray([str(v) for v in add], dtype=object)])
-    return out
+    # the seed rows' cells, with interpolated numeric features and new ids
+    new = train.subset(np.asarray(seeds))
+    new.data.update(zip(columns, np.asarray(synth).T))
+    start = int(train.row_ids.max()) + 1
+    new.row_ids = np.arange(start, start + len(seeds))
+    return Dataset.concat(train, new)
 
 
 # -- PCA ------------------------------------------------------------------------

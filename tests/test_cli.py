@@ -2,6 +2,7 @@ import hashlib
 import ipaddress
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -253,18 +254,37 @@ class TestExitCodes:
     def test_emptied_numeric_cell_is_2(self, config, capsys):
         assert run(["meter", "--config", str(config)]) == 0
         cfg, h = load_config(config, [])
-        path = run_dir_for(cfg, h) / "flows.csv"
-        lines = path.read_text().splitlines()
-        header = lines[1].split(",")
-        col = header.index("fwd_byte_count")
-        cells = lines[3].split(",")
-        cells[col] = ""
-        lines[3] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        rid = _set_cell(run_dir_for(cfg, h) / "flows.csv", "fwd_byte_count",
+                        "")
         capsys.readouterr()
         assert run(["diagnose", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "'fwd_byte_count'" in err and f"row_id {cells[0]}" in err
+        assert "'fwd_byte_count'" in err and f"row_id {rid}" in err
+
+    # a port or protocol that is no whole number stops labeling
+    @pytest.mark.parametrize("column, cell", [
+        ("dst_port", "nan"), ("dst_port", "80.5"), ("proto", "tcp")])
+    def test_unreadable_port_or_protocol_is_2(self, config, capsys, column,
+                                              cell):
+        assert run(["meter", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        rid = _set_cell(run_dir_for(cfg, h) / "flows.csv", column, cell)
+        capsys.readouterr()
+        assert run(["prepare", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"column '{column}', row_id {rid}: not a" in err
+
+    def test_temporal_split_on_text_column_is_2(self, config, capsys):
+        assert run(["meter", "--config", str(config)]) == 0
+        assert run(["prepare", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        dataset_csv = str(run_dir_for(cfg, h) / "dataset.csv")
+        capsys.readouterr()
+        assert run(["split", "--config", str(config), "--dataset",
+                    dataset_csv, "--split.strategy", "temporal",
+                    "--split.time_key", "src_ip"]) == 2
+        assert re.search(r"column 'src_ip', row_id \d+: not a number",
+                         capsys.readouterr().err)
 
     def test_explain_repeats_below_one_is_1(self, config, capsys):
         overrides = ["--explain.repeats", "0"]
@@ -416,6 +436,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["train", "--config", str(config)]) == 2
         assert "a tree 1399 levels deep" in capsys.readouterr().err
+
+
+def _set_cell(path, column, cell) -> str:
+    """Write cell into column of the second data row of a flows.csv; the
+    row's id."""
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[1].split(",").index(column)] = cell
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return cells[0]
 
 
 def _reference_packets():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab import dataset
-from flowlab.dataset import Dataset, rows_fingerprint
+from flowlab.dataset import Dataset, class_codes, rows_fingerprint
 from flowlab.errors import ConfigError, DataError
 from oracles import dataset_csv_oracle
 
@@ -30,6 +30,47 @@ def test_subset_preserves_row_ids():
     ds = _toy().subset([2, 0])
     assert list(ds.row_ids) == [2, 0]
     assert list(ds.data["who"]) == ["c", "a"]
+
+
+@given(st.lists(st.one_of(st.text(max_size=3), st.integers(-3, 3)),
+                max_size=30))
+def test_class_codes_index_the_sorted_distinct_strings(values):
+    classes, codes = class_codes(values)
+    assert classes == sorted({str(v) for v in values})
+    assert codes.dtype == np.int64
+    assert [classes[c] for c in codes] == [str(v) for v in values]
+
+
+@pytest.mark.parametrize("column, integral, message", [
+    ("who", False, "column 'who', row_id 1: not a number: 'b'"),
+    ("y", True, "column 'y', row_id 2: not an integer: 8.5"),
+    ("proto", True, "column 'proto', row_id 0: not an integer: nan")])
+def test_numbers_names_column_and_row(column, integral, message):
+    ds = _toy()
+    ds.data["who"][:] = ["1", "b", "3"]
+    ds.data["y"][2] = 8.5
+    ds.data["proto"][0] = "nan"
+    with pytest.raises(DataError, match=message):
+        ds.numbers(column, integral)
+
+
+def test_numbers_reads_text_and_passes_numeric_through():
+    ds = _toy()
+    assert ds.numbers("proto", True).tolist() == [6.0, 17.0, 6.0]
+    assert ds.numbers("x") is ds.data["x"]
+
+
+def test_concat_appends_rows_and_partitions():
+    a, b = _toy().subset([0, 1]), _toy().subset([2])
+    a.partitions = np.asarray(["train", "val"], dtype=object)
+    b.partitions = np.asarray(["test"], dtype=object)
+    both = Dataset.concat(a, b)
+    assert list(both.row_ids) == [0, 1, 2]
+    assert list(both.partitions) == ["train", "val", "test"]
+    assert list(both) == list(_toy())
+    b.drop_columns(["who"])
+    with pytest.raises(ConfigError):
+        Dataset.concat(a, b)
 
 
 def test_feature_matrix_rejects_unencoded_categorical():
