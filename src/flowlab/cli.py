@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -59,6 +60,8 @@ DEFAULT_CONFIG = {
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    if not isinstance(override, dict):
+        raise ConfigError(f"config {path or 'file'} must be a JSON object")
     out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -87,14 +90,30 @@ def _set_dotted(cfg: dict, dotted: str, raw: str) -> None:
     node[parts[-1]] = value
 
 
+def _check_types(value, default, where: str = "config") -> None:
+    """value has the type of default (an int stands for a float), a dict
+    key by key; a None default takes any value."""
+    if isinstance(default, dict) and isinstance(value, dict):
+        for key, v in value.items():
+            _check_types(v, default.get(key), f"{where}.{key}")
+    elif default is not None and type(value) is not type(default) and not (
+            type(default) is float and type(value) is int):
+        raise ConfigError(f"{where} must be a {type(default).__name__}, "
+                          f"got {value!r}")
+
+
 def load_config(path, overrides) -> tuple[dict, str]:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path:
-        with open(path) as f:
-            user = json.load(f)
+        try:
+            with open(path) as f:
+                user = json.load(f)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"config file {path}: {e}") from None
         cfg = _merge(cfg, user)
     for dotted, raw in overrides:
         _set_dotted(cfg, dotted, raw)
+    _check_types(cfg, DEFAULT_CONFIG)
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return cfg, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -417,11 +436,11 @@ def stage_evaluate(cfg, config_hash, run_dir: Path, dataset_path,
         f.write(f"macro-F1: {rep.macro['fbeta']:.6f}\n\n")
         f.write(evaluation.render_text(rep, cm))
     evaluation.write_report_csv(rep, cm, run_dir / "report.csv")
-    with open(run_dir / "confusion.csv", "w") as f:
-        f.write("actual\\predicted," + ",".join(cm.classes) + "\n")
-        for i, c in enumerate(cm.classes):
-            f.write(c + "," + ",".join(str(int(v)) for v in cm.counts[i])
-                    + "\n")
+    with open(run_dir / "confusion.csv", "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["actual\\predicted", *cm.classes])
+        w.writerows([c, *row] for c, row in zip(cm.classes,
+                                                cm.counts.tolist()))
     _write_manifest(run_dir, "evaluate", config_hash,
                     {"dataset": dataset_path, "assignment": assignment_path,
                      "model": run_dir / "model.json"},

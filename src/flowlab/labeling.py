@@ -13,9 +13,8 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .dataset import UNKNOWN_LABEL as UNKNOWN
 from .errors import ConfigError, DataError
-
-UNKNOWN = "UNKNOWN"
 
 CONFIDENCES = ("low", "high")
 
@@ -146,36 +145,41 @@ def resolve(outcomes: Sequence[LabelOutcome],
 # File formats: rule CSV `matcher_type,matcher_value,label,confidence,priority`
 # and map CSV `ip_or_prefix,label,confidence`.
 
+def _file_rows(path) -> list[tuple[int, list[str]]]:
+    """The numbered rows of a CSV file but blank and "#" comment rows; a
+    file that cannot be read is a DataError naming it."""
+    try:
+        with open(path, newline="") as f:
+            rows = list(enumerate(csv.reader(f), start=1))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: {e}") from None
+    return [(i, row) for i, row in rows if row and not row[0].startswith("#")]
+
+
 def load_rule_file(path) -> list[PortRule]:
     rules = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                mtype, mvalue, label, confidence, priority = row
-                if mtype != "port_proto":
-                    raise ValueError(f"unsupported matcher type {mtype!r}")
-                port_s, proto_s = mvalue.split(":")
-                rules.append(PortRule(int(port_s), int(proto_s), label,
-                                      confidence, int(priority)))
-            except (ValueError, IndexError) as e:
-                raise DataError(f"{path}:{lineno}: bad rule line: {e}") from e
+    for lineno, row in _file_rows(path):
+        try:
+            mtype, mvalue, label, confidence, priority = row
+            if mtype != "port_proto":
+                raise ValueError(f"unsupported matcher type {mtype!r}")
+            port_s, proto_s = mvalue.split(":")
+            rules.append(PortRule(int(port_s), int(proto_s), label,
+                                  confidence, int(priority)))
+        except (ValueError, IndexError) as e:
+            raise DataError(f"{path}:{lineno}: bad rule line: {e}") from e
     validate_rules(rules)
     return rules
 
 
 def load_map_file(path) -> EndpointMap:
     emap = EndpointMap()
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                ip_or_prefix, label, confidence = row
-                emap.add(ip_or_prefix, label, confidence)
-            except (ValueError, ConfigError, IndexError) as e:
-                raise DataError(f"{path}:{lineno}: bad map line: {e}") from e
+    for lineno, row in _file_rows(path):
+        try:
+            ip_or_prefix, label, confidence = row
+            emap.add(ip_or_prefix, label, confidence)
+        except (ValueError, ConfigError, IndexError) as e:
+            raise DataError(f"{path}:{lineno}: bad map line: {e}") from e
     return emap
 
 

@@ -755,15 +755,13 @@ def _simplicity(kind: str, params: dict) -> tuple:
             tuple(sorted(params.items(), key=lambda kv: kv[0])).__repr__())
 
 
-def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0,
-                preprocess=None) -> tuple[dict, list[dict]]:
+def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0
+                ) -> tuple[dict, list[dict]]:
     """Exhaustive k-fold CV over the grid on the design (train+val) set.
 
-    `design` is a Dataset that must carry no test-tagged rows. `preprocess`,
-    if given, is called per fold as preprocess(train_ds, val_ds) ->
-    (train_ds, val_ds) so fold-local transforms are refit each time.
-    Returns (best entry, full cv table); the best entry carries the model
-    refit on the whole design set.
+    `design` is a Dataset that must carry no test-tagged rows. Returns
+    (best entry, full cv table); the best entry carries the model refit on
+    the whole design set.
     """
     if design.partitions is not None and (design.partitions == "test").any():
         raise LeakageError("grid search design set contains test rows")
@@ -778,8 +776,6 @@ def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0,
         for train_idx, val_idx in folds:
             tr = design.subset(train_idx)
             va = design.subset(val_idx)
-            if preprocess is not None:
-                tr, va = preprocess(tr, va)
             Xtr, _ = tr.feature_matrix()
             Xva, _ = va.feature_matrix()
             model = fit(model_kind, Xtr, tr.labels(), params, seed)
@@ -791,8 +787,7 @@ def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0,
                       "std_score": std, "fold_scores": scores})
     best = min(table, key=lambda e: (-e["mean_score"],
                                      _simplicity(model_kind, e["params"])))
-    full = design if preprocess is None else preprocess(design, design)[0]
-    Xd, _ = full.feature_matrix()
+    Xd, _ = design.feature_matrix()
     best = dict(best)
-    best["model"] = fit(model_kind, Xd, full.labels(), best["params"], seed)
+    best["model"] = fit(model_kind, Xd, design.labels(), best["params"], seed)
     return best, table

@@ -76,8 +76,17 @@ class FilterSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
-        protos = set(int(p) for p in d.get("protocols", [])) or None
-        ports = set(int(p) for p in d.get("ports", [])) or None
+        """From {"protocols": [int], "ports": [int], "prefixes": [str]},
+        each key optional; InvalidArgumentError on any other shape."""
+        types = {"protocols": int, "ports": int, "prefixes": str}
+        if not (isinstance(d, dict) and set(d) <= set(types) and all(
+                isinstance(v, list) and all(type(x) is types[k] for x in v)
+                for k, v in d.items())):
+            raise InvalidArgumentError(
+                f"bad filter {d!r}: protocols and ports take lists of "
+                "ints, prefixes a list of strings")
+        protos = set(d.get("protocols", [])) or None
+        ports = set(d.get("ports", [])) or None
         prefixes = None
         if d.get("prefixes"):
             prefixes = []

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import ipaddress
 import json
 import os
@@ -224,6 +226,20 @@ class TestStages:
         assert manifest["flow_count"] == 0
         assert manifest["ingest_summary"]["skipped"] == 1
 
+    def test_confusion_csv_quotes_class_names(self, tmp_path, config):
+        labels = tmp_path / "labels.csv"
+        labels.write_text('192.168.0.0/17,"Web, Inc",high\n')
+        pairs = [("labeling.map_file", str(labels))]
+        assert run(["pipeline", "--config", str(config),
+                    "--labeling.map_file", str(labels)]) == 0
+        cfg, h = load_config(config, pairs)
+        with open(run_dir_for(cfg, h) / "confusion.csv", newline="") as f:
+            text = f.read()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert "\r" not in text and "Web, Inc" in rows[0]
+        assert [r[0] for r in rows[1:]] == rows[0][1:]
+        assert all(len(r) == len(rows[0]) for r in rows)
+
     def test_override_changes_run_dir(self, config):
         assert run(["pipeline", "--config", str(config)]) == 0
         assert run(["meter", "--config", str(config),
@@ -285,6 +301,35 @@ class TestExitCodes:
                     "--split.time_key", "src_ip"]) == 2
         assert re.search(r"column 'src_ip', row_id \d+: not a number",
                          capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", [None, "{bad", "[1]"],
+                             ids=["missing", "not_json", "not_an_object"])
+    def test_unreadable_config_file_is_1(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert run(["meter", "--config", str(path)]) == 1
+        assert "ConfigError: config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, raw", [
+        ("meter.idle_timeout", '"x"'), ("ingest.sample_n", '"a"'),
+        ("split.fractions", "5"), ("meter", "3"),
+        ("ingest.filter", '{"prefixes": 5}'),
+        ("transform.onehot", '"proto"')])
+    def test_mistyped_config_value_is_1(self, config, capsys, key, raw):
+        assert run(["meter", "--config", str(config), f"--{key}", raw]) == 1
+        assert key.rsplit(".", 1)[-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["labeling.rule_file",
+                                     "labeling.map_file"])
+    def test_missing_label_file_is_2(self, tmp_path, config, capsys, key):
+        assert run(["meter", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        capsys.readouterr()
+        assert run(["prepare", "--config", str(config), "--dataset",
+                    str(run_dir_for(cfg, h) / "flows.csv"), f"--{key}",
+                    str(tmp_path / "nope.csv")]) == 2
+        assert "nope.csv" in capsys.readouterr().err
 
     def test_explain_repeats_below_one_is_1(self, config, capsys):
         overrides = ["--explain.repeats", "0"]

@@ -278,19 +278,6 @@ class TestGridSearch:
         with pytest.raises(LeakageError):
             grid_search(design, grid, "knn")
 
-    def test_preprocess_called_per_fold(self, rng):
-        design = self._design(rng)
-        calls = []
-
-        def preprocess(tr, va):
-            calls.append((len(tr), len(va)))
-            return tr, va
-
-        grid = HyperGrid({"k": [1, 3]}, cv_folds=3)
-        grid_search(design, grid, "knn", preprocess=preprocess)
-        # 2 combos x 3 folds + 1 final refit
-        assert len(calls) == 7
-
     def test_unknown_metric(self):
         with pytest.raises(ConfigError):
             HyperGrid({"k": [1]}, metric="bogus")
