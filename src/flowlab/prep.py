@@ -53,7 +53,7 @@ def _profile(ds: Dataset) -> tuple[np.ndarray, dict, dict]:
     missing.update((n, sum(str(v) in MISSING_TOKENS for v in ds.data[n])
                     / max(1, len(ds))) for n in ds.names if n not in missing)
     # np.var(axis=1) is bit-equal to np.var of each column on its own
-    var = np.var(block, axis=1)
+    var = np.var(block, axis=1) if len(ds) else np.full(len(num), np.nan)
     for i in np.flatnonzero(nan.any(axis=1)):
         x = block[i][~nan[i]]
         var[i] = np.var(x) if len(x) else np.nan
