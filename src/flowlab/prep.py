@@ -220,13 +220,15 @@ def derived_features(fp, bp, fb, bb, dur) -> dict[str, np.ndarray]:
     """The directional aggregates of forward and backward packet and byte
     counts and the flow duration (s): totals, guarded ratios and rates."""
     packets, total_bytes = fp + bp, fb + bb
-    moving = dur > 0
+    # the ratio reuses its divisor's buffer: no array beyond the result
+    moving, per_packet = dur > 0, np.maximum(packets, 1.0)
     return {
         "total_packet_count": packets,
         "total_byte_count": total_bytes,
         "packet_ratio": fp / np.maximum(bp, 1),
         "byte_ratio": fb / np.maximum(bb, 1),
-        "bytes_per_packet": total_bytes / np.maximum(packets, 1),
+        "bytes_per_packet": np.divide(total_bytes, per_packet,
+                                      out=per_packet),
         "packets_per_second": np.where(
             moving, packets / np.where(moving, dur, 1.0), 0.0),
     }
