@@ -552,105 +552,68 @@ def knn_fit(X: np.ndarray, y, k: int) -> KnnModel:
 
 # -- serialization ----------------------------------------------------------------
 
-def _tree_to_dict(nodes: Nodes) -> dict:
-    """The nested JSON form of one tree, built from the last node back so
-    that both children exist before their parent."""
-    cols = {f.name: getattr(nodes, f.name).tolist() for f in fields(nodes)}
-    out = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        d = {"impurity": cols["impurity"][i], "n": cols["n_samples"][i],
-             "probs": cols["probs"][i]}
-        if cols["feature"][i] >= 0:
-            d.update(feature=cols["feature"][i],
-                     threshold=cols["threshold"][i],
-                     importance=cols["importance"][i],
-                     left=out[cols["left"][i]], right=out[cols["right"][i]])
-        out[i] = d
-    return out[0]
+_INT_FIELDS = ("feature", "left", "right", "n_samples")
 
 
 def model_to_json(model) -> str:
-    if isinstance(model, TreeModel):
-        d = {"kind": "tree", "classes": model.classes,
-             "n_features": model.n_features,
-             "root": _tree_to_dict(model.nodes)}
-    elif isinstance(model, ForestModel):
-        d = {"kind": "forest", "classes": model.classes,
-             "n_features": model.n_features, "m": model.m,
-             "seed": model.seed,
-             "trees": [_tree_to_dict(t.nodes) for t in model.trees]}
-    elif isinstance(model, KnnModel):
+    """The model as JSON. A tree or forest is written as it is held: one
+    list per `Nodes` field under "nodes", and each tree's root index under
+    "roots"."""
+    if isinstance(model, KnnModel):
         d = {"kind": "knn", "classes": model.classes, "k": model.k,
              "X": model.X.tolist(), "y": model.y.tolist()}
+    elif isinstance(model, (TreeModel, ForestModel)):
+        d = {"kind": "tree", "classes": model.classes,
+             "n_features": model.n_features, "roots": model.roots.tolist(),
+             "nodes": {f.name: getattr(model.nodes, f.name).tolist()
+                       for f in fields(Nodes)}}
+        if isinstance(model, ForestModel):
+            d.update(kind="forest", m=model.m, seed=model.seed)
     else:
         raise ConfigError(f"unknown model type {type(model).__name__}")
-    try:
-        return json.dumps(d, sort_keys=True)
-    except RecursionError:      # json nests one level per tree level
-        raise DataError(f"a tree {_depth(model.nodes)} levels deep is too "
-                        "deep to write as nested JSON") from None
+    return json.dumps(d, sort_keys=True)
 
 
-def _depth(nodes: Nodes) -> int:
-    """The most splits on a path from a root to a leaf, in preorder nodes."""
-    left, right = nodes.left.tolist(), nodes.right.tolist()
-    depth = [0] * len(nodes)
-    for i, feature in enumerate(nodes.feature.tolist()):
-        if feature >= 0:
-            depth[left[i]] = depth[right[i]] = depth[i] + 1
-    return max(depth)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _parse_trees(tree_dicts: list, n_features: int, n_classes: int
+def _parse_nodes(d: dict, n_features: int, n_classes: int
                  ) -> tuple[Nodes, np.ndarray]:
-    """The nodes of nested JSON trees, appended in preorder straight into
-    their columns, and each tree's root index. A split's left child is the
-    next node; its right child is set when the walk reaches it."""
-    feature, threshold, left, right, importance = [], [], [], [], []
-    probs, impurity, n_samples, roots = [], [], [], []
-    for root in tree_dicts:
-        roots.append(len(feature))
-        stack = [(root, -1)]
-        while stack:
-            d, parent = stack.pop()
-            i = len(feature)
-            if parent >= 0:
-                right[parent] = i
-            p = [float(v) for v in d["probs"]]
-            if len(p) != n_classes:
-                raise DataError(f"node has {len(p)} class probabilities, "
-                                f"the model has {n_classes} classes")
-            probs.append(p)
-            impurity.append(float(d["impurity"]))
-            n_samples.append(int(d["n"]))
-            right.append(i)
-            if "feature" in d:
-                f = d["feature"]
-                if not _is_int(f) or not 0 <= f < n_features:
-                    raise DataError(f"split feature {f!r} not in "
-                                    f"[0, {n_features})")
-                feature.append(f)
-                threshold.append(float(d["threshold"]))
-                importance.append(float(d["importance"]))
-                left.append(i + 1)
-                stack += [(d["right"], i), (d["left"], -1)]
-            else:
-                feature.append(-1)
-                threshold.append(0.0)
-                importance.append(0.0)
-                left.append(i)
-    i64 = np.int64
-    nodes = Nodes(feature=np.asarray(feature, i64),
-                  threshold=np.asarray(threshold), left=np.asarray(left, i64),
-                  right=np.asarray(right, i64), probs=np.asarray(probs),
-                  impurity=np.asarray(impurity),
-                  n_samples=np.asarray(n_samples, i64),
-                  importance=np.asarray(importance))
-    return nodes, np.asarray(roots, i64)
+    """The nodes and root indices of a tree or forest document. The checks
+    make every step of `walk` go to a higher node of the same tree: a leaf
+    points to itself, a split's left child is the next node, and its right
+    child lies past that, before the next tree's root."""
+    cols, roots = d["nodes"], d["roots"]
+    names = [f.name for f in fields(Nodes)]
+    if not isinstance(cols, dict) or set(cols) != set(names):
+        raise DataError(f"nodes must hold exactly the fields {names}")
+    n = len(cols["feature"])
+    arrays = {}
+    for name in names:
+        col = cols[name]
+        if not isinstance(col, list) or len(col) != n:
+            raise DataError(f"nodes field {name!r} is not {n} entries")
+        if name in _INT_FIELDS and not set(map(type, col)) <= {int}:
+            raise DataError(f"nodes field {name!r} holds a non-integer")
+        arrays[name] = np.asarray(
+            col, dtype=np.int64 if name in _INT_FIELDS else np.float64)
+    nodes = Nodes(**arrays)
+    if nodes.probs.shape != (n, n_classes):
+        raise DataError(f"probs must be {n} nodes x {n_classes} classes")
+    if not isinstance(roots, list) or not set(map(type, roots)) <= {int}:
+        raise DataError("roots must be a list of integers")
+    roots = np.asarray(roots, dtype=np.int64)
+    if (not len(roots) or roots[0] != 0 or (np.diff(roots) <= 0).any()
+            or roots[-1] >= n):
+        raise DataError(f"roots must rise strictly from 0 to below {n}")
+    f, i = nodes.feature, np.arange(n)
+    if ((f < -1) | (f >= n_features)).any():
+        raise DataError(f"a split feature is not in [-1, {n_features})")
+    end = np.repeat(np.append(roots[1:], n), np.diff(np.append(roots, n)))
+    ok = np.where(f < 0, (nodes.left == i) & (nodes.right == i),
+                  (nodes.left == i + 1) & (i + 1 < nodes.right)
+                  & (nodes.right < end))
+    if not ok.all():
+        raise DataError(f"node {np.flatnonzero(~ok)[0]} has a child outside "
+                        "the preorder layout of its tree")
+    return nodes, roots
 
 
 def model_from_json(text: str):
@@ -686,25 +649,24 @@ def _parse_model(text: str):
             if (X.ndim != 2 or not len(X) or y.shape != (len(X),)
                     or y.dtype.kind != "i"
                     or not ((0 <= y) & (y < len(classes))).all()
-                    or not _is_int(k) or not 1 <= k <= len(X)):
+                    or type(k) is not int or not 1 <= k <= len(X)):
                 raise DataError("knn model needs rows X, class indices y "
                                 "and k in [1, rows]")
             return KnnModel(X=X, y=y.astype(np.int64), classes=classes, k=k)
         if kind not in ("tree", "forest"):
             raise DataError(f"unknown model kind {kind!r}")
         n_features = d["n_features"]
-        if not _is_int(n_features) or n_features < 1:
+        if type(n_features) is not int or n_features < 1:
             raise DataError(f"n_features {n_features!r} is not a positive "
                             "integer")
-        tree_dicts = [d["root"]] if kind == "tree" else d["trees"]
-        if not isinstance(tree_dicts, list) or not tree_dicts:
-            raise DataError("trees must be a nonempty list")
-        nodes, roots = _parse_trees(tree_dicts, n_features, len(classes))
+        nodes, roots = _parse_nodes(d, n_features, len(classes))
         if kind == "tree":
+            if len(roots) != 1:
+                raise DataError(f"a tree has one root, not {len(roots)}")
             return TreeModel(nodes=nodes, classes=classes,
                              n_features=n_features)
         m, seed = d["m"], d["seed"]
-        if not _is_int(m) or not _is_int(seed):
+        if type(m) is not int or type(seed) is not int:
             raise DataError("forest m and seed must be integers")
         return ForestModel(nodes=nodes, roots=roots, classes=classes,
                            n_features=n_features, m=m, seed=seed)

@@ -584,7 +584,9 @@ def _grow_oracle(X, y, n_classes, depth, params, n_total, rng, m) -> dict:
 
 def tree_oracle(X, y, max_depth=None, min_samples_split=2,
                 min_impurity_decrease=0.0) -> dict:
-    """The document `model_to_json` writes for `tree_fit`."""
+    """`tree_fit`'s tree as a nested document: each node a dict, a split's
+    children under "left" and "right" (`flat_doc` gives the layout
+    `model_to_json` writes)."""
     X = np.asarray(X, dtype=np.float64)
     y_enc, classes = _labels_oracle(y)
     params = {"max_depth": max_depth, "min_samples_split": min_samples_split,
@@ -597,9 +599,9 @@ def tree_oracle(X, y, max_depth=None, min_samples_split=2,
 
 def forest_oracle(X, y, n_trees, seed, m=None, max_depth=None,
                   min_samples_split=2) -> dict:
-    """The document `model_to_json` writes for `forest_fit`: one seed per
-    tree drawn from the forest seed, then the tree's bootstrap rows and
-    per-node feature samples from that tree's generator."""
+    """`forest_fit`'s trees as a nested document, as in `tree_oracle`: one
+    seed per tree drawn from the forest seed, then the tree's bootstrap
+    rows and per-node feature samples from that tree's generator."""
     X = np.asarray(X, dtype=np.float64)
     y_enc, classes = _labels_oracle(y)
     n, d = X.shape
@@ -648,11 +650,58 @@ def correlation_groups_oracle(X, threshold: float) -> list[tuple]:
     return sorted(groups)
 
 
-def tree_proba_oracle(doc: dict, X) -> np.ndarray:
-    """Walk each row down each tree; average the leaves in tree order."""
+NODE_FIELDS = ("feature", "threshold", "left", "right", "probs", "impurity",
+               "n_samples", "importance")
+
+
+def _flatten(node: dict, cols: dict) -> int:
+    """Append node, then its left subtree, then its right subtree to the
+    columns; the node's index."""
+    i = len(cols["feature"])
+    split = "feature" in node
+    for name, value in (("feature", node.get("feature", -1)),
+                        ("threshold", node.get("threshold", 0.0)),
+                        ("left", i), ("right", i), ("probs", node["probs"]),
+                        ("impurity", node["impurity"]),
+                        ("n_samples", node["n"]),
+                        ("importance", node.get("importance", 0.0))):
+        cols[name].append(value)
+    if split:
+        cols["left"][i] = _flatten(node["left"], cols)
+        cols["right"][i] = _flatten(node["right"], cols)
+    return i
+
+
+def flat_doc(doc: dict) -> dict:
+    """A nested `tree_oracle` or `forest_oracle` document in the layout
+    `model_to_json` writes: every tree's nodes in preorder, one list per
+    field under "nodes" (a leaf has feature -1, threshold and importance
+    0.0 and is its own child), and each tree's first node under "roots"."""
+    cols = {name: [] for name in NODE_FIELDS}
     trees = doc["trees"] if doc["kind"] == "forest" else [doc["root"]]
+    out = {k: v for k, v in doc.items() if k not in ("root", "trees")}
+    out["roots"] = [_flatten(root, cols) for root in trees]
+    out["nodes"] = cols
+    return out
+
+
+def tree_proba_oracle(doc: dict, X) -> np.ndarray:
+    """Walk each row down each tree, of a nested or a flat document; average
+    the leaves in tree order."""
     X = np.asarray(X, dtype=np.float64)
     acc = np.zeros((len(X), len(doc["classes"])))
+    if "nodes" in doc:
+        nodes = doc["nodes"]
+        for root in doc["roots"]:
+            for i, x in enumerate(X):
+                j = root
+                while nodes["feature"][j] >= 0:
+                    j = nodes["left"][j] \
+                        if x[nodes["feature"][j]] <= nodes["threshold"][j] \
+                        else nodes["right"][j]
+                acc[i] += np.asarray(nodes["probs"][j])
+        return acc / len(doc["roots"])
+    trees = doc["trees"] if doc["kind"] == "forest" else [doc["root"]]
     for root in trees:
         for i, x in enumerate(X):
             node = root

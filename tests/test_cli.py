@@ -357,9 +357,9 @@ class TestExitCodes:
         assert run(["evaluate", "--config", str(config)]) == 1
 
     @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc["trees"][0].update(feature=10 ** 4),
-        lambda doc: doc["trees"][0]["probs"].append(0.5),
-        lambda doc: doc["trees"][0].pop("threshold"),
+        lambda doc: doc["nodes"]["feature"].__setitem__(0, 10 ** 4),
+        lambda doc: doc["nodes"]["probs"][0].append(0.5),
+        lambda doc: doc["nodes"].pop("threshold"),
         lambda doc: doc.pop("classes"),
         None,
     ], ids=["feature_out_of_range", "probs_length", "missing_threshold",
@@ -471,16 +471,23 @@ class TestExitCodes:
         assert "flows.csv" in capsys.readouterr().err
 
 
-    def test_too_deep_tree_is_2(self, config, capsys, monkeypatch):
-        # one column 0..1399 with alternating labels: a tree 1399 levels
+    def test_deep_tree_trains_evaluates_and_explains(self, config,
+                                                      monkeypatch):
+        # column 0 is 0..1399 with alternating labels: a tree 1399 levels
         # deep, past the nesting json can write
         assert run(["pipeline", "--config", str(config)]) == 0
-        deep = models.tree_fit(np.arange(1400.0)[:, None],
-                               np.array(["a", "b"] * 700))
-        monkeypatch.setattr(models, "fit", lambda *args: deep)
-        capsys.readouterr()
-        assert run(["train", "--config", str(config)]) == 2
-        assert "a tree 1399 levels deep" in capsys.readouterr().err
+
+        def deep(kind, X, y, params, seed):
+            col = np.zeros((1400, X.shape[1]))
+            col[:, 0] = np.arange(1400.0)
+            return models.tree_fit(col, np.array(sorted(set(y))[:2] * 700))
+
+        monkeypatch.setattr(models, "fit", deep)
+        for stage in ("train", "evaluate", "explain"):
+            assert run([stage, "--config", str(config)]) == 0
+        path = run_dir_for(*load_config(config, [])) / "model.json"
+        nodes = models.model_from_json(path.read_text()).nodes
+        assert len(nodes) == 2 * 1399 + 1
 
 
 def _set_cell(path, column, cell) -> str:
@@ -670,13 +677,13 @@ def test_hand_built_capture_digest(tmp_path, capture, counts, digest):
 @pytest.mark.parametrize("overrides, digests", [
     ((), (
         "a44dc231c876c319ea998c90a98e74073ae47fc25bd9c1b22e632426088d7527",
-        "b5af4f4c7072d8115ac30e033e98e084989de325523047286cd42b4161cc1ead",
+        "0bbd4c8317a5838af2576f0cee14c2dc054dc1358446c893bdad0373a0c2cbc8",
         "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
         "6d7d0ad94b6242eca648662488ff209adca5bdd719f20c1d5fcc2634cbd4bf63")),
     ((("explain.group_threshold", "0.9"), ("explain.repeats", "9"),
       ("model.params.n_trees", "7")), (
         "5398307b743749fd1bdc5b91a8526121c90c316f9cf005e56298bb6f6b03b0d6",
-        "6d7b67d0c506690165edcbc76ab0a74927c76dcce9eefe76c6e6a331ced027ee",
+        "cf86be9ac94385804eeba68f8c540df47d5ba3d87c0697419b8651266fe4f995",
         "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
         "d7e98fb695d48bfdb00c4a811d485ff31cd401fc7b3e67e8b7b0a8f02f1e71d0")),
 ], ids=["default", "grouped_9_repeats"])
@@ -735,7 +742,7 @@ OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
         "a44ccb99e72516a1a3d16ad1f22cdc9771ffaf0543d8a01d849769d338b6705f",
         "949306b921d52d23543a7cb1234e23d1044abbb3c3c2df08a775dd9cedc9a94b",
         "df7a4298b051b763d2dba00952b8a39ecd533b3f68ac60cf2e7c903197cc6839",
-        "2f62735104549b7682ba9fec4b507a8a731ff036a87ef57be58b90ee6244adbf",
+        "2a65e7fa21105e2c6b9886c9a56be689ba049f2b2837d7a626bd1f8424449dc2",
         "7faab8d489b477ec808f07809823bbd83c60cb3fdf028496ebd1804bb8903a7a",
         "cee3dfed9aed2d59eb457a1b0e1205f0fafa8614011fbe3d34a02e5506cea384",
         "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
@@ -752,7 +759,7 @@ OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
         "f8b1b380737373087ba695af5732b8cacbfc11c27c0a9d8c88a4ee78e04d379e",
         "52089593f6166a1871e3362b30c6bb9dd8daf43f4e4f920fa51a7c3f3935bc93",
         "5f75a0e0c6ddc60f1be1856e64b9727e9210a3c00a409a908b16a60f0a091ae1",
-        "2bf7247c8f74478aa957209d5db8cc404d0e284b3b4d69bd05f13cd58f2b2aae",
+        "514a1ccb862beaf8ee52db434922a27e669ca33a4eae165500fa539ac4c9bd3d",
         "534cfc802e9517435d5e52320f29b431d680cc4267e28dffe70e4c7a574fef9b",
         "f99613a22cb0f86da8b00700a8caea07883847abc1966b2f6aa2be88793c6d9d",
         "4ba3a3caa3ee5664919726ba210e6b09c6ca34fb3bcfd9f903b774869fd7aad9",
@@ -770,7 +777,7 @@ OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
         "b8f6caa53f820938560a3948c94fa94a0d02555201c3960b47d95decce517d02",
         "79c16a321fbd2a4c02ecf6d90ed3fa4333e95ddef6a734c4a1bec867b7091de0",
         "f7366da99a094fdab4c530dfc79cbc14604e975b7ffc161f0af0e716096e3e74",
-        "2e05b9b876b9586bcc1f396bbcea067ed80871faa3d3a472a841713a96370605",
+        "b6f0d2539da0b4b1d3859ad35c4687ef9f4bd8ed23a507a8def2b51e0e535d39",
         "60fa273bf7dbecd9840e4fd8e1267faff70ba19806ecdc5320631d1663fdce75",
         "e4109008366b1ceb61482c173722a9bf847c74e905b4501ea9f6bcdb35805e87",
         "832eb294434f86247b7c76c0f30c9536cd0713169674196ddfdc1c9b874cd1a1",
@@ -785,7 +792,7 @@ OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
         "5c3b989b224e3848786b4b905537ddfe5c7ae2627952c3200dbb3f055613c807",
         "c866f7e73834735c6950d01b6b04827d62c7f612fe7b6e9dc4c79863671cf2b0",
         "16a381b99789449f7b3aa71469697b7899ed9bab9ff05c00a69320621e726e1b",
-        "3c4536f4f50d07b4a583803647e6f45a77e5c1c1ad51c4cc9872980c03fde275",
+        "518e4ab4d6c6c4ed79385cd106095ef75fb230234116beb02e1b41b8cd860c4e",
         "c413b958c5fb613d6416ae6c33ff5d8258cce58e6557b62b96d6f8b89b671e04",
         "b7b84dc73bf925b75ebb3c5556232c3b96e9607adfaff895ae3e3a5879ebdafe",
         "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",

@@ -1,5 +1,7 @@
+import functools
 import json
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,10 +12,11 @@ from flowlab import models
 from flowlab.dataset import Dataset
 from flowlab.errors import (ConfigError, DataError, FitError, LeakageError,
                             ShapeError)
-from flowlab.models import (ForestParams, HyperGrid, TreeParams, forest_fit,
-                            grid_search, knn_fit, model_from_json,
+from flowlab.models import (ForestParams, HyperGrid, Nodes, TreeParams,
+                            forest_fit, grid_search, knn_fit, model_from_json,
                             model_to_json, tree_fit)
-from oracles import forest_oracle, knn_oracle, tree_oracle, tree_proba_oracle
+from oracles import (flat_doc, forest_oracle, knn_oracle, tree_oracle,
+                     tree_proba_oracle)
 
 
 def _is_leaf(nodes, i):
@@ -322,7 +325,8 @@ class TestTreeOracle:
         X, y = problem
         model = tree_fit(X, y, TreeParams(max_depth=max_depth))
         doc = tree_oracle(X, y, max_depth=max_depth)
-        assert model_to_json(model) == json.dumps(doc, sort_keys=True)
+        assert model_to_json(model) == json.dumps(flat_doc(doc),
+                                                  sort_keys=True)
         Q = _queries(X)
         np.testing.assert_array_equal(model.predict_proba(Q),
                                       tree_proba_oracle(doc, Q))
@@ -334,7 +338,8 @@ class TestTreeOracle:
         X, y = problem
         model = forest_fit(X, y, ForestParams(n_trees=n_trees), seed=seed)
         doc = forest_oracle(X, y, n_trees, seed)
-        assert model_to_json(model) == json.dumps(doc, sort_keys=True)
+        assert model_to_json(model) == json.dumps(flat_doc(doc),
+                                                  sort_keys=True)
         Q = _queries(X)
         np.testing.assert_array_equal(model.predict_proba(Q),
                                       tree_proba_oracle(doc, Q))
@@ -365,7 +370,7 @@ class TestLockstepGrowth:
             seed=kw["seed"])
         doc = forest_oracle(X, y, **kw)
         text = model_to_json(model)
-        assert text == json.dumps(doc, sort_keys=True)
+        assert text == json.dumps(flat_doc(doc), sort_keys=True)
         assert model_to_json(model_from_json(text)) == text
 
     def test_blocked_search_is_byte_identical(self, rng, monkeypatch):
@@ -394,16 +399,47 @@ class TestLockstepGrowth:
 
 
 def _tree_doc():
+    # nodes 0 (split on feature 0), 1 and 2 (leaves)
     X = np.asarray([[1.0, 0.0], [2.0, 0.0], [10.0, 1.0], [11.0, 1.0]])
     return json.loads(model_to_json(tree_fit(X, ["A", "A", "B", "B"])))
 
 
-def _corrupt(edit):
+def _forest_doc():
+    """Two copies of _tree_doc's tree as a forest: roots 0 and 3."""
+    doc = _tree_doc()
+    nodes = doc["nodes"]
+    for name in nodes:
+        shift = 3 if name in ("left", "right") else 0
+        nodes[name] += [v + shift if shift else v for v in nodes[name]]
+    doc.update(kind="forest", m=1, seed=0, roots=[0, 3])
+    return doc
+
+
+def _corrupt(edit, doc=_tree_doc):
     def make():
-        doc = _tree_doc()
-        edit(doc)
-        return json.dumps(doc)
+        d = doc()
+        edit(d)
+        return json.dumps(d)
     return make
+
+
+def _set(column, i, value, doc=_tree_doc):
+    return _corrupt(lambda d: d["nodes"][column].__setitem__(i, value), doc)
+
+
+# the nested layout model.json had before the Nodes columns
+_NESTED = {"kind": "tree", "classes": ["A", "B"], "n_features": 2, "root": {
+    "feature": 0, "threshold": 6.0, "importance": 0.5, "impurity": 0.5,
+    "n": 4, "probs": [0.5, 0.5],
+    "left": {"impurity": 0.0, "n": 2, "probs": [1.0, 0.0]},
+    "right": {"impurity": 0.0, "n": 2, "probs": [0.0, 1.0]}}}
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted_forest():
+    X, y = _blobs(np.random.default_rng(5), n_per=15)
+    return X, model_to_json(forest_fit(X, y, ForestParams(n_trees=4),
+                                       seed=1))
 
 
 class TestModelFromJson:
@@ -413,27 +449,80 @@ class TestModelFromJson:
         lambda: json.dumps({"kind": "svm", "classes": ["A"]}),
         _corrupt(lambda d: d.pop("classes")),
         _corrupt(lambda d: d.pop("n_features")),
-        _corrupt(lambda d: d["root"].pop("threshold")),
-        _corrupt(lambda d: d["root"]["left"].pop("probs")),
-        _corrupt(lambda d: d["root"].update(feature=2)),
-        _corrupt(lambda d: d["root"].update(feature=-1)),
-        _corrupt(lambda d: d["root"].update(feature=0.5)),
-        _corrupt(lambda d: d["root"].update(left=3)),
-        _corrupt(lambda d: d["root"]["right"].update(probs=[1.0])),
+        _corrupt(lambda d: d["nodes"].pop("threshold")),
+        _corrupt(lambda d: d["nodes"].pop("probs")),
+        _set("feature", 0, 2),
+        _set("feature", 0, -2),
+        _set("feature", 0, 0.5),
+        # a child given as a node object, as the nested layout held it
+        _set("left", 0, {"impurity": 0.0, "n": 2, "probs": [1.0, 0.0]}),
+        _set("probs", 2, [1.0]),
         _corrupt(lambda d: d.update(classes=[])),
-        _corrupt(lambda d: d.update(kind="forest", m=1, seed=0, trees=[])),
+        _corrupt(lambda d: d.update(kind="forest", m=1, seed=0, roots=[])),
         lambda: json.dumps({"kind": "knn", "classes": ["A"], "k": 3,
                             "X": [[0.0]], "y": [0]}),
         lambda: json.dumps({"kind": "knn", "classes": ["A"], "k": 1,
                             "X": [[0.0]], "y": [1]}),
+        lambda: json.dumps(_NESTED),
+        _corrupt(lambda d: d.update(nodes=list(d["nodes"].values()))),
+        _corrupt(lambda d: d["nodes"].update(depth=[0, 1, 1])),
+        _corrupt(lambda d: d["nodes"]["impurity"].pop()),
+        _set("feature", 0, True),
+        _set("feature", 0, 2 ** 70),
+        _set("right", 0, 2.0),
+        _set("n_samples", 1, "2"),
+        _corrupt(lambda d: d["nodes"].update(
+            probs=sum(d["nodes"]["probs"], []))),
+        _corrupt(lambda d: d.update(roots=[1])),
+        _corrupt(lambda d: d.update(roots=[0, 1])),
+        _corrupt(lambda d: d.update(roots=[0, 4, 3]), _forest_doc),
+        _corrupt(lambda d: d.update(roots=[0, 0, 3]), _forest_doc),
+        _corrupt(lambda d: d.update(roots=[0, 3.0]), _forest_doc),
+        _corrupt(lambda d: d.update(roots=[0, 6]), _forest_doc),
+        _corrupt(lambda d: d.update(seed="0"), _forest_doc),
+        _set("right", 0, 0),
+        _set("right", 3, 0, _forest_doc),
+        _set("right", 0, 4, _forest_doc),
+        _set("right", 0, 1),
+        _set("left", 0, 2),
+        _set("left", 1, 2),
+        _set("right", 2, 0),
     ], ids=["not_json", "nested_too_deep", "unknown_kind", "no_classes",
             "no_n_features", "no_threshold", "no_probs", "feature_too_high",
             "feature_negative", "feature_not_int", "child_not_object",
             "probs_length", "empty_classes", "forest_without_trees",
-            "knn_k_above_rows", "knn_class_out_of_range"])
+            "knn_k_above_rows", "knn_class_out_of_range",
+            "old_nested_layout", "nodes_not_object", "extra_field",
+            "column_short", "feature_true", "int_too_large", "right_float",
+            "n_samples_text", "probs_not_rows", "roots_not_from_zero",
+            "tree_with_two_roots", "roots_unordered",
+            "roots_repeated", "roots_not_int", "roots_past_end",
+            "seed_not_int", "cycle_to_root", "right_into_earlier_tree",
+            "right_outside_tree", "right_is_left", "left_not_next",
+            "leaf_left_not_itself", "leaf_right_not_itself"])
     def test_malformed_is_data_error(self, make):
         with pytest.raises(DataError):
             model_from_json(make())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["feature", "left", "right", "roots"]), st.data())
+    def test_edited_forest_is_rejected_or_walks(self, column, data):
+        # with one entry set or dropped, loading fails with a DataError or
+        # gives a model whose every walk ends
+        X, text = _fitted_forest()
+        doc = json.loads(text)
+        col = doc["roots"] if column == "roots" else doc["nodes"][column]
+        i = data.draw(st.integers(0, len(col) - 1), label="index")
+        if data.draw(st.booleans(), label="drop"):
+            del col[i]
+        else:
+            col[i] = data.draw(st.integers(-2, len(doc["nodes"]["left"]) + 1),
+                               label="value")
+        try:
+            model = model_from_json(json.dumps(doc))
+        except DataError:
+            return
+        assert model.predict_proba(X).shape == (len(X), 3)
 
     def test_reload_writes_the_same_text(self, rng):
         # each tree of a forest is parsed after the last one's nodes,
@@ -445,11 +534,17 @@ class TestModelFromJson:
         for model in (tree_fit(X, y), stump,
                       forest_fit(X, y, ForestParams(n_trees=5), seed=4)):
             text = model_to_json(model)
-            assert model_to_json(model_from_json(text)) == text
+            back = model_from_json(text)
+            assert model_to_json(back) == text
+            for f in fields(Nodes):
+                a, b = getattr(model.nodes, f.name), getattr(back.nodes, f.name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert back.roots.tobytes() == model.roots.tobytes()
 
     def test_valid_document_loads(self):
-        model = model_from_json(json.dumps(_tree_doc()))
-        assert list(model.predict([[1.5, 0.0], [10.5, 1.0]])) == ["A", "B"]
+        for doc in (_tree_doc(), _forest_doc()):
+            model = model_from_json(json.dumps(doc))
+            assert list(model.predict([[1.5, 0.0], [10.5, 1.0]])) == ["A", "B"]
 
     def test_memo_parses_once_and_returns_copies(self, rng, monkeypatch):
         X, y = _blobs(rng, n_per=20)
