@@ -5,7 +5,9 @@ dataset that carries any val/test partition tag raises LeakageError, and a
 fitted transform refuses to be trusted by the CLI unless its fingerprint
 matches the split's train set. Applies are pure.
 
-The PCA eigensolver is a cyclic Jacobi sweep; quartiles use linear
+PCA decomposes the covariance with `np.linalg.eigh`, then orders the
+components by a stable descending sort of the eigenvalues and signs each
+so its largest-magnitude entry is positive. Quartiles use linear
 interpolation on order statistics (h = (n-1)p) so robust/IQR outputs are
 bit-comparable across runs.
 """
@@ -327,41 +329,6 @@ def smote(train: Dataset, k: int = 5, seed: int = 0,
 
 # -- PCA ------------------------------------------------------------------------
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
-                 max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors as columns), unsorted.
-    """
-    a = np.array(a, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, (a ** 2).sum() - (np.diag(a) ** 2).sum()))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    return np.diag(a).copy(), v
-
-
 def pca_fit(train: Dataset, n_components: int,
             columns: Optional[Sequence[str]] = None) -> FittedTransform:
     _guard_fit(train)
@@ -373,7 +340,7 @@ def pca_fit(train: Dataset, n_components: int,
     mean = X.mean(axis=0)
     Xc = X - mean
     cov = (Xc.T @ Xc) / len(X)
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

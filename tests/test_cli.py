@@ -722,9 +722,9 @@ OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
         ("explain.repeats", "2"),
      ), (
         "67153c725dfb7d1e095b9cd108cab52bddd4d646263bc557ac790735749aa43b",
-        "e2794e4e67389338b7911d9b96e4c976012794a2bb58e6b040cd0784a2d14aea",
-        "3e3fc69d09ac2a798373738b4d7506f6d1d4568a64533f1566a8a8d38b3b45bf",
-        "9a6e32c056de0c22bdad4950bd86883c84ea3fb064648bd8b8ae45c11fa83f4f",
+        "62bc80b49e4be7bceed82daa19ca2b2da9a2547f6814454cc373177edae920ea",
+        "5e5aed87b0b7f1c8d3dd454acfa1872273beb7d0d7b1b0e5cf0c27378bc30879",
+        "0f2a828e9461c9a54718728a47f241c0d8805d642c88f67882e7a97a93df4baa",
         "63909921faa33c9f3d7fd3813c5d1b21a8f18f6ce82a990af29941d3f98606c1",
         "98bfd4b230b65840903dc7d3a367c28845777aad894309b48851a2191c0ed8c5",
         "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
