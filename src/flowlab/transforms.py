@@ -196,11 +196,12 @@ def apply_onehot(ds: Dataset, fitted: FittedTransform) -> tuple[Dataset, int]:
     column = fitted.columns[0]
     vocab = fitted.params["vocabulary"]
     out = ds.copy()
-    values = [str(v) for v in out.data[column]]
-    unseen = sum(1 for v in values if v not in set(vocab))
-    for entry in vocab:
-        out.add_column(f"{column}={entry}", "numeric",
-                       [1.0 if v == entry else 0.0 for v in values])
+    index = {entry: i for i, entry in enumerate(vocab)}
+    codes = np.fromiter((index.get(str(v), -1) for v in out.data[column]),
+                        np.int64, len(out))
+    for i, entry in enumerate(vocab):
+        out.add_column(f"{column}={entry}", "numeric", codes == i)
+    unseen = int((codes < 0).sum())
     out.kinds[column] = "metadata"  # original kept for audit, out of features
     return out, unseen
 
@@ -225,7 +226,12 @@ def bin_ports(ds: Dataset, column: str = "dst_port",
     if column not in ds.data:
         raise ConfigError(f"unknown column {column!r}")
     out = ds.copy()
-    bins = [bin_port(int(p)) for p in out.numbers(column, True).tolist()]
+    ports = out.numbers(column, True)
+    bad = np.flatnonzero((ports < 0) | (ports > 65535))
+    if len(bad):
+        raise DataError(f"column {column!r}, row_id {out.row_ids[bad[0]]}: "
+                        f"port {int(ports[bad[0]])} out of [0, 65535]")
+    bins = [bin_port(int(p)) for p in ports.tolist()]
     out.add_column(out_column or f"{column}_bin", "categorical", bins)
     return out
 

@@ -290,6 +290,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"column '{column}', row_id {rid}: not a" in err
 
+    def test_port_out_of_range_is_2(self, config, capsys):
+        assert run(["meter", "--config", str(config)]) == 0
+        assert run(["prepare", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        rid = _set_cell(run_dir_for(cfg, h) / "dataset.csv", "dst_port",
+                        "70000")
+        assert run(["split", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert run(["transform", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"column 'dst_port', row_id {rid}: port 70000 out of" in err
+
     def test_temporal_split_on_text_column_is_2(self, config, capsys):
         assert run(["meter", "--config", str(config)]) == 0
         assert run(["prepare", "--config", str(config)]) == 0
