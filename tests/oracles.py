@@ -658,7 +658,6 @@ def _flatten(node: dict, cols: dict) -> int:
     """Append node, then its left subtree, then its right subtree to the
     columns; the node's index."""
     i = len(cols["feature"])
-    split = "feature" in node
     for name, value in (("feature", node.get("feature", -1)),
                         ("threshold", node.get("threshold", 0.0)),
                         ("left", i), ("right", i), ("probs", node["probs"]),
@@ -666,7 +665,7 @@ def _flatten(node: dict, cols: dict) -> int:
                         ("n_samples", node["n"]),
                         ("importance", node.get("importance", 0.0))):
         cols[name].append(value)
-    if split:
+    if "feature" in node:
         cols["left"][i] = _flatten(node["left"], cols)
         cols["right"][i] = _flatten(node["right"], cols)
     return i
