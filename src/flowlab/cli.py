@@ -377,9 +377,10 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
                            mcfg["params"], cfg["seed"])
         chosen = mcfg["params"]
     out = run_dir / "model.json"
+    text = models.model_to_json(model) + "\n"
     with open(out, "w") as f:
-        f.write(models.model_to_json(model))
-        f.write("\n")
+        f.write(text)
+    models.remember_model(text, model)
     _write_manifest(run_dir, "train", config_hash,
                     {"dataset": dataset_path, "assignment": assignment_path,
                      "transforms": run_dir / "transforms.json"},

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import operator
 import re
@@ -272,34 +273,75 @@ class Dataset:
     # -- persistence ---------------------------------------------------------
 
     def to_csv(self, path, config_hash: Optional[str] = None) -> None:
+        """Write the table to path as CSV, and its schema beside it.
+
+        The bytes of both files are hashed as they are written, and the
+        table is remembered as `_parse_csv` would read it back from them,
+        under the key `from_csv` looks up: a later `from_csv` of the file
+        in this process parses nothing. The memo holds the table's own
+        arrays, made read-only, so an in-place write to the table after
+        to_csv raises instead of leaving the memo stale; only a column the
+        parse would read back otherwise (-0.0, a NaN other than np.nan's
+        bits, another dtype, a text cell that is not a str) is copied.
+        """
+        global _last_read
+        _last_read = (None, None)
         path = Path(path)
-        with open(path, "w", newline="") as f:
-            if config_hash:
-                f.write(f"# config_hash: {config_hash}\n")
-            csv.writer(f).writerow(["row_id"] + self.names)
-            columns = [list(map(str, self.row_ids.tolist()))]
-            columns += [_column_text(self.data[n], self.kinds[n])
-                        for n in self.names]
-            columns[-1] = [cell + "\r\n" for cell in columns[-1]]
-            f.writelines(map(",".join, zip(*columns)))
-        schema = {
+        schema_text = json.dumps({
             "columns": [{"name": n, "kind": self.kinds[n]} for n in self.names],
             "validity_links": self.validity_links,
             "provenance": self.provenance,
-        }
-        with open(path.with_suffix(path.suffix + ".schema.json"), "w") as f:
-            json.dump(schema, f, indent=2, sort_keys=True)
-            f.write("\n")
+        }, indent=2, sort_keys=True) + "\n"
+        header = io.StringIO()
+        if config_hash:
+            header.write(f"# config_hash: {config_hash}\n")
+        csv.writer(header).writerow(["row_id"] + self.names)
+        columns = [list(map(str, self.row_ids.tolist()))]
+        columns += [_column_text(self.data[n], self.kinds[n])
+                    for n in self.names]
+        columns[-1] = [cell + "\r\n" for cell in columns[-1]]
+        digest = _write_text(path, itertools.chain(
+            [header.getvalue()], map(",".join, zip(*columns))), newline="")
+        schema_path = path.with_suffix(path.suffix + ".schema.json")
+        schema_digest = _write_text(schema_path, [schema_text])
+        if not (config_hash and _LINE_BREAK.search(config_hash)):
+            table = self._read_back(json.loads(schema_text))
+            if table is not None:
+                _last_read = ((path.resolve(), digest, schema_digest), table)
+
+    def _read_back(self, schema: dict) -> Optional["Dataset"]:
+        """The Dataset `_parse_csv` gives for what to_csv wrote of this
+        table with the schema document schema; None where that parse would
+        fail or is not worked out here."""
+        kinds = {c["name"]: c["kind"] for c in schema["columns"]}
+        if (self.row_ids.dtype != np.int64 or self.row_ids.ndim != 1
+                or not set(map(type, self.names)) <= {str}
+                or not _fits_csv_field(self.names)
+                or not set(kinds.values()) <= set(KINDS)):
+            return None
+        data = {n: _read_back_column(self.data[n], self.kinds[n],
+                                     len(self.row_ids))
+                for n in self.names}
+        if any(col is None for col in data.values()):
+            return None
+        for col in (self.row_ids, *data.values()):
+            col.flags.writeable = False
+        return Dataset(names=list(self.names), kinds=kinds, data=data,
+                       row_ids=self.row_ids,
+                       validity_links=schema["validity_links"],
+                       provenance=schema["provenance"])
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         """The table `to_csv` wrote at path, with its sidecar schema.
 
-        The last table parsed stays in a per-process memo keyed by the
-        resolved path and the SHA-256 of the CSV's and the schema's bytes,
-        so a pipeline parses each artifact once however many stages read
-        it. Every call returns a copy of its own: stages change the table
-        they are given.
+        The last table parsed or written stays in a per-process memo keyed
+        by the resolved path and the SHA-256 of the CSV's and the schema's
+        bytes: a file this process wrote is not parsed at all, and one it
+        did not write is parsed once however many stages read it. A file
+        edited, cut short or rewritten elsewhere misses the memo and is
+        parsed. Every call returns a copy of its own: stages change the
+        table they are given.
         """
         global _last_read
         path = Path(path)
@@ -318,8 +360,65 @@ class Dataset:
         return _last_read[1].copy()
 
 
-# the last table Dataset.from_csv parsed: (key, Dataset)
+# the last table Dataset.from_csv parsed or Dataset.to_csv wrote:
+# (key, Dataset)
 _last_read: tuple = (None, None)
+
+_LINE_BREAK = re.compile("[\r\n]")
+_NEG_ZERO = np.uint64(1 << 63)
+_NAN_BITS = np.float64(np.nan).view(np.uint64)
+
+
+def _read_back_column(col: np.ndarray, kind: str,
+                      rows: int) -> Optional[np.ndarray]:
+    """Column col as `_parse_csv` reads back the cells `_column_text`
+    writes for it: col itself where the parse gives it bit for bit, else
+    a copy holding what the parse gives; None for a column that is not
+    one-dimensional of rows cells, or whose parse would fail."""
+    if col.ndim != 1 or len(col) != rows:
+        return None
+    if kind != "numeric":
+        if not (col.dtype == object and set(map(type, col)) <= {str}):
+            col = np.asarray(list(map(str, col)), dtype=object)
+        return col if _fits_csv_field(col) else None
+    if col.dtype == np.float64:
+        bits = col.view(np.uint64)
+        if not ((bits == _NEG_ZERO).any()
+                or (bits[col != col] != _NAN_BITS).any()):
+            return col
+    # the cells of -0.0 and of every NaN read back as 0.0 and np.nan
+    out = np.array(col, dtype=np.float64)
+    out[out == 0] = 0.0
+    out[np.isnan(out)] = np.nan
+    return out
+
+
+def _fits_csv_field(cells) -> bool:
+    """Whether csv.reader takes every str in cells: it rejects a field
+    longer than csv.field_size_limit()."""
+    return max(map(len, cells), default=0) <= csv.field_size_limit()
+
+
+def _write_text(path: Path, lines: Iterable[str], newline=None) -> bytes:
+    """Write lines to path as open(path, "w", newline=newline) writes
+    them, hashing the bytes as they go to the file; their SHA-256."""
+    with _HashedFile(path) as raw, io.TextIOWrapper(
+            io.BufferedWriter(raw), newline=newline) as f:
+        f.writelines(lines)
+    return raw.sha256.digest()
+
+
+class _HashedFile(io.FileIO):
+    """A file open for writing that hashes the bytes written to it."""
+
+    def __init__(self, path):
+        super().__init__(path, "w")
+        self.sha256 = hashlib.sha256()
+
+    def write(self, b) -> int:
+        n = super().write(b)
+        self.sha256.update(memoryview(b)[:n])
+        return n
 
 
 def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:

@@ -619,19 +619,50 @@ def _parse_nodes(d: dict, n_features: int, n_classes: int
 def model_from_json(text: str):
     """The model `model_to_json` wrote; DataError on malformed input.
 
-    The last model parsed stays in a per-process memo keyed by the SHA-256
-    of the text, so evaluate and explain parse one model.json once; each
-    call returns a copy of its own.
+    The last model parsed or remembered at its write (`remember_model`)
+    stays in a per-process memo keyed by the SHA-256 of the text, so
+    evaluate and explain parse no model.json that train wrote in the same
+    process, and any other one once; each call returns a copy of its own.
     """
     global _last_model
-    key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+    key = _text_key(text)
     if _last_model[0] != key:
         _last_model = (None, None)
         _last_model = (key, _parse_model(text))
     return copy.deepcopy(_last_model[1])
 
 
-# the last model model_from_json parsed: (key, model)
+def remember_model(text: str, model) -> None:
+    """Fill the model_from_json memo at the write of text, which is
+    model_to_json(model), of a model fitted here, with any whitespace
+    after it. A copy of model is held where it is what the parse of text
+    gives: integer arrays int64, the others float64 without NaN (JSON
+    keeps no NaN bits), plain int scalars and a list of str classes; for
+    any other model the memo is emptied."""
+    global _last_model
+    _last_model = (None, None)
+    if isinstance(model, KnnModel):
+        ints, floats, scalars = [model.y], [model.X], [model.k]
+    else:
+        cols = {f.name: getattr(model.nodes, f.name) for f in fields(Nodes)}
+        ints = [cols.pop(name) for name in _INT_FIELDS] + [model.roots]
+        floats, scalars = list(cols.values()), [model.n_features]
+        if isinstance(model, ForestModel):
+            scalars += [model.m, model.seed]
+    if (all(a.dtype == np.int64 for a in ints)
+            and all(a.dtype == np.float64 and not np.isnan(a).any()
+                    for a in floats)
+            and all(type(v) is int for v in scalars)
+            and type(model.classes) is list
+            and all(type(c) is str for c in model.classes)):
+        _last_model = (_text_key(text), copy.deepcopy(model))
+
+
+def _text_key(text: str) -> bytes:
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+
+
+# the last model model_from_json parsed or remember_model held: (key, model)
 _last_model: tuple = (None, None)
 
 

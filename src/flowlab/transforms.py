@@ -345,7 +345,8 @@ def pca_fit(train: Dataset, n_components: int,
     X = np.column_stack([train.data[c] for c in columns])
     mean = X.mean(axis=0)
     Xc = X - mean
-    cov = (Xc.T @ Xc) / len(X)
+    # einsum's own loops, not BLAS, whose sums depend on its thread count
+    cov = np.einsum("ij,ik->jk", Xc, Xc) / len(X)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]

@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from flowlab import dataset, models
 from flowlab.pcap import TCP_ACK, TCP_PSH, TCP_SYN, make_packet
 
 
@@ -69,3 +70,12 @@ def pcap_bytes(frames, linktype=1, big_endian=False, nanosecond=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Every test starts with empty table and model memos: each to_csv and
+    model.json write fills them, so otherwise the order of the tests could
+    decide whether a file is parsed."""
+    dataset._last_read = (None, None)
+    models._last_model = (None, None)

@@ -15,7 +15,8 @@ import pytest
 
 import flowlab
 from flowlab import dataset, models
-from flowlab.cli import (DEFAULT_CONFIG, load_config, run, run_dir_for)
+from flowlab.cli import (DEFAULT_CONFIG, STAGE_INPUTS, load_config, run,
+                         run_dir_for, run_stage)
 from flowlab.errors import ConfigError
 from flowlab.meter import feature_column_names
 from flowlab.pcap import make_packet, write_capture
@@ -156,20 +157,20 @@ class TestStages:
         for n in names:
             assert (run_dir / n).read_bytes() == first[n], n
 
-    def test_pipeline_parses_each_artifact_once(self, config, monkeypatch):
-        # flows.csv, dataset.csv and transformed.csv are read by two, two
-        # and three stages, model.json by two
+    def test_pipeline_parses_no_table_or_model(self, config, monkeypatch):
+        # every table and model a stage reads was written earlier in the
+        # same process; a lone stage reads what another process wrote
         tables, texts = [], []
         parse_csv, parse_model = dataset._parse_csv, models._parse_model
-        monkeypatch.setattr(dataset, "_last_read", (None, None))
-        monkeypatch.setattr(models, "_last_model", (None, None))
         monkeypatch.setattr(dataset, "_parse_csv",
                             lambda *a: tables.append(a[0]) or parse_csv(*a))
         monkeypatch.setattr(models, "_parse_model",
                             lambda t: texts.append(t) or parse_model(t))
         assert run(["pipeline", "--config", str(config)]) == 0
-        assert tables == ["flows.csv", "dataset.csv", "transformed.csv"]
-        assert len(texts) == 1
+        assert tables == [] and texts == []
+        dataset._last_read, models._last_model = (None, None), (None, None)
+        assert run(["evaluate", "--config", str(config)]) == 0
+        assert tables == ["transformed.csv"] and len(texts) == 1
 
     def test_pipeline_leaves_numpy_ma_unloaded(self, config):
         # a plain np.unique imports numpy.ma, ~13 ms of a fresh process
@@ -722,21 +723,31 @@ def test_pipeline_reference_digest(tmp_path, monkeypatch, overrides,
 OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
                     "model.json", "importance.csv", "report.txt",
                     "quality_report.json", "audit.jsonl", "cv_table.json")
+STATEFUL_TEMPORAL_KNN = (
+    ("split.strategy", "temporal"),
+    ("split.time_key", "flow_start"),
+    ("stateful.window", "60"),
+    ("transform.pca_components", "6"),
+    ("model.kind", "knn"),
+    ("explain.repeats", "2"),
+)
+SMOTE_GRID_PDP = (
+    ("capture", "synth.pcap"),
+    ("transform.scaler", "minmax"),
+    ("transform.outlier_method", "iqr"),
+    ("transform.smote_k", "2"),
+    ("model.kind", "tree"),
+    ("model.grid", '{"max_depth": [3, 5]}'),
+    ("explain.pdp_features", '["flow_duration"]'),
+)
 
 
 @pytest.mark.parametrize("overrides, digests", [
-    ((
-        ("split.strategy", "temporal"),
-        ("split.time_key", "flow_start"),
-        ("stateful.window", "60"),
-        ("transform.pca_components", "6"),
-        ("model.kind", "knn"),
-        ("explain.repeats", "2"),
-     ), (
+    (STATEFUL_TEMPORAL_KNN, (
         "67153c725dfb7d1e095b9cd108cab52bddd4d646263bc557ac790735749aa43b",
-        "62bc80b49e4be7bceed82daa19ca2b2da9a2547f6814454cc373177edae920ea",
-        "5e5aed87b0b7f1c8d3dd454acfa1872273beb7d0d7b1b0e5cf0c27378bc30879",
-        "0f2a828e9461c9a54718728a47f241c0d8805d642c88f67882e7a97a93df4baa",
+        "958250094897dfed7d3d98817e38ca725e0955b1e82d30b3305543203d50142a",
+        "d1034ffced0efb508afbce485111edb3e182aaf2835feba521135586707440ef",
+        "6b11316706da0ec8d19f10c7924c7f4fc1aace93d453e9b50d638bed4dd1c131",
         "63909921faa33c9f3d7fd3813c5d1b21a8f18f6ce82a990af29941d3f98606c1",
         "98bfd4b230b65840903dc7d3a367c28845777aad894309b48851a2191c0ed8c5",
         "3ee15e2eba8f95ddfb6824112572fc66ba0e03de5900d736612f588f5eaad6cf",
@@ -777,15 +788,7 @@ OPTION_ARTIFACTS = ("dataset.csv", "transformed.csv", "transforms.json",
         "4ba3a3caa3ee5664919726ba210e6b09c6ca34fb3bcfd9f903b774869fd7aad9",
         "6973c57c5dcf6e2c13a184f17c92f5bc4b564ea8e8d1691f3050f10789ebd656",
     )),
-    ((
-        ("capture", "synth.pcap"),
-        ("transform.scaler", "minmax"),
-        ("transform.outlier_method", "iqr"),
-        ("transform.smote_k", "2"),
-        ("model.kind", "tree"),
-        ("model.grid", '{"max_depth": [3, 5]}'),
-        ("explain.pdp_features", '["flow_duration"]'),
-     ), (
+    (SMOTE_GRID_PDP, (
         "b8f6caa53f820938560a3948c94fa94a0d02555201c3960b47d95decce517d02",
         "79c16a321fbd2a4c02ecf6d90ed3fa4333e95ddef6a734c4a1bec867b7091de0",
         "f7366da99a094fdab4c530dfc79cbc14604e975b7ffc161f0af0e716096e3e74",
@@ -844,3 +847,45 @@ def test_pipeline_option_digests(tmp_path, monkeypatch, overrides, digests):
     assert tuple(hashlib.sha256((run_dir / n).read_bytes()).hexdigest()
                  for n in OPTION_ARTIFACTS
                  if (run_dir / n).exists()) == digests
+
+
+@pytest.mark.parametrize("overrides", [(), STATEFUL_TEMPORAL_KNN,
+                                       SMOTE_GRID_PDP],
+                         ids=["default", "stateful_temporal_knn",
+                              "smote_grid_pdp"])
+def test_pipeline_equals_stages_run_apart(tmp_path, monkeypatch, overrides):
+    # a pipeline reads what it wrote from the memos; stages run one by one
+    # on empty memos parse every input, and must write the same bytes
+    packets = _reference_packets()
+    synth = synth_capture(np.random.default_rng(7), n_flows=300, max_pkts=20)
+    pairs = [("capture", "reference.pcap"), ("out_dir", "runs"), *overrides]
+    argv = [a for k, v in pairs for a in (f"--{k}", v)]
+    cfg, h = load_config(None, pairs)
+    tables, texts = [], []
+    parse_csv, parse_model = dataset._parse_csv, models._parse_model
+    monkeypatch.setattr(dataset, "_parse_csv",
+                        lambda *a: tables.append(a[0]) or parse_csv(*a))
+    monkeypatch.setattr(models, "_parse_model",
+                        lambda t: texts.append(t) or parse_model(t))
+    artifacts = []
+    for side in ("pipeline", "stages"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        write_capture("reference.pcap", packets)
+        write_capture("synth.pcap", synth)
+        if side == "pipeline":
+            assert run(["pipeline"] + argv) == 0
+        else:
+            for cmd in STAGE_INPUTS:
+                dataset._last_read = (None, None)
+                models._last_model = (None, None)
+                run_stage(cmd, cfg, h, run_dir_for(cfg, h))
+        run_dir = run_dir_for(cfg, h)
+        artifacts.append({p.name: p.read_bytes()
+                          for p in sorted(run_dir.iterdir())})
+    assert list(artifacts[0]) == list(artifacts[1])
+    for name in artifacts[0]:
+        assert artifacts[0][name] == artifacts[1][name], name
+    assert tables == ["flows.csv"] * 2 + ["dataset.csv"] * 2 \
+        + ["transformed.csv"] * 3
+    assert len(texts) == 2

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import math
 
 import numpy as np
@@ -228,11 +230,9 @@ def test_csv_zero_rows_round_trip(tmp_path):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """The number of tables Dataset.from_csv has parsed, from an empty
-    memo on."""
+    """The names of the tables Dataset.from_csv has parsed."""
     calls = []
     parse = dataset._parse_csv
-    monkeypatch.setattr(dataset, "_last_read", (None, None))
     monkeypatch.setattr(dataset, "_parse_csv",
                         lambda *a: calls.append(a[0]) or parse(*a))
     return calls
@@ -246,18 +246,38 @@ def test_csv_memo_hit_is_an_independent_copy(tmp_path, parses):
     first = Dataset.from_csv(path)
     first.data["x"][0] = 99.0
     first.data["who"][0] = "changed"
+    first.row_ids[0] = 7
     first.drop_columns(["y"])
     first.kinds["proto"] = "metadata"
     first.provenance["origin"] = "changed"
-    first.set_partitions({0: "train", 1: "test", 2: "train"})
+    first.set_partitions({7: "train", 1: "test", 2: "train"})
     second = Dataset.from_csv(path)
-    assert parses == ["ds.csv"]
+    assert parses == []               # both served from the write
     assert second is not first
     assert second.names == ds.names and second.kinds == ds.kinds
-    np.testing.assert_array_equal(second.data["x"], ds.data["x"])
+    np.testing.assert_array_equal(second.data["x"], [1.5, 2.0, 0.5])
+    np.testing.assert_array_equal(ds.data["x"], [1.5, 2.0, 0.5])
     assert list(second.data["who"]) == ["a", "b", "c"]
+    assert list(second.row_ids) == [0, 1, 2]
     assert second.provenance == {"origin": "unit-test"}
     assert second.partitions is None
+    # the written table shares its arrays with the memo, read-only
+    with pytest.raises(ValueError, match="read-only"):
+        ds.data["x"][0] = 3.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.data["who"][0] = "z"
+    with pytest.raises(ValueError, match="read-only"):
+        ds.row_ids[0] = 5
+    assert Dataset.from_csv(path).data["x"].tolist() == [1.5, 2.0, 0.5]
+    # bytes this process did not write are parsed, once
+    (tmp_path / "other.csv").write_bytes(path.read_bytes())
+    (tmp_path / "other.csv.schema.json").write_bytes(
+        path.with_suffix(".csv.schema.json").read_bytes())
+    third = Dataset.from_csv(tmp_path / "other.csv")
+    third.data["x"][1] = -1.0
+    fourth = Dataset.from_csv(tmp_path / "other.csv")
+    assert parses == ["other.csv"]
+    assert fourth.data["x"].tolist() == [1.5, 2.0, 0.5]
 
 
 def test_csv_rewritten_at_same_path_is_parsed_again(tmp_path, parses):
@@ -265,21 +285,44 @@ def test_csv_rewritten_at_same_path_is_parsed_again(tmp_path, parses):
     _toy().to_csv(path)
     Dataset.from_csv(path)
     Dataset.from_csv(path)
-    assert len(parses) == 1
+    assert parses == []
     changed = _toy()
     changed.data["x"][1] = -4.0
     changed.to_csv(path)              # same schema, other cells
     assert Dataset.from_csv(path).data["x"].tolist() == [1.5, -4.0, 0.5]
-    assert len(parses) == 2
+    assert parses == []               # served from that write
     schema = path.with_suffix(".csv.schema.json")
     schema.write_text(schema.read_text().replace('"categorical"',
                                                  '"metadata"'))
     assert Dataset.from_csv(path).kinds["proto"] == "metadata"
-    assert len(parses) == 3
+    assert len(parses) == 1
+    path.write_text(path.read_text().replace("-4", "-5"))
+    assert Dataset.from_csv(path).data["x"].tolist() == [1.5, -5.0, 0.5]
+    assert len(parses) == 2
     (tmp_path / "other.csv").write_bytes(path.read_bytes())
     (tmp_path / "other.csv.schema.json").write_bytes(schema.read_bytes())
     Dataset.from_csv(tmp_path / "other.csv")     # same bytes, other path
-    assert len(parses) == 4
+    assert len(parses) == 3
+
+
+def test_csv_table_the_parse_would_not_give_is_parsed(tmp_path, parses):
+    # a cell longer than csv.reader's field limit fails the parse, and a
+    # short column is cut to its length in the file: neither is remembered
+    path = tmp_path / "ds.csv"
+    ds = _toy()
+    ds.data["who"] = np.array(["a", "b" * 11, "c"], dtype=object)
+    old_limit = csv.field_size_limit(10)
+    try:
+        ds.to_csv(path)
+        with pytest.raises(DataError, match="field larger"):
+            Dataset.from_csv(path)
+    finally:
+        csv.field_size_limit(old_limit)
+    ds = _toy()
+    ds.data["x"] = ds.data["x"][:2]
+    ds.to_csv(path)
+    assert len(Dataset.from_csv(path)) == 2
+    assert parses == ["ds.csv", "ds.csv"]
 
 
 @pytest.mark.parametrize("schema", [
@@ -347,3 +390,99 @@ def test_csv_round_trip_exact(tmp_path_factory, ds):
     for n in ds.names:
         # NaN equals NaN here; -0.0 comes back as 0.0, equal under ==
         np.testing.assert_array_equal(back.data[n], ds.data[n])
+
+
+# NaNs whose sign or payload bits differ from np.nan's, and values near the
+# integer cut-off of the writer and near 2**53
+ODD_FLOATS = [np.uint64(b).view(np.float64).item() for b in (
+    0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123,
+    0xFFFFFFFFFFFFFFFF)] + [2.0 ** 53 - 1, 2.0 ** 53 + 2, -(2.0 ** 53),
+                            1e15 - 0.5, 2.2250738585072014e-308]
+
+
+@st.composite
+def numeric_columns(draw, n):
+    dtype = draw(st.sampled_from(["float64", "float32", "int64", "object"]))
+    if dtype == "float32":
+        cells = st.floats(width=32)
+    elif dtype == "int64":
+        cells = st.integers(-2 ** 63, 2 ** 63 - 1)
+    else:
+        cells = st.sampled_from(SPECIAL + ODD_FLOATS) | cell_values
+        if dtype == "object":
+            cells = cells | st.integers(-2 ** 60, 2 ** 60) | st.booleans()
+    values = draw(st.lists(cells, min_size=n, max_size=n))
+    col = np.empty(n, dtype=dtype)
+    col[:] = values
+    return col
+
+
+# text that needs quoting, text that str.splitlines would break, empty
+# cells, and cells that are not str: the writer writes str() of each
+text_cells = (st.text(alphabet='ab,"# \r\n\x85 \x0c\x00é', max_size=5)
+              | st.integers() | st.floats() | st.none() | st.booleans()
+              | st.binary(max_size=2) | st.tuples(st.integers()))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=False),
+    lambda inner: st.tuples(inner, inner) | st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def written_tables(draw):
+    n = draw(st.integers(0, 8))
+    names = draw(st.lists(st.text(alphabet='ab,"\r\n \x85', max_size=3),
+                          max_size=4, unique=True))
+    kinds = {name: draw(st.sampled_from(dataset.KINDS)) for name in names}
+    data = {}
+    for name in names:
+        if kinds[name] == "numeric":
+            data[name] = draw(numeric_columns(n))
+        else:
+            data[name] = np.empty(n, dtype=object)
+            data[name][:] = draw(st.lists(text_cells, min_size=n,
+                                          max_size=n))
+    row_ids = np.asarray(draw(st.lists(
+        st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n)),
+        dtype=np.int64)
+    links = draw(st.dictionaries(st.sampled_from(names or ["x"]),
+                                 st.text(max_size=3), max_size=2))
+    provenance = draw(st.dictionaries(st.text(max_size=3), json_values,
+                                      max_size=3))
+    config_hash = draw(st.none() | st.text(alphabet="0123456789abcdef#,",
+                                           min_size=1, max_size=8))
+    return (Dataset(names=names, kinds=kinds, data=data, row_ids=row_ids,
+                    validity_links=links, provenance=provenance),
+            config_hash)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=written_tables())
+def test_csv_table_remembered_at_write_is_the_parse(tmp_path_factory,
+                                                    drawn):
+    ds, config_hash = drawn
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    ds.to_csv(path, config_hash=config_hash)
+    raw = path.read_bytes()
+    schema_raw = path.with_suffix(".csv.schema.json").read_bytes()
+    key, held = dataset._last_read
+    assert key == (path.resolve(), hashlib.sha256(raw).digest(),
+                   hashlib.sha256(schema_raw).digest())
+    parsed = dataset._parse_csv(path.name, raw, schema_raw)
+    assert held.names == parsed.names
+    assert list(held.kinds.items()) == list(parsed.kinds.items())
+    assert held.validity_links == parsed.validity_links
+    assert held.provenance == parsed.provenance
+    assert held.partitions is None and parsed.partitions is None
+    assert held.row_ids.dtype == parsed.row_ids.dtype == np.int64
+    assert held.row_ids.tobytes() == parsed.row_ids.tobytes()
+    for name in ds.names:
+        a, b = held.data[name], parsed.data[name]
+        assert a.dtype == b.dtype and a.shape == b.shape
+        if ds.kinds[name] == "numeric":
+            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+        else:
+            assert [type(v) for v in a] == [type(v) for v in b]
+            assert a.tolist() == b.tolist()

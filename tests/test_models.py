@@ -23,6 +23,18 @@ def _is_leaf(nodes, i):
     return nodes.left[i] == i and nodes.right[i] == i
 
 
+def _field_bits(model) -> dict:
+    """Every field of a model, a numpy array as its dtype, shape and bytes
+    and a Nodes as its columns."""
+    out = dict(vars(model))
+    if "nodes" in out:
+        nodes = out.pop("nodes")
+        out.update((f.name, getattr(nodes, f.name)) for f in fields(Nodes))
+    return {k: (v.dtype.str, v.shape, v.tobytes())
+            if isinstance(v, np.ndarray) else (type(v), v)
+            for k, v in out.items()}
+
+
 def _blobs(rng, n_per=60, centers=((0, 0), (4, 4), (0, 6)), spread=0.7):
     X, y = [], []
     for ci, (cx, cy) in enumerate(centers):
@@ -565,3 +577,28 @@ class TestModelFromJson:
         model_from_json(model_to_json(tree_fit(X, y)))
         model_from_json(text)
         assert len(calls) == 3
+
+    def test_remembered_model_is_a_copy_of_the_parse(self, rng, monkeypatch):
+        X, y = _blobs(rng, n_per=20)
+        calls = []
+        parse = models._parse_model
+        monkeypatch.setattr(models, "_parse_model",
+                            lambda t: calls.append(t) or parse(t))
+        for model in (forest_fit(X, y, ForestParams(n_trees=3)),
+                      tree_fit(X, y), knn_fit(X, y, 3)):
+            text = model_to_json(model) + "\n"
+            models.remember_model(text, model)
+            expected = model.predict_proba(X)
+            model.classes.append("bogus")      # the memo holds a copy
+            held = model_from_json(text)
+            assert calls == []
+            assert model_to_json(held) + "\n" == text
+            assert _field_bits(held) == _field_bits(parse(text))
+            np.testing.assert_array_equal(held.predict_proba(X), expected)
+        # JSON keeps no NaN bits: such a model is left for the parse
+        model = tree_fit(X, y)
+        model.nodes.impurity[-1] = np.nan
+        text = model_to_json(model)
+        models.remember_model(text, model)
+        model_from_json(text)
+        assert len(calls) == 1

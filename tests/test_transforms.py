@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flowlab
 from flowlab.dataset import Dataset
 from flowlab.errors import (ConfigError, InvalidArgumentError, LeakageError,
                             TransformMismatchError)
@@ -265,3 +271,36 @@ class TestPca:
     def test_fit_guard(self, rng):
         with pytest.raises(LeakageError):
             pca_fit(_tagged(self._xy(rng), "test"), 2)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # a BLAS Gram of a matrix this size sums in an order that depends
+        # on OpenBLAS's thread count; each child fits and applies a PCA
+        code = """if True:
+            import hashlib
+            import numpy as np
+            from flowlab.dataset import Dataset
+            from flowlab.transforms import pca_fit, pca_transform
+            rng = np.random.default_rng(0)
+            X = rng.lognormal(size=(1000, 115)) * rng.integers(1, 1000, 115)
+            names = [f"c{j}" for j in range(115)]
+            ds = Dataset(names=names, kinds=dict.fromkeys(names, "numeric"),
+                         data=dict(zip(names, X.T.copy())),
+                         row_ids=np.arange(1000))
+            fit = pca_fit(ds, 6)
+            out = pca_transform(ds, fit)
+            h = hashlib.sha256(fit.to_json().encode())
+            for name in out.numeric_feature_names():
+                h.update(out.data[name].tobytes())
+            print(h.hexdigest())
+        """
+        src = str(Path(flowlab.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
