@@ -419,7 +419,7 @@ def numeric_columns(draw, n):
 
 # text that needs quoting, text that str.splitlines would break, empty
 # cells, and cells that are not str: the writer writes str() of each
-text_cells = (st.text(alphabet='ab,"# \r\n\x85 \x0c\x00é', max_size=5)
+text_cells = (st.text(alphabet='ab,"# \r\n\x85\u2028\x0c\x00é', max_size=5)
               | st.integers() | st.floats() | st.none() | st.booleans()
               | st.binary(max_size=2) | st.tuples(st.integers()))
 json_values = st.recursive(
