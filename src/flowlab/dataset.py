@@ -25,7 +25,9 @@ from .errors import ConfigError, DataError, ShapeError
 
 KINDS = ("numeric", "categorical", "metadata", "label")
 UNKNOWN_LABEL = "UNKNOWN"
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
+_QUOTE_CHARS = ',"\r\n'
+_NEEDS_QUOTES = re.compile(f"[{_QUOTE_CHARS}]")
+_SPAN_PER_ROW = 4       # widest integer column an offset table serves
 
 
 def _quoted(cell: str) -> str:
@@ -39,20 +41,37 @@ def _column_text(values, kind: str) -> list[str]:
     """CSV cells of one column.
 
     A numeric column formats each distinct value once and gathers the
-    strings by the inverse index: integral values below 1e15 in magnitude
-    as integers (so -0.0 is "0"), every other value by repr ("nan", "inf",
-    "1e+300"); no such cell needs quoting. A text cell that holds a comma,
-    a quote or a line break is quoted as csv's QUOTE_MINIMAL quotes it.
+    strings: integral values below 1e15 in magnitude as integers (so -0.0
+    is "0"), every other value by repr ("nan", "inf", "1e+300"); no such
+    cell needs quoting. Integers spanning at most _SPAN_PER_ROW per row
+    gather from a table indexed by value - min, any other column by
+    np.unique's inverse. A text column holds exact str cells, quoted as
+    csv's QUOTE_MINIMAL quotes a comma, a quote or a line break.
     """
     if kind != "numeric":
-        text = list(map(str, values))
-        # one C-level scan; a column seldom holds a cell to quote
-        if any(map(_NEEDS_QUOTES.search, text)):
+        text = list(values)
+        joined = "".join(text)
+        # a cell needs quoting for one character, so the joined column
+        # holds one of them if any cell does
+        if any(c in joined for c in _QUOTE_CHARS):
             text = list(map(_quoted, text))
         return text
-    uniq, inverse = np.unique(np.asarray(values, dtype=np.float64),
-                              return_inverse=True)
-    integral = (np.abs(uniq) < 1e15) & (uniq == np.trunc(uniq))
+    col = np.asarray(values, dtype=np.float64)
+    lo, hi = (col.min(), col.max()) if len(col) else (np.nan, np.nan)
+    # a NaN anywhere makes lo and hi NaN, which fails every comparison
+    if -1e15 < lo and hi < 1e15 and hi - lo <= _SPAN_PER_ROW * len(col):
+        ints = col.astype(np.int64)
+        if (ints == col).all():
+            offset = ints - int(lo)
+            present = np.zeros(int(hi - lo) + 1, dtype=bool)
+            present[offset] = True
+            table = np.empty(len(present), dtype=object)
+            table[present] = list(map(
+                str, (np.flatnonzero(present) + int(lo)).tolist()))
+            return table[offset].tolist()
+    uniq, inverse = np.unique(col, return_inverse=True)
+    integral = np.abs(uniq) < 1e15      # so no NaN reaches the trunc
+    integral[integral] = uniq[integral] == np.trunc(uniq[integral])
     text = np.empty(len(uniq), dtype=object)
     text[integral] = list(map(str, uniq[integral].astype(np.int64).tolist()))
     text[~integral] = list(map(repr, uniq[~integral].tolist()))
@@ -276,13 +295,12 @@ class Dataset:
         """Write the table to path as CSV, and its schema beside it.
 
         The bytes of both files are hashed as they are written, and the
-        table is remembered as `_parse_csv` would read it back from them,
-        under the key `from_csv` looks up: a later `from_csv` of the file
-        in this process parses nothing. The memo holds the table's own
-        arrays, made read-only, so an in-place write to the table after
-        to_csv raises instead of leaving the memo stale; only a column the
-        parse would read back otherwise (-0.0, a NaN other than np.nan's
-        bits, another dtype, a text cell that is not a str) is copied.
+        row ids and the columns, as str cells for text, are remembered made
+        read-only under the key `from_csv` looks up: an in-place write to
+        the table after to_csv raises instead of leaving the memo stale.
+        The first `from_csv` of the file in this process reads the table
+        back from them (`_read_back`); a process that never reads it does
+        no more.
         """
         global _last_read
         _last_read = (None, None)
@@ -292,44 +310,31 @@ class Dataset:
             "validity_links": self.validity_links,
             "provenance": self.provenance,
         }, indent=2, sort_keys=True) + "\n"
+        data = {n: self.data[n] if self.kinds[n] == "numeric"
+                else _str_column(self.data[n]) for n in self.names}
         header = io.StringIO()
         if config_hash:
             header.write(f"# config_hash: {config_hash}\n")
         csv.writer(header).writerow(["row_id"] + self.names)
         columns = [list(map(str, self.row_ids.tolist()))]
-        columns += [_column_text(self.data[n], self.kinds[n])
-                    for n in self.names]
+        columns += [_column_text(data[n], self.kinds[n]) for n in self.names]
         columns[-1] = [cell + "\r\n" for cell in columns[-1]]
         digest = _write_text(path, itertools.chain(
             [header.getvalue()], map(",".join, zip(*columns))), newline="")
         schema_path = path.with_suffix(path.suffix + ".schema.json")
         schema_digest = _write_text(schema_path, [schema_text])
-        if not (config_hash and _LINE_BREAK.search(config_hash)):
-            table = self._read_back(json.loads(schema_text))
-            if table is not None:
-                _last_read = ((path.resolve(), digest, schema_digest), table)
-
-    def _read_back(self, schema: dict) -> Optional["Dataset"]:
-        """The Dataset `_parse_csv` gives for what to_csv wrote of this
-        table with the schema document schema; None where that parse would
-        fail or is not worked out here."""
-        kinds = {c["name"]: c["kind"] for c in schema["columns"]}
-        if (self.row_ids.dtype != np.int64 or self.row_ids.ndim != 1
-                or not set(map(type, self.names)) <= {str}
-                or not _fits_csv_field(self.names)
-                or not set(kinds.values()) <= set(KINDS)):
-            return None
-        data = {n: _read_back_column(self.data[n], self.kinds[n],
-                                     len(self.row_ids))
-                for n in self.names}
-        if any(col is None for col in data.values()):
-            return None
-        for col in (self.row_ids, *data.values()):
-            col.flags.writeable = False
-        return Dataset(names=list(self.names), kinds=kinds, data=data,
-                       row_ids=self.row_ids,
-                       validity_links=schema["validity_links"],
-                       provenance=schema["provenance"])
+        rows = (len(self.row_ids),)
+        # the parse gives back no ids of another dtype, no name but a str,
+        # no column the writer's zip cut short, no line-breaking hash
+        if (self.row_ids.dtype == np.int64 and self.row_ids.shape == rows
+                and set(map(type, self.names)) <= {str}
+                and {self.kinds[n] for n in self.names} <= set(KINDS)
+                and all(col.shape == rows for col in data.values())
+                and not (config_hash and _LINE_BREAK.search(config_hash))):
+            for col in (self.row_ids, *data.values()):
+                col.flags.writeable = False
+            _last_read = ((path.resolve(), digest, schema_digest),
+                          (list(self.names), data, self.row_ids, schema_text))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -354,14 +359,18 @@ class Dataset:
             raise DataError(f"{path.name}: {e}") from None
         key = (path.resolve(), hashlib.sha256(raw).digest(),
                hashlib.sha256(schema_raw).digest())
-        if _last_read[0] != key:
+        held = _last_read[1] if _last_read[0] == key else None
+        if isinstance(held, tuple):       # written here, not yet read
+            held = _read_back(*held)
+        if held is None:
             _last_read = (None, None)     # at most one table held at once
-            _last_read = (key, _parse_csv(path.name, raw, schema_raw))
-        return _last_read[1].copy()
+            held = _parse_csv(path.name, raw, schema_raw)
+        _last_read = (key, held)
+        return held.copy()
 
 
-# the last table Dataset.from_csv parsed or Dataset.to_csv wrote:
-# (key, Dataset)
+# the last table Dataset.from_csv parsed or read back, (key, Dataset), or
+# the last one Dataset.to_csv wrote, (key, _read_back's arguments)
 _last_read: tuple = (None, None)
 
 _LINE_BREAK = re.compile("[\r\n]")
@@ -369,17 +378,49 @@ _NEG_ZERO = np.uint64(1 << 63)
 _NAN_BITS = np.float64(np.nan).view(np.uint64)
 
 
-def _read_back_column(col: np.ndarray, kind: str,
-                      rows: int) -> Optional[np.ndarray]:
+def _read_back(names: list, data: dict, row_ids: np.ndarray,
+               schema_text: str) -> Optional[Dataset]:
+    """The Dataset `_parse_csv` gives for what Dataset.to_csv wrote of the
+    columns data in names order, with row_ids and the schema document
+    schema_text; None where that parse would fail."""
+    try:
+        kinds, links, provenance = _schema_fields(json.loads(schema_text))
+    except TypeError:
+        return None
+    data = {n: _read_back_column(data[n], kinds[n]) for n in names}
+    if not _fits_csv_field(names) or any(c is None for c in data.values()):
+        return None
+    return Dataset(names=list(names), kinds=kinds, data=data,
+                   row_ids=row_ids, validity_links=links,
+                   provenance=provenance)
+
+
+def _schema_fields(schema) -> tuple[dict, dict, dict]:
+    """The kind of each column, validity_links and provenance of a schema
+    document; KeyError or TypeError where it is malformed."""
+    kinds = {c["name"]: c["kind"] for c in schema["columns"]}
+    links = schema.get("validity_links", {})
+    provenance = schema.get("provenance", {})
+    if not (isinstance(links, dict) and isinstance(provenance, dict)
+            and set(map(type, links.values())) <= {str}):
+        raise TypeError("validity_links must map str to str, and "
+                        "provenance be an object")
+    return kinds, links, provenance
+
+
+def _str_column(col: np.ndarray) -> np.ndarray:
+    """The str cells to_csv writes for text column col: col if it holds
+    only exact str."""
+    if set(map(type, col)) <= {str}:
+        return col
+    return np.asarray(list(map(str, col)), dtype=object)
+
+
+def _read_back_column(col: np.ndarray, kind: str) -> Optional[np.ndarray]:
     """Column col as `_parse_csv` reads back the cells `_column_text`
     writes for it: col itself where the parse gives it bit for bit, else
-    a copy holding what the parse gives; None for a column that is not
-    one-dimensional of rows cells, or whose parse would fail."""
-    if col.ndim != 1 or len(col) != rows:
-        return None
+    a copy holding what the parse gives; None where the parse fails."""
     if kind != "numeric":
-        if not (col.dtype == object and set(map(type, col)) <= {str}):
-            col = np.asarray(list(map(str, col)), dtype=object)
         return col if _fits_csv_field(col) else None
     if col.dtype == np.float64:
         bits = col.view(np.uint64)
@@ -430,7 +471,7 @@ def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:
     """
     try:
         schema = json.loads(schema_raw)
-        kinds = {c["name"]: c["kind"] for c in schema["columns"]}
+        kinds, links, provenance = _schema_fields(schema)
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{name}.schema.json: malformed schema: "
                         f"{type(e).__name__}: {e}") from None
@@ -487,8 +528,7 @@ def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:
             else np.asarray([r[j] for r in rows], dtype=object)
             for j, n in enumerate(names, start=1)}
     return Dataset(names=names, kinds=kinds, data=data, row_ids=row_ids,
-                   validity_links=schema.get("validity_links", {}),
-                   provenance=schema.get("provenance", {}))
+                   validity_links=links, provenance=provenance)
 
 
 def rows_fingerprint(row_ids: Iterable[int]) -> str:

@@ -518,17 +518,27 @@ def _column_names(splt_n: int) -> tuple:
           for name in (f"splt_dir_{i}", f"splt_size_{i}", f"splt_piat_{i}")))
 
 
-def _anon_ip(ip: bytes, mode: str) -> str:
-    if mode == "truncate_v4_24" and len(ip) == 4:
-        ip = ip[:3] + b"\x00"
-    return ip_to_str(ip)
+_OCTETS = np.array(list(map(str, range(256))), dtype=object)
 
 
-def _ts_decimal(ns: int) -> str:
-    """Exact decimal seconds with 9 fractional digits from integer ns."""
-    sign = "-" if ns < 0 else ""
-    ns = abs(ns)
-    return f"{sign}{ns // 1_000_000_000}.{ns % 1_000_000_000:09d}"
+def _ip_column(ips: list, mode: str) -> np.ndarray:
+    """The text of each address in ips: a dotted quad from the octet
+    table, its last octet 0 under truncate_v4_24, or ip_to_str's IPv6."""
+    ips = np.asarray(ips, dtype=object)
+    v4 = np.fromiter(map(len, ips), np.int64, len(ips)) == 4
+    quads = np.frombuffer(b"".join(ips[v4]), np.uint8).reshape(-1, 4)
+    quads = quads * np.array([1, 1, 1, mode != "truncate_v4_24"], np.uint8)
+    text = np.empty(len(ips), dtype=object)
+    text[v4] = list(map(".".join, _OCTETS[quads].tolist()))
+    text[~v4] = list(map(ip_to_str, ips[~v4]))
+    return text
+
+
+def _seconds_column(ns: np.ndarray) -> list[str]:
+    """Exact decimal seconds with 9 fractional digits from int64 ns."""
+    sec, frac = np.divmod(np.abs(ns), 1_000_000_000)
+    return list(map("%s%d.%09d".__mod__, zip(
+        np.where(ns < 0, "-", "").tolist(), sec.tolist(), frac.tolist())))
 
 
 def _moment_columns(prefix: str, n: np.ndarray, m: np.ndarray) -> dict:
@@ -590,11 +600,11 @@ def records_to_rows(records: Iterable[FlowRecord],
 
     mode = cfg.anonymize
     data = {
-        "src_ip": [_anon_ip(k[0], mode) for k in keys],
-        "dst_ip": [_anon_ip(k[1], mode) for k in keys],
+        "src_ip": _ip_column(list(map(operator.itemgetter(0), keys)), mode),
+        "dst_ip": _ip_column(list(map(operator.itemgetter(1), keys)), mode),
         "src_port": list(map(str, sport.tolist())),
-        "flow_start": list(map(_ts_decimal, start.tolist())),
-        "flow_end": list(map(_ts_decimal, end.tolist())),
+        "flow_start": _seconds_column(start),
+        "flow_end": _seconds_column(end),
         "export_reason": [r.export_reason for r in records],
         "segment_index": list(map(str, segment)),
         "proto": list(map(str, proto.tolist())),

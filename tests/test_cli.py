@@ -172,6 +172,44 @@ class TestStages:
         assert run(["evaluate", "--config", str(config)]) == 0
         assert tables == ["transformed.csv"] and len(texts) == 1
 
+    def test_meter_reads_nothing_back(self, config, monkeypatch):
+        # a meter process never reads flows.csv, so the table to_csv holds
+        # is turned into the parse only by a later from_csv, once
+        read_backs, tables, written = [], [], []
+        read_back, parse_csv = dataset._read_back, dataset._parse_csv
+        to_csv = dataset.Dataset.to_csv
+        monkeypatch.setattr(dataset, "_read_back",
+                            lambda *a: read_backs.append(1) or read_back(*a))
+        monkeypatch.setattr(dataset, "_parse_csv",
+                            lambda *a: tables.append(a[0]) or parse_csv(*a))
+        monkeypatch.setattr(dataset.Dataset, "to_csv",
+                            lambda ds, *a, **k: written.append(ds)
+                            or to_csv(ds, *a, **k))
+        assert run(["meter", "--config", str(config)]) == 0
+        assert read_backs == [] and tables == []
+        cfg, h = load_config(config, [])
+        path = run_dir_for(cfg, h) / "flows.csv"
+        first, second = (dataset.Dataset.from_csv(path) for _ in range(2))
+        assert read_backs == [1] and tables == []
+        parsed = parse_csv(path.name, path.read_bytes(),
+                           path.with_suffix(".csv.schema.json").read_bytes())
+        for table in (first, second):
+            assert table.names == parsed.names
+            assert table.kinds == parsed.kinds
+            assert table.validity_links == parsed.validity_links
+            assert table.provenance == parsed.provenance
+            assert table.row_ids.tolist() == parsed.row_ids.tolist()
+            for name in parsed.names:
+                a, b = table.data[name], parsed.data[name]
+                assert a.dtype == b.dtype, name
+                if a.dtype == np.float64:      # bit for bit, NaN included
+                    a, b = a.view(np.uint64), b.view(np.uint64)
+                assert a.tolist() == b.tolist(), name
+        (ds,) = written
+        for name in ("src_ip", "fwd_packet_count"):
+            with pytest.raises(ValueError, match="read-only"):
+                ds.data[name][0] = ds.data[name][1]
+
     def test_pipeline_leaves_numpy_ma_unloaded(self, config):
         # a plain np.unique imports numpy.ma, ~13 ms of a fresh process
         argv = ["pipeline", "--config", str(config),
@@ -420,6 +458,23 @@ class TestExitCodes:
                 capsys.readouterr()
                 assert run([stage, "--config", str(config)]) == 2, text
                 assert manifest in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, stage", [
+        ("flows.csv", "diagnose"), ("dataset.csv", "split"),
+        ("transformed.csv", "train")])
+    def test_schema_links_or_provenance_not_object_is_2(self, config, capsys,
+                                                        table, stage):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        path = run_dir_for(cfg, h) / f"{table}.schema.json"
+        schema = json.loads(path.read_text())
+        for key, value in [(k, v) for k in ("validity_links", "provenance")
+                           for v in (5, "s", None, [1, 2], [[1]])] \
+                + [("validity_links", {"fwd_duration": 5})]:
+            path.write_text(json.dumps({**schema, key: value}))
+            capsys.readouterr()
+            assert run([stage, "--config", str(config)]) == 2, (key, value)
+            assert "malformed schema" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "[{}]", "{}", "{not json", '[{"kind": "standard", "params": [], '

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,6 +172,26 @@ def test_csv_negative_zero_written_as_zero(tmp_path):
     assert not np.signbit(back.data["v"]).any()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_csv_signaling_nan_written_as_nan(tmp_path):
+    snan = np.uint64(0x7FF0000000000001).view(np.float64)
+    _, path = _one_column([1.0, snan, 2.5], tmp_path)
+    assert path.read_text().splitlines() == [
+        "row_id,v", "0,1", "1,nan", "2,2.5"]
+
+
+@pytest.mark.parametrize("past, sorts", [(0, 0), (1, 1)])
+def test_csv_integer_column_choice_follows_its_span(tmp_path, past, sorts):
+    # three rows of integers: a span at the bound takes the offset table,
+    # one past it sorts; the cells are the same either way
+    span = dataset._SPAN_PER_ROW * 3 + past
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        _, path = _one_column([-0.0, float(span), 0.0], tmp_path)
+    assert unique.call_count == sorts
+    assert path.read_text().splitlines() == [
+        "row_id,v", "0,0", f"1,{span}", "2,0"]
+
+
 # numeric cells follow np.loadtxt's grammar, which float() exceeds: "_"
 # separators and non-ASCII digits are rejected
 @pytest.mark.parametrize("cell", ["", "abc", "1,5", "1_000", "\u0661\u0662",
@@ -335,6 +356,20 @@ def test_csv_malformed_schema_is_data_error(tmp_path, schema):
         Dataset.from_csv(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("provenance", 5), ("provenance", [1]), ("validity_links", None),
+    ("validity_links", {"v": 1})])
+def test_csv_written_malformed_schema_is_data_error(tmp_path, parses, key,
+                                                    value):
+    # the table to_csv held is not served where the parse fails
+    ds = _toy()
+    setattr(ds, key, value)
+    ds.to_csv(tmp_path / "ds.csv")
+    with pytest.raises(DataError, match="malformed schema"):
+        Dataset.from_csv(tmp_path / "ds.csv")
+    assert parses == ["ds.csv"]
+
+
 # float64 cells the writer must format like the per-cell oracle: non-finite
 # values, signed zero, the 1e15 integer cut-off, huge and subnormal values
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e15 - 1, 1e15,
@@ -342,6 +377,25 @@ SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e15 - 1, 1e15,
            0.1, 1.5, -7.0, 2.0 ** 53, 12345678901234.0]
 cell_values = st.one_of(st.sampled_from(SPECIAL), st.floats(),
                         st.integers(-2 ** 60, 2 ** 60).map(float))
+
+
+@st.composite
+def integer_cells(draw, n):
+    """n integral floats, as counts and ports are: their span is below, at
+    or one past the bound of the writer's offset table, they may be
+    negative or near 1e15, and -0.0 stands next to 0."""
+    bound = dataset._SPAN_PER_ROW * n
+    span = draw(st.sampled_from([bound, bound + 1]) | st.integers(0, bound))
+    lo = draw(st.integers(-span - 2, 2)
+              | st.integers(-10 ** 15 + 1, 10 ** 15 - 1 - span))
+    values = draw(st.lists(st.integers(lo, lo + span), min_size=n,
+                           max_size=n))
+    if n >= 2:
+        values[:2] = [lo, lo + span]
+    values = draw(st.permutations(values))
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [-0.0 if v == 0 and flip else float(v)
+            for v, flip in zip(values, flips)]
 
 
 @st.composite
@@ -353,8 +407,9 @@ def datasets(draw):
     for j in range(draw(st.integers(1, 4))):
         # a small pool per column repeats values, as a flow table does
         pool = draw(st.lists(cell_values, min_size=1, max_size=6))
-        col = draw(st.lists(st.sampled_from(pool) | cell_values,
-                            min_size=n, max_size=n))
+        col = draw(integer_cells(n)
+                   | st.lists(st.sampled_from(pool) | cell_values,
+                              min_size=n, max_size=n))
         kinds[f"c{j}"] = "numeric"
         for row, v in zip(rows, col):
             row[f"c{j}"] = v
@@ -402,7 +457,10 @@ ODD_FLOATS = [np.uint64(b).view(np.float64).item() for b in (
 
 @st.composite
 def numeric_columns(draw, n):
-    dtype = draw(st.sampled_from(["float64", "float32", "int64", "object"]))
+    dtype = draw(st.sampled_from(["float64", "float32", "int64", "object",
+                                  "integer_cells"]))
+    if dtype == "integer_cells":
+        return np.asarray(draw(integer_cells(n)), dtype=np.float64)
     if dtype == "float32":
         cells = st.floats(width=32)
     elif dtype == "int64":
@@ -467,10 +525,13 @@ def test_csv_table_remembered_at_write_is_the_parse(tmp_path_factory,
     ds.to_csv(path, config_hash=config_hash)
     raw = path.read_bytes()
     schema_raw = path.with_suffix(".csv.schema.json").read_bytes()
+    parsed = dataset._parse_csv(path.name, raw, schema_raw)
+    # the first from_csv reads the table back from what to_csv held
+    with mock.patch.object(dataset, "_parse_csv", side_effect=AssertionError):
+        Dataset.from_csv(path)
     key, held = dataset._last_read
     assert key == (path.resolve(), hashlib.sha256(raw).digest(),
                    hashlib.sha256(schema_raw).digest())
-    parsed = dataset._parse_csv(path.name, raw, schema_raw)
     assert held.names == parsed.names
     assert list(held.kinds.items()) == list(parsed.kinds.items())
     assert held.validity_links == parsed.validity_links

@@ -13,13 +13,14 @@ from flowlab.errors import ConfigError
 from flowlab.meter import (CanonicalKey, FlowCache, FlowKey, MeterConfig,
                            canonicalize, column_kinds, dual_hash,
                            feature_column_names, meter_stream,
-                           records_to_rows, validity_links, _ts_decimal)
+                           records_to_rows, validity_links, _ip_column,
+                           _seconds_column)
 from flowlab.pcap import (TCP_ACK, TCP_FIN, TCP_PSH, TCP_RST, TCP_SYN, Packet,
                           make_packet)
 from conftest import synth_capture
-from oracles import (brute_force_flows, finalize_oracle, flow_gaps_oracle,
-                     meter_export_oracle, meter_records_summary,
-                     two_pass_moments)
+from oracles import (_ip_text, _seconds_text, brute_force_flows,
+                     finalize_oracle, flow_gaps_oracle, meter_export_oracle,
+                     meter_records_summary, two_pass_moments)
 
 
 def _pkt(ts_s, src, dst, sport, dport, proto=6, payload=100, flags=0):
@@ -542,13 +543,26 @@ class TestFinalize:
         assert all(v in names for v in links.values())
 
     def test_timestamp_decimal_exact(self):
-        assert _ts_decimal(1_700_000_000_123_456_789) \
-            == "1700000000.123456789"
-        assert _ts_decimal(5) == "0.000000005"
+        assert _seconds_column(np.array([1_700_000_000_123_456_789, 5])) \
+            == ["1700000000.123456789", "0.000000005"]
         (rec,) = meter_stream([_pkt(0.0, "10.0.0.1", "10.0.0.2", 1, 80)],
                               MeterConfig(honor_fin_rst=False))
         ds = records_to_rows([rec])
         assert list(ds.data["flow_start"]) == ["0.000000000"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ns=st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=20),
+       ips=st.lists(st.binary(min_size=4, max_size=4)
+                    | st.binary(min_size=16, max_size=16), max_size=20),
+       anonymize=st.sampled_from(("none", "truncate_v4_24")))
+def test_column_text_matches_oracle(ns, ips, anonymize):
+    # whole columns of timestamps and addresses, as the oracle writes
+    # each: negative ns, IPv4 next to IPv6, the truncated last octet
+    assert _seconds_column(np.array(ns, dtype=np.int64)) \
+        == list(map(_seconds_text, ns))
+    assert _ip_column(ips, anonymize).tolist() \
+        == [_ip_text(ip, anonymize) for ip in ips]
 
 
 # endpoint pairs of the finalize property: IPv4 (one with high octets),
