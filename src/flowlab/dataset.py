@@ -319,8 +319,10 @@ class Dataset:
         columns = [list(map(str, self.row_ids.tolist()))]
         columns += [_column_text(data[n], self.kinds[n]) for n in self.names]
         columns[-1] = [cell + "\r\n" for cell in columns[-1]]
-        digest = _write_text(path, itertools.chain(
-            [header.getvalue()], map(",".join, zip(*columns))), newline="")
+        lines = map(",".join, zip(*columns))
+        # lines go to the file 512 at a time, not one write call each
+        digest = _write_text(path, itertools.chain([header.getvalue()], iter(
+            lambda: "".join(itertools.islice(lines, 512)), "")), newline="")
         schema_path = path.with_suffix(path.suffix + ".schema.json")
         schema_digest = _write_text(schema_path, [schema_text])
         rows = (len(self.row_ids),)

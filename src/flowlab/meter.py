@@ -43,6 +43,7 @@ from .stats import Moments
 SCAN_INTERVAL = 1024
 _FOLD = 8192            # applied packets logged between two folds
 _VECTOR_MIN = 64        # fewer groups at a packet position: fold one by one
+_OCTETS = np.array(list(map(str, range(256))), dtype=object)  # IPv4 text
 _HASH_KEY = b"flowlab-dualhash"  # fixed seed: hashes are stable across runs
 
 REASON_IDLE = "idle"
@@ -516,9 +517,6 @@ def _column_names(splt_n: int) -> tuple:
         "splt_len",
         *(name for i in range(splt_n)
           for name in (f"splt_dir_{i}", f"splt_size_{i}", f"splt_piat_{i}")))
-
-
-_OCTETS = np.array(list(map(str, range(256))), dtype=object)
 
 
 def _ip_column(ips: list, mode: str) -> np.ndarray:
