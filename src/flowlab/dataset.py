@@ -320,9 +320,9 @@ class Dataset:
         columns += [_column_text(data[n], self.kinds[n]) for n in self.names]
         columns[-1] = [cell + "\r\n" for cell in columns[-1]]
         lines = map(",".join, zip(*columns))
-        # lines go to the file 512 at a time, not one write call each
+        # 64 lines per write: a call per line costs time, more lines memory
         digest = _write_text(path, itertools.chain([header.getvalue()], iter(
-            lambda: "".join(itertools.islice(lines, 512)), "")), newline="")
+            lambda: "".join(itertools.islice(lines, 64)), "")), newline="")
         schema_path = path.with_suffix(path.suffix + ".schema.json")
         schema_digest = _write_text(schema_path, [schema_text])
         rows = (len(self.row_ids),)
