@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -474,7 +475,8 @@ def stage_explain(cfg, config_hash, run_dir: Path, dataset_path,
         explain.write_pdp_csv(grid, curves, model.classes, feat,
                               run_dir / f"pdp_{feat}.csv")
     _write_manifest(run_dir, "explain", config_hash,
-                    {"dataset": dataset_path, "model": run_dir / "model.json"},
+                    {"dataset": dataset_path, "assignment": assignment_path,
+                     "model": run_dir / "model.json"},
                     {"metric": ecfg["metric"], "repeats": ecfg["repeats"]})
     return out
 
@@ -549,6 +551,14 @@ def run(argv) -> int:
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
 
+
+# The ~22k GC-tracked objects that exist once numpy, the stdlib and flowlab
+# are imported live until the process exits. Frozen, they are no longer
+# rescanned by each full collection, nor collected one by one as the
+# interpreter exits (the OS reclaims them). This runs at import, not in
+# run(): a caller running run() many times in one process would otherwise
+# freeze each call's leftover garbage for good.
+gc.freeze()
 
 if __name__ == "__main__":
     main()

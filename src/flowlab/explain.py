@@ -112,7 +112,9 @@ def correlation_groups(X: np.ndarray, threshold: float = 0.9) -> list[tuple]:
         return i
 
     live = np.flatnonzero((X != X[:1]).any(axis=0))
-    if len(live) > 1:
+    # one row (where NaN != NaN makes a column look live) has no r, and
+    # np.corrcoef warns of zero degrees of freedom
+    if len(live) > 1 and len(X) > 1:
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.abs(np.corrcoef(X[:, live], rowvar=False))
         near = np.abs(r - threshold) < 1e-12

@@ -187,6 +187,9 @@ def label_dataset(ds, rules: Sequence[PortRule] = DEFAULT_PORT_RULES,
                   emap: Optional[EndpointMap] = None,
                   column: str = "label") -> ConflictCounter:
     """Attach label/label_source/label_confidence columns to a flow dataset."""
+    missing = [c for c in ("dst_port", "proto", "dst_ip") if c not in ds.data]
+    if missing:
+        raise DataError(f"flow table lacks column(s) {', '.join(missing)}")
     conflicts = ConflictCounter()
     labels, sources, confs = [], [], []
     ports = list(map(int, ds.numbers("dst_port", True).tolist()))

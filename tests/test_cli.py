@@ -157,6 +157,33 @@ class TestStages:
         for n in names:
             assert (run_dir / n).read_bytes() == first[n], n
 
+    def test_manifests_chain_every_stage_input(self, config):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        run_dir = run_dir_for(*load_config(config, []))
+        for stage, names in STAGE_INPUTS.items():
+            manifest = json.loads(
+                (run_dir / f"{stage}_manifest.json").read_text())
+            chained = {*manifest.get("inputs", {}).values(),
+                       manifest.get("dataset_hash")}
+            for name in names:
+                digest = hashlib.sha256(
+                    (run_dir / name).read_bytes()).hexdigest()
+                assert digest in chained, (stage, name)
+
+    def test_import_freezes_once_and_run_freezes_nothing(self, config):
+        # in a fresh interpreter: pytest's own import of flowlab.cli froze
+        # this process's objects long ago
+        code = ("import gc\nimport flowlab.cli\n"
+                "frozen = gc.get_freeze_count()\nassert frozen > 0\n"
+                f"assert flowlab.cli.run(['meter', '--config', {str(config)!r}])"
+                " == 0\nassert gc.get_freeze_count() == frozen\n")
+        src = str(Path(flowlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_pipeline_parses_no_table_or_model(self, config, monkeypatch):
         # every table and model a stage reads was written earlier in the
         # same process; a lone stage reads what another process wrote
