@@ -45,6 +45,17 @@ def config(tmp_path, capture):
     return path
 
 
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports this checkout's flowlab;
+    fail with its stderr unless it exits 0."""
+    src = str(Path(flowlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 class TestConfig:
     def test_defaults_when_no_file(self):
         cfg, h = load_config(None, [])
@@ -177,12 +188,7 @@ class TestStages:
                 "frozen = gc.get_freeze_count()\nassert frozen > 0\n"
                 f"assert flowlab.cli.run(['meter', '--config', {str(config)!r}])"
                 " == 0\nassert gc.get_freeze_count() == frozen\n")
-        src = str(Path(flowlab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        _run_fresh(code)
 
     def test_pipeline_parses_no_table_or_model(self, config, monkeypatch):
         # every table and model a stage reads was written earlier in the
@@ -244,12 +250,7 @@ class TestStages:
         code = ("import sys\nfrom flowlab.cli import run\n"
                 f"assert run({argv!r}) == 0\n"
                 "assert 'numpy.ma' not in sys.modules\n")
-        src = str(Path(flowlab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        _run_fresh(code)
 
     def test_manifest_counts_late_drops(self, tmp_path):
         # the third packet starts a new flow 1.5 s behind the newest packet,
