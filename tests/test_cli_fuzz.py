@@ -7,6 +7,7 @@ one stage and runs that stage alone, which must exit 0, 1 or 2.
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ TEXT_MUTATIONS = {".json": ("swap_type", "drop_entry"),
 CASES = [(stage, name, mutation)
          for stage, names in READS.items() for name in names
          for mutation in BYTE_MUTATIONS + TEXT_MUTATIONS.get(
-             name[name.rfind("."):], ())]
+             Path(name).suffix, ())]
 OTHER_TYPES = [None, True, 0, -1, 1.5, "x", [], {}, [[1]], {"a": 1}]
 
 
@@ -115,7 +116,7 @@ def _damage(raw: bytes, name: str, mutation: str, at: int, flip: int,
     return ("".join(comments) + out.getvalue()).encode()
 
 
-@settings(max_examples=150, deadline=None, database=None,
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.sampled_from(CASES), at=st.integers(0, 1 << 20),
        flip=st.integers(1, 255), value=st.sampled_from(OTHER_TYPES))
