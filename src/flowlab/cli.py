@@ -20,6 +20,20 @@ import os
 import sys
 from pathlib import Path
 
+# OpenBLAS starts its thread pool as numpy loads: on a 2-CPU machine that is
+# ~55 ms of a fresh process's set-up (`python -X importtime`: numpy's
+# _multiarray_umath 112 ms, 57 ms with one thread), and no stage makes a
+# BLAS call large enough to use a second thread. So the CLI loads numpy with
+# one thread, unless numpy is loaded already or the caller chose a count,
+# and removes the variable again: child processes inherit nothing, and code
+# importing flowlab's modules as a library keeps its pool.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from . import evaluation, explain, labeling, models, prep, transforms
 from .dataset import Dataset, UNKNOWN_LABEL
 from .errors import ConfigError, DataError, FlowlabError, LeakageError

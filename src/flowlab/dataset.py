@@ -227,7 +227,7 @@ class Dataset:
     def labels(self) -> np.ndarray:
         col = self.label_column
         if col is None:
-            raise ConfigError("dataset has no label column")
+            raise DataError("dataset has no column of kind 'label'")
         return self.data[col]
 
     def numbers(self, name: str, integral: bool = False) -> np.ndarray:
@@ -276,7 +276,7 @@ class Dataset:
         for rid in self.row_ids:
             tag = assignment.get(int(rid))
             if tag is None:
-                raise ConfigError(f"row id {rid} missing from assignment")
+                raise DataError(f"row_id {rid} missing from the split assignment")
             tags.append(tag)
         self.partitions = np.asarray(tags, dtype=object)
 
@@ -354,7 +354,8 @@ class Dataset:
         path = Path(path)
         schema_path = path.with_suffix(path.suffix + ".schema.json")
         if not schema_path.exists():
-            raise ConfigError(f"missing sidecar schema {schema_path}")
+            raise DataError(f"{path.name}: missing sidecar schema "
+                            f"{schema_path.name}")
         try:
             raw, schema_raw = path.read_bytes(), schema_path.read_bytes()
         except OSError as e:
@@ -495,7 +496,7 @@ def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:
     except csv.Error as e:    # e.g. a stray '"' that swallows the file
         raise DataError(f"{name}: {e}") from None
     if not header or header[0] != "row_id":
-        raise ConfigError("dataset CSV must start with row_id column")
+        raise DataError(f"{name}: header must start with a row_id column")
     names = header[1:]
     unknown = [n for n in names if kinds.get(n) not in KINDS]
     if unknown:

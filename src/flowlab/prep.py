@@ -238,7 +238,7 @@ def engineer_stateless(ds: Dataset) -> Dataset:
     """Add directional-aggregation features where absent; never overwrites."""
     for src in STATELESS_SOURCES:
         if src not in ds.data:
-            raise ConfigError(f"missing source column {src!r}")
+            raise DataError(f"missing source column {src!r}")
     out = ds.copy()
     derived = derived_features(*(out.data[c] for c in STATELESS_SOURCES))
     for name, values in derived.items():
@@ -259,7 +259,7 @@ def engineer_stateful(ds: Dataset, window: float,
     """
     for k in (src_key, time_key):
         if k not in ds.data:
-            raise ConfigError(f"missing metadata column {k!r}")
+            raise DataError(f"missing metadata column {k!r}")
     out = ds.copy()
     n = len(out)
     times = out.numbers(time_key)

@@ -190,6 +190,21 @@ class TestStages:
                 " == 0\nassert gc.get_freeze_count() == frozen\n")
         _run_fresh(code)
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir()
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="counts threads in /proc, on 2 CPUs or more")
+    def test_cli_loads_numpy_with_one_blas_thread(self):
+        # in fresh interpreters, where flowlab.cli loads numpy; a count the
+        # caller set is kept, and OpenBLAS starts that many threads
+        _run_fresh("import os\nos.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+                   "import flowlab.cli\n"
+                   "assert len(os.listdir('/proc/self/task')) == 1\n"
+                   "assert 'OPENBLAS_NUM_THREADS' not in os.environ\n")
+        _run_fresh("import os\nos.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+                   "import flowlab.cli\n"
+                   "assert os.environ['OPENBLAS_NUM_THREADS'] == '2'\n"
+                   "assert len(os.listdir('/proc/self/task')) == 2\n")
+
     def test_pipeline_parses_no_table_or_model(self, config, monkeypatch):
         # every table and model a stage reads was written earlier in the
         # same process; a lone stage reads what another process wrote
@@ -521,8 +536,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, stages", [
         ("model.json", ("evaluate", "explain")),
         ("transforms.json", ("train",)),
-        ("assignment.csv", ("transform", "train", "evaluate", "explain"))],
-        ids=["model", "transforms", "assignment"])
+        ("assignment.csv", ("transform", "train", "evaluate", "explain")),
+        ("flows.csv.schema.json", ("diagnose", "prepare")),
+        ("dataset.csv.schema.json", ("split", "transform")),
+        ("transformed.csv.schema.json", ("train", "evaluate", "explain"))],
+        ids=["model", "transforms", "assignment", "flows_schema",
+             "dataset_schema", "transformed_schema"])
     def test_missing_file_is_2(self, config, capsys, name, stages):
         assert run(["pipeline", "--config", str(config)]) == 0
         cfg, h = load_config(config, [])
@@ -531,6 +550,35 @@ class TestExitCodes:
             capsys.readouterr()
             assert run([stage, "--config", str(config)]) == 2
             assert name in capsys.readouterr().err
+
+    # a table that lost a column its reader needs is bad input; the error
+    # names the column
+    @pytest.mark.parametrize("table, column, stage, overrides", [
+        ("dataset.csv", "row_id", "split", []),
+        ("dataset.csv", "label", "split", []),
+        ("flows.csv", "fwd_packet_count", "prepare", []),
+        ("flows.csv", "src_ip", "prepare", ["--stateful.window", "60"])],
+        ids=["row_id", "label", "derived_source", "window_key"])
+    def test_table_missing_a_column_is_2(self, config, capsys, table, column,
+                                         stage, overrides):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        path = run_dir_for(*load_config(config, [])) / table
+        _drop_column(path, column)
+        capsys.readouterr()
+        assert run([stage, "--config", str(config), "--dataset", str(path),
+                    *overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("DataError") and column in err
+
+    def test_cut_short_assignment_is_2(self, config, capsys):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        path = run_dir_for(*load_config(config, [])) / "assignment.csv"
+        *kept, last = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(kept))
+        capsys.readouterr()
+        assert run(["transform", "--config", str(config)]) == 2
+        rid = last.split(",")[0]
+        assert f"row_id {rid} missing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, stages", [
         ("model.json", ("evaluate", "explain")),
@@ -584,6 +632,17 @@ class TestExitCodes:
         path = run_dir_for(*load_config(config, [])) / "model.json"
         nodes = models.model_from_json(path.read_text()).nodes
         assert len(nodes) == 2 * 1399 + 1
+
+
+def _drop_column(path, column) -> None:
+    """Remove column from every row of a table to_csv wrote."""
+    comment, _, body = path.read_text().partition("\n")
+    rows = list(csv.reader(io.StringIO(body)))
+    j = rows[0].index(column)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(r[:j] + r[j + 1:]
+                                                   for r in rows)
+    path.write_text(comment + "\n" + out.getvalue())
 
 
 def _set_cell(path, column, cell) -> str:

@@ -1,7 +1,9 @@
 """No damage to a file a stage reads lets an exception escape flowlab.
 
 One tiny pipeline runs once; each example then damages one input file of
-one stage and runs that stage alone, which must exit 0, 1 or 2.
+one stage and runs that stage alone, which must exit 0 or 2 (bad input),
+or 1 only for a LeakageError: damaged lineage is leakage, and no damaged
+input is a config error.
 """
 
 import csv
@@ -125,7 +127,21 @@ def _damage(raw: bytes, name: str, mutation: str, at: int, flip: int,
          value=None)
 @example(case=("prepare", "flows.csv", "drop_column"), at=2, flip=1,
          value=None)
-def test_damaged_input_exits_0_1_or_2(pipeline, case, at, flip, value):
+# each of these exited 1, as a ConfigError: a missing schema, a header
+# without row_id, a cut-short assignment, no label column, and no column a
+# derived feature is computed from
+@example(case=("split", "dataset.csv.schema.json", "delete"), at=0, flip=1,
+         value=None)
+@example(case=("split", "dataset.csv", "drop_column"), at=0, flip=1,
+         value=None)
+@example(case=("transform", "assignment.csv", "drop_line"), at=1, flip=1,
+         value=None)
+@example(case=("split", "dataset.csv", "drop_column"), at=85, flip=1,
+         value=None)
+@example(case=("prepare", "flows.csv", "drop_column"), at=10, flip=1,
+         value=None)
+def test_damaged_input_exits_0_1_or_2(pipeline, capsys, case, at, flip,
+                                      value):
     config, files = pipeline
     for path, raw in files.values():
         path.write_bytes(raw)
@@ -137,4 +153,7 @@ def test_damaged_input_exits_0_1_or_2(pipeline, case, at, flip, value):
         path.write_bytes(_damage(raw, name, mutation, at, flip, value))
     # the autouse fixture empties the memos once per test, not per example
     dataset._last_read, models._last_model = (None, None), (None, None)
-    assert cli.run([stage, "--config", str(config)]) in (0, 1, 2)
+    capsys.readouterr()
+    code = cli.run([stage, "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 2) or code == 1 and err.startswith("LeakageError"), err
