@@ -21,8 +21,8 @@ import sys
 from pathlib import Path
 
 # OpenBLAS starts its thread pool as numpy loads: on a 2-CPU machine that is
-# ~55 ms of a fresh process's set-up (`python -X importtime`: numpy's
-# _multiarray_umath 112 ms, 57 ms with one thread), and no stage makes a
+# ~50 ms of a fresh process's set-up (`python -X importtime`: numpy's
+# _multiarray_umath 113 ms, 61 ms with one thread), and no stage makes a
 # BLAS call large enough to use a second thread. So the CLI loads numpy with
 # one thread, unless numpy is loaded already or the caller chose a count,
 # and removes the variable again: child processes inherit nothing, and code

@@ -276,7 +276,8 @@ class Dataset:
         for rid in self.row_ids:
             tag = assignment.get(int(rid))
             if tag is None:
-                raise DataError(f"row_id {rid} missing from the split assignment")
+                raise DataError(
+                    f"row_id {rid} missing from the split assignment")
             tags.append(tag)
         self.partitions = np.asarray(tags, dtype=object)
 
