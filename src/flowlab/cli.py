@@ -74,6 +74,23 @@ DEFAULT_CONFIG = {
 }
 
 
+# what DEFAULT_CONFIG's values cannot tell: the type of each key whose
+# default is null, and as (list or dict, item type) the type of each list
+# item or dict value; float takes an int too
+VALUE_TYPES = {
+    "capture": str, "ingest.filter": dict, "labeling.rule_file": str,
+    "labeling.map_file": str, "stateful.window": float,
+    "split.group_key": str, "split.time_key": str,
+    "transform.pca_components": int, "transform.smote_k": int,
+    "transform.undersample_ratio": float, "transform.outlier_method": str,
+    "model.params.max_depth": int, "model.grid": (dict, list),
+    "explain.group_threshold": float,
+    "cleaning.drop_columns": (list, str), "split.fractions": (list, float),
+    "split.held_out_classes": (list, str), "transform.onehot": (list, str),
+    "explain.pdp_features": (list, str),
+}
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     if not isinstance(override, dict):
         raise ConfigError(f"config {path or 'file'} must be a JSON object")
@@ -100,21 +117,40 @@ def _set_dotted(cfg: dict, dotted: str, raw: str) -> None:
         if p not in node or not isinstance(node[p], dict):
             raise ConfigError(f"unknown config path {dotted!r}")
         node = node[p]
-    if parts[-1] not in node:
+    key = parts[-1]
+    if key not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
-    node[parts[-1]] = value
+    # an object given for a section sets its keys, as in the config file
+    node[key] = (_merge(node[key], value, dotted)
+                 if isinstance(node[key], dict) and isinstance(value, dict)
+                 else value)
+
+
+def _is(value, kind: type) -> bool:
+    """value is a JSON value of kind: an int is a float too, and a bool
+    neither an int nor a float."""
+    return type(value) is kind or kind is float and type(value) is int
 
 
 def _check_types(value, default, where: str = "config") -> None:
-    """value has the type of default (an int stands for a float), a dict
-    key by key; a None default takes any value."""
+    """value has the type of default, or the one VALUE_TYPES gives for
+    where, a dict key by key; a None default also takes None."""
     if isinstance(default, dict) and isinstance(value, dict):
         for key, v in value.items():
             _check_types(v, default.get(key), f"{where}.{key}")
-    elif default is not None and type(value) is not type(default) and not (
-            type(default) is float and type(value) is int):
-        raise ConfigError(f"{where} must be a {type(default).__name__}, "
+        return
+    if value is None and default is None:
+        return
+    kind = VALUE_TYPES.get(where.partition(".")[2], type(default))
+    kind, item = kind if isinstance(kind, tuple) else (kind, None)
+    if not _is(value, kind):
+        raise ConfigError(f"{where} must be a {kind.__name__}, "
                           f"got {value!r}")
+    if item is not None:
+        for v in (value.values() if kind is dict else value):
+            if not _is(v, item):
+                raise ConfigError(f"{where} must hold only "
+                                  f"{item.__name__}s, got {v!r}")
 
 
 def load_config(path, overrides) -> tuple[dict, str]:
@@ -129,6 +165,8 @@ def load_config(path, overrides) -> tuple[dict, str]:
     for dotted, raw in overrides:
         _set_dotted(cfg, dotted, raw)
     _check_types(cfg, DEFAULT_CONFIG)
+    if cfg["seed"] < 0:     # numpy's generators take no negative seed
+        raise ConfigError(f"config.seed must be >= 0, got {cfg['seed']}")
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return cfg, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -171,9 +209,13 @@ def stage_meter(cfg, config_hash, run_dir: Path) -> Path:
     meter_cfg = MeterConfig(**cfg["meter"])
     stream, summary = parse_capture(cfg["capture"], ingest)
     cache = FlowCache(meter_cfg)
-    records = cache.meter(stream)
+    # each form of the flows is freed once the next exists: the cache
+    # here, the records and their table inside records_to_rows, which the
+    # iterator leaves the only reference to them
+    records = iter(cache.meter(stream))
+    dropped_late = cache.dropped_late
+    del cache
     ds = records_to_rows(records, meter_cfg)
-    del records
     ds.provenance = {"capture": str(cfg["capture"]),
                      "config_hash": config_hash}
     out = run_dir / "flows.csv"
@@ -184,7 +226,7 @@ def stage_meter(cfg, config_hash, run_dir: Path) -> Path:
                      "meter_config": cfg["meter"],
                      "sample_n": ic["sample_n"],
                      "flow_count": len(ds),
-                     "dropped_late": cache.dropped_late,
+                     "dropped_late": dropped_late,
                      "columns": feature_column_names(meter_cfg.splt_n)})
     return out
 
@@ -281,9 +323,18 @@ def _encode_features(train: Dataset, full: Dataset, tcfg: dict
     return train, full, fitted
 
 
+def _labelled_table(path) -> Dataset:
+    """The table at path; a DataError naming the file if it has no label
+    column, which every stage from transform on needs."""
+    ds = Dataset.from_csv(path)
+    if ds.label_column is None:
+        raise DataError(f"{Path(path).name}: no column of kind 'label'")
+    return ds
+
+
 def stage_transform(cfg, config_hash, run_dir: Path, dataset_path,
                     assignment_path) -> Path:
-    ds = Dataset.from_csv(dataset_path)
+    ds = _labelled_table(dataset_path)
     assignment = SplitAssignment.from_csv(assignment_path)
     ds.set_partitions(assignment.tags)
     train = ds.partition_subset("train")
@@ -408,7 +459,7 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
 
 
 def _load_partitioned(dataset_path, assignment_path):
-    ds = Dataset.from_csv(dataset_path)
+    ds = _labelled_table(dataset_path)
     assignment = SplitAssignment.from_csv(assignment_path)
     tags = dict(assignment.tags)
     for rid in ds.row_ids:       # synthetic SMOTE rows are train rows

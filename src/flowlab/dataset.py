@@ -17,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ UNKNOWN_LABEL = "UNKNOWN"
 _QUOTE_CHARS = ',"\r\n'
 _NEEDS_QUOTES = re.compile(f"[{_QUOTE_CHARS}]")
 _SPAN_PER_ROW = 4       # widest integer column an offset table serves
+_BLOCK_ROWS = 1024      # CSV rows gathered into cells and joined at once
 
 
 def _quoted(cell: str) -> str:
@@ -37,16 +38,17 @@ def _quoted(cell: str) -> str:
     return cell
 
 
-def _column_text(values, kind: str) -> list[str]:
-    """CSV cells of one column.
+def _column_cells(values, kind: str) -> tuple:
+    """CSV cells of one column: one cell per row and None, or its distinct
+    cells and the index of each row's cell among them, int32 where it fits.
 
-    A numeric column formats each distinct value once and gathers the
-    strings: integral values below 1e15 in magnitude as integers (so -0.0
-    is "0"), every other value by repr ("nan", "inf", "1e+300"); no such
-    cell needs quoting. Integers spanning at most _SPAN_PER_ROW per row
-    gather from a table indexed by value - min, any other column by
-    np.unique's inverse. A text column holds exact str cells, quoted as
-    csv's QUOTE_MINIMAL quotes a comma, a quote or a line break.
+    A numeric column formats each distinct value once: integral values
+    below 1e15 in magnitude as integers (so -0.0 is "0"), every other value
+    by repr ("nan", "inf", "1e+300"); no such cell needs quoting. Integers
+    spanning at most _SPAN_PER_ROW per row are indexed by value - min in a
+    table of that span, any other column by np.unique's inverse. A text
+    column holds exact str cells, quoted as csv's QUOTE_MINIMAL quotes a
+    comma, a quote or a line break.
     """
     if kind != "numeric":
         text = list(values)
@@ -55,7 +57,7 @@ def _column_text(values, kind: str) -> list[str]:
         # holds one of them if any cell does
         if any(c in joined for c in _QUOTE_CHARS):
             text = list(map(_quoted, text))
-        return text
+        return text, None
     col = np.asarray(values, dtype=np.float64)
     lo, hi = (col.min(), col.max()) if len(col) else (np.nan, np.nan)
     # a NaN anywhere makes lo and hi NaN, which fails every comparison
@@ -68,14 +70,34 @@ def _column_text(values, kind: str) -> list[str]:
             table = np.empty(len(present), dtype=object)
             table[present] = list(map(
                 str, (np.flatnonzero(present) + int(lo)).tolist()))
-            return table[offset].tolist()
+            return table, _narrow(offset, len(table))
     uniq, inverse = np.unique(col, return_inverse=True)
     integral = np.abs(uniq) < 1e15      # so no NaN reaches the trunc
     integral[integral] = uniq[integral] == np.trunc(uniq[integral])
     text = np.empty(len(uniq), dtype=object)
     text[integral] = list(map(str, uniq[integral].astype(np.int64).tolist()))
     text[~integral] = list(map(repr, uniq[~integral].tolist()))
-    return text[inverse].tolist()
+    return text, _narrow(inverse, len(text))
+
+
+def _narrow(index: np.ndarray, size: int) -> np.ndarray:
+    """index into size cells, as int32 where size allows: half the
+    memory of the int64 index, or of a per-row list of the cells."""
+    return index.astype(np.int32) if size < 1 << 31 else index
+
+
+def _csv_lines(columns: list) -> Iterator[str]:
+    """The CSV lines of columns, (cells, index) pairs as _column_cells gives
+    them, _BLOCK_ROWS lines per str. A block's cells are gathered just
+    before it is joined, so no column's per-row cells exist all at once.
+    Rows stop at the shortest column, as zip stops."""
+    rows = min(len(cells if index is None else index)
+               for cells, index in columns)
+    for start in range(0, rows, _BLOCK_ROWS):
+        at = slice(start, start + _BLOCK_ROWS)
+        block = [cells[at] if index is None else cells[index[at]].tolist()
+                 for cells, index in columns]
+        yield "\r\n".join([*map(",".join, zip(*block)), ""])
 
 
 def _number(cell: str) -> float:
@@ -317,13 +339,10 @@ class Dataset:
         if config_hash:
             header.write(f"# config_hash: {config_hash}\n")
         csv.writer(header).writerow(["row_id"] + self.names)
-        columns = [list(map(str, self.row_ids.tolist()))]
-        columns += [_column_text(data[n], self.kinds[n]) for n in self.names]
-        columns[-1] = [cell + "\r\n" for cell in columns[-1]]
-        lines = map(",".join, zip(*columns))
-        # 64 lines per write: a call per line costs time, more lines memory
-        digest = _write_text(path, itertools.chain([header.getvalue()], iter(
-            lambda: "".join(itertools.islice(lines, 64)), "")), newline="")
+        columns = [(list(map(str, self.row_ids.tolist())), None)]
+        columns += [_column_cells(data[n], self.kinds[n]) for n in self.names]
+        digest = _write_text(path, itertools.chain(
+            [header.getvalue()], _csv_lines(columns)), newline="")
         schema_path = path.with_suffix(path.suffix + ".schema.json")
         schema_digest = _write_text(schema_path, [schema_text])
         rows = (len(self.row_ids),)
@@ -421,7 +440,7 @@ def _str_column(col: np.ndarray) -> np.ndarray:
 
 
 def _read_back_column(col: np.ndarray, kind: str) -> Optional[np.ndarray]:
-    """Column col as `_parse_csv` reads back the cells `_column_text`
+    """Column col as `_parse_csv` reads back the cells `_column_cells`
     writes for it: col itself where the parse gives it bit for bit, else
     a copy holding what the parse gives; None where the parse fails."""
     if kind != "numeric":

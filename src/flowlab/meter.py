@@ -559,11 +559,14 @@ def _moment_columns(prefix: str, n: np.ndarray, m: np.ndarray) -> dict:
 
 def _flow_stats(records: list, splt_n: int) -> tuple:
     """``FlowTable.take`` of every record, in record order, from whichever
-    tables the records point into."""
+    tables the records point into: one table's arrays as take gives them,
+    with no copy."""
     flows = np.fromiter(map(operator.attrgetter("flow"), records), np.int64,
                         len(records))
     owners = list(map(operator.attrgetter("table"), records))
     tables = list(dict.fromkeys(owners)) or [FlowTable(0)]
+    if len(tables) == 1:
+        return tables[0].take(flows, splt_n)
     at = [np.flatnonzero([o is t for o in owners]) for t in tables]
     parts = zip(*(t.take(flows[i], splt_n) for t, i in zip(tables, at)))
     back = np.argsort(np.concatenate(at))
@@ -579,19 +582,25 @@ def records_to_rows(records: Iterable[FlowRecord],
     9-digit decimal timestamps, ``splt_len`` up to the metering ``splt_n``
     and ``cfg.splt_n`` zero-padded SPLT columns. (``bench/spans.py`` traces
     this function by name and iterates the result row by row.)
+
+    The records are read once, up front, and dropped before any column is
+    built: given an iterator that holds the only reference to them, the
+    records and their tables are freed by then.
     """
     cfg = cfg or MeterConfig()
     records = list(records)
     count, splt_n = len(records), cfg.splt_n
+    keys, segment, reasons = (list(map(operator.attrgetter(a), records))
+                              for a in ("key", "segment_index",
+                                        "export_reason"))
     ints, moments, splt_len, grid = _flow_stats(records, splt_n)
+    del records
     fwd, bwd = ints.transpose(1, 2, 0)
     (fpk, fby, fpay), (ffirst, flast) = fwd[:3], fwd[9:]
     (bpk, bby, bpay), (bfirst, blast) = bwd[:3], bwd[9:]
-    keys = list(map(operator.attrgetter("key"), records))
     sport, dport, proto = np.fromiter(itertools.chain.from_iterable(
         map(operator.itemgetter(2, 3, 4), keys)), np.int64, 3 * count
     ).reshape(-1, 3).T
-    segment = [r.segment_index for r in records]
 
     start, end = np.minimum(ffirst, bfirst), np.maximum(flast, blast)
     flow_duration = (end - start) / 1e9
@@ -603,7 +612,7 @@ def records_to_rows(records: Iterable[FlowRecord],
         "src_port": list(map(str, sport.tolist())),
         "flow_start": _seconds_column(start),
         "flow_end": _seconds_column(end),
-        "export_reason": [r.export_reason for r in records],
+        "export_reason": reasons,
         "segment_index": list(map(str, segment)),
         "proto": list(map(str, proto.tolist())),
         "dst_port": dport,

@@ -294,6 +294,8 @@ def smote(train: Dataset, k: int = 5, seed: int = 0,
     columns (lam uniform in [0,1], x_nn one of x's k nearest same-class
     neighbors); every other column is copied from the seed sample x.
     """
+    if k < 1:
+        raise ConfigError(f"smote_k {k} must be an integer >= 1")
     _guard_fit(train)
     columns = _numeric_columns(train, columns)
     classes, codes = class_codes(train.labels())

@@ -8,13 +8,14 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flowlab
-from flowlab import dataset, models
+from flowlab import cli, dataset, meter, models
 from flowlab.cli import (DEFAULT_CONFIG, STAGE_INPUTS, load_config, run,
                          run_dir_for, run_stage)
 from flowlab.errors import ConfigError
@@ -258,6 +259,38 @@ class TestStages:
             with pytest.raises(ValueError, match="read-only"):
                 ds.data[name][0] = ds.data[name][1]
 
+    def test_meter_frees_each_form_of_the_flows(self, config, monkeypatch):
+        # FlowCache and FlowTable take weak references (FlowRecord has
+        # __slots__ and does not): the cache is gone when finalizing
+        # starts, every table before the first column is built, and
+        # neither lives on while the table is written
+        refs, alive = {}, {}
+        for cls in (meter.FlowCache, meter.FlowTable):
+            monkeypatch.setattr(cls, "__init__", _tracked(
+                cls.__init__, refs.setdefault(cls.__name__, [])))
+
+        def counted(point, fn):
+            def wrapper(*args, **kwargs):
+                alive.setdefault(point, {
+                    name: sum(r() is not None for r in rs)
+                    for name, rs in refs.items()})
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "records_to_rows",
+                            counted("finalize", cli.records_to_rows))
+        monkeypatch.setattr(meter, "_ip_column",
+                            counted("first column", meter._ip_column))
+        monkeypatch.setattr(dataset.Dataset, "to_csv",
+                            counted("to_csv", dataset.Dataset.to_csv))
+        assert run(["meter", "--config", str(config)]) == 0
+        assert {name: len(rs) for name, rs in refs.items()} \
+            == {"FlowCache": 1, "FlowTable": 1}
+        assert alive == {
+            "finalize": {"FlowCache": 0, "FlowTable": 1},
+            "first column": {"FlowCache": 0, "FlowTable": 0},
+            "to_csv": {"FlowCache": 0, "FlowTable": 0}}
+
     def test_pipeline_leaves_numpy_ma_unloaded(self, config):
         # a plain np.unique imports numpy.ma, ~13 ms of a fresh process
         argv = ["pipeline", "--config", str(config),
@@ -409,10 +442,52 @@ class TestExitCodes:
         ("meter.idle_timeout", '"x"'), ("ingest.sample_n", '"a"'),
         ("split.fractions", "5"), ("meter", "3"),
         ("ingest.filter", '{"prefixes": 5}'),
-        ("transform.onehot", '"proto"')])
+        ("transform.onehot", '"proto"'), ("model.params", '{"zz": 1}')])
     def test_mistyped_config_value_is_1(self, config, capsys, key, raw):
         assert run(["meter", "--config", str(config), f"--{key}", raw]) == 1
         assert key.rsplit(".", 1)[-1] in capsys.readouterr().err
+
+    def test_mistyped_null_default_value_is_1(self, config):
+        # in one fresh interpreter: an int or a bool given as a path was
+        # opened as a file descriptor, closing one of the process's own
+        # 0-2; every other case escaped as a raw exception
+        cases = [("capture", raw) for raw in
+                 ("true", "1", "2", "[1]", '{"a":1}', "1.5", "-1")]
+        cases += [(key, raw) for key in ("labeling.rule_file",
+                                         "labeling.map_file")
+                  for raw in ("true", "1", "[1]", '{"a":1}', "1.5", "-1")]
+        cases += [(key, raw) for key, values in (
+            ("stateful.window", ('"x"', "[1]", '{"a":1}')),
+            ("transform.pca_components", ('"x"', "[1]", '{"a":1}', "1.5")),
+            ("transform.smote_k", ('"x"', "[1]", '{"a":1}', "1.5", "-1")),
+            ("transform.undersample_ratio", ('"x"', "[1]", '{"a":1}')),
+            ("transform.outlier_method", ("[1]", '{"a":1}')),
+            ("model.params.max_depth", ('"x"', '{"a":1}')),
+            ("model.grid", ("true", "1", '"x"', "[1]", '{"a":1}', "1.5",
+                            "-1")),
+            ("explain.group_threshold", ('"x"', '{"a":1}')))
+            for raw in values]
+        code = f"""
+import contextlib, io, os
+from flowlab.cli import run
+for key, raw in {cases!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \\
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run(["pipeline", "--config", {str(config)!r}, "--" + key,
+                    raw])
+    for fd in (0, 1, 2):
+        os.fstat(fd)
+    lines = err.getvalue().splitlines()
+    assert code == 1 and len(lines) == 1, (key, raw, code, lines)
+    assert lines[0].startswith("ConfigError: "), (key, raw, lines)
+    assert key.rsplit(".", 1)[-1] in lines[0], (key, raw, lines)
+"""
+        _run_fresh(code)
+
+    def test_negative_seed_is_1(self, config, capsys):
+        assert run(["split", "--config", str(config), "--seed", "-1"]) == 1
+        assert "config.seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["labeling.rule_file",
                                      "labeling.map_file"])
@@ -570,6 +645,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("DataError") and column in err
 
+    def test_table_without_label_column_is_2_at_its_first_reader(
+            self, config, capsys):
+        # transform names dataset.csv, and train, evaluate and explain
+        # name transformed.csv, instead of a table the file name is lost in
+        assert run(["pipeline", "--config", str(config)]) == 0
+        run_dir = run_dir_for(*load_config(config, []))
+        for table, stages in (("dataset.csv", ("transform",)),
+                              ("transformed.csv", ("train", "evaluate",
+                                                   "explain"))):
+            _drop_column(run_dir / table, "label")
+            for stage in stages:
+                capsys.readouterr()
+                assert run([stage, "--config", str(config)]) == 2
+                assert capsys.readouterr().err == (
+                    f"DataError: {table}: no column of kind 'label'\n")
+
     def test_cut_short_assignment_is_2(self, config, capsys):
         assert run(["pipeline", "--config", str(config)]) == 0
         path = run_dir_for(*load_config(config, [])) / "assignment.csv"
@@ -632,6 +723,15 @@ class TestExitCodes:
         path = run_dir_for(*load_config(config, [])) / "model.json"
         nodes = models.model_from_json(path.read_text()).nodes
         assert len(nodes) == 2 * 1399 + 1
+
+
+def _tracked(init, refs: list):
+    """init, also appending a weak reference to each new instance to
+    refs."""
+    def tracked(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+    return tracked
 
 
 def _drop_column(path, column) -> None:

@@ -3,17 +3,23 @@
 One tiny pipeline runs once; each example then damages one input file of
 one stage and runs that stage alone, which must exit 0 or 2 (bad input),
 or 1 only for a LeakageError: damaged lineage is leakage, and no damaged
-input is a config error.
+input is a config error. The config file, written out in full so that
+every key can be swapped or dropped, is an input of every stage: damaged,
+it may also exit 1, and the stage finds its other inputs in the run
+directory the damaged config names. After each example the process's
+file descriptors 0-2 are still open.
 """
 
 import csv
 import io
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowlab import cli, dataset, models
@@ -25,9 +31,9 @@ def _tables(*names):
     return [f for n in names for f in (n, n + ".schema.json")]
 
 
-# the files each stage reads; "capture" is the pcap, the rest sit in the
-# run directory
-READS = {
+# the files each stage reads; "capture" is the pcap and "config.json" the
+# config, the rest sit in the run directory
+READS = {stage: ["config.json"] + names for stage, names in {
     "meter": ["capture"],
     "diagnose": _tables("flows.csv"),
     "prepare": _tables("flows.csv"),
@@ -38,7 +44,7 @@ READS = {
     **{s: _tables("transformed.csv") + [
         "assignment.csv", "model.json", "train_manifest.json"]
        for s in ("evaluate", "explain")},
-}
+}.items()}
 BYTE_MUTATIONS = ("delete", "truncate", "flip")
 TEXT_MUTATIONS = {".json": ("swap_type", "drop_entry"),
                   ".csv": ("drop_column", "drop_line")}
@@ -51,22 +57,26 @@ OTHER_TYPES = [None, True, 0, -1, 1.5, "x", [], {}, [[1]], {"a": 1}]
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """The config of a tiny pipeline run, and every file that run read or
-    wrote, by name, with its bytes."""
+    """The directory of a tiny pipeline run, its config and every file that
+    run read or wrote, by name, with its bytes. The config holds every key
+    and names its paths relative to the directory."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    capture = tmp / "traffic.pcap"
-    write_capture(capture, synth_capture(np.random.default_rng(3),
-                                         n_flows=40, max_pkts=8))
+    write_capture(tmp / "traffic.pcap", synth_capture(
+        np.random.default_rng(3), n_flows=40, max_pkts=8))
     config = tmp / "config.json"
-    config.write_text(json.dumps({
-        "capture": str(capture), "out_dir": str(tmp / "runs"),
+    config.write_text(json.dumps(cli._merge(cli.DEFAULT_CONFIG, {
+        "capture": "traffic.pcap", "out_dir": "runs",
         "model": {"params": {"n_trees": 2, "max_depth": 4}},
-        "explain": {"repeats": 1}}))
-    assert cli.run(["pipeline", "--config", str(config)]) == 0
-    run_dir = cli.run_dir_for(*cli.load_config(config, []))
+        "explain": {"repeats": 1}}), indent=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        assert cli.run(["pipeline", "--config", str(config)]) == 0
+        run_dir = tmp / cli.run_dir_for(*cli.load_config(config, []))
     files = {p.name: (p, p.read_bytes()) for p in run_dir.iterdir()}
-    files["capture"] = (capture, capture.read_bytes())
-    return config, files
+    for path in (tmp / "traffic.pcap", config):
+        files["capture" if path.suffix == ".pcap" else path.name] = (
+            path, path.read_bytes())
+    return tmp, config, files
 
 
 def _json_paths(doc, path=()):
@@ -118,7 +128,26 @@ def _damage(raw: bytes, name: str, mutation: str, at: int, flip: int,
     return ("".join(comments) + out.getvalue()).encode()
 
 
-@settings(max_examples=150, deadline=None,
+def _inputs_moved_for(config: Path, tmp: Path, files: dict) -> None:
+    """Copy every file of the pipeline's run directory to the run directory
+    config names, if it loads. An example whose run directory lies outside
+    tmp is rejected: the stage would write there."""
+    try:
+        cfg, config_hash = cli.load_config(config, [])
+    except cli.ConfigError:
+        return
+    run_dir = tmp / cfg["out_dir"] / config_hash[:12]
+    assume(tmp.resolve() in run_dir.resolve().parents)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name, (path, _) in files.items():
+        if path.parent != tmp and path.parent.resolve() != run_dir.resolve():
+            shutil.copyfile(path, run_dir / name)
+
+
+CONFIG_PATHS = list(_json_paths(cli.DEFAULT_CONFIG))
+
+
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.sampled_from(CASES), at=st.integers(0, 1 << 20),
        flip=st.integers(1, 255), value=st.sampled_from(OTHER_TYPES))
@@ -140,9 +169,16 @@ def _damage(raw: bytes, name: str, mutation: str, at: int, flip: int,
          value=None)
 @example(case=("prepare", "flows.csv", "drop_column"), at=10, flip=1,
          value=None)
-def test_damaged_input_exits_0_1_or_2(pipeline, capsys, case, at, flip,
-                                      value):
-    config, files = pipeline
+# an int or a bool given as a path was opened as a file descriptor: flowlab
+# closed its own stdout
+@example(case=("meter", "config.json", "swap_type"),
+         at=CONFIG_PATHS.index(("capture",)), flip=1, value=True)
+@example(case=("prepare", "config.json", "swap_type"),
+         at=CONFIG_PATHS.index(("labeling", "rule_file")), flip=1, value=True)
+def test_damaged_input_exits_0_1_or_2(pipeline, capsys, monkeypatch, case,
+                                      at, flip, value):
+    tmp, config, files = pipeline
+    monkeypatch.chdir(tmp)
     for path, raw in files.values():
         path.write_bytes(raw)
     stage, name, mutation = case
@@ -151,9 +187,14 @@ def test_damaged_input_exits_0_1_or_2(pipeline, capsys, case, at, flip,
         path.unlink()
     else:
         path.write_bytes(_damage(raw, name, mutation, at, flip, value))
+    if name == "config.json":
+        _inputs_moved_for(config, tmp, files)
     # the autouse fixture empties the memos once per test, not per example
     dataset._last_read, models._last_model = (None, None), (None, None)
     capsys.readouterr()
     code = cli.run([stage, "--config", str(config)])
     err = capsys.readouterr().err
-    assert code in (0, 2) or code == 1 and err.startswith("LeakageError"), err
+    for fd in (0, 1, 2):
+        os.fstat(fd)
+    assert code in (0, 2) or code == 1 and (
+        name == "config.json" or err.startswith("LeakageError")), err

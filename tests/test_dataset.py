@@ -434,6 +434,34 @@ def test_csv_matches_per_cell_oracle(tmp_path_factory, ds):
     assert path.read_bytes() == dataset_csv_oracle(ds)
 
 
+# the writer gathers and joins _BLOCK_ROWS rows at a time: blocks of 1 and
+# 3 rows cut the drawn tables at every row and mid-table
+@pytest.mark.parametrize("block", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets())
+def test_csv_in_small_blocks_matches_per_cell_oracle(tmp_path_factory,
+                                                     block, ds):
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    with mock.patch.object(dataset, "_BLOCK_ROWS", block):
+        ds.to_csv(path)
+    assert path.read_bytes() == dataset_csv_oracle(ds)
+
+
+def test_csv_longer_than_a_block_matches_per_cell_oracle(tmp_path):
+    # two and a half blocks: offset-table, np.unique and text columns
+    n = 2 * dataset._BLOCK_ROWS + dataset._BLOCK_ROWS // 2
+    rng = np.random.default_rng(8)
+    rows = [{"count": float(c), "rate": r, "who": w}
+            for c, r, w in zip(rng.integers(0, 50, n).tolist(),
+                               rng.choice([0.5, math.nan, 1e300, -0.0,
+                                           2.0 ** 60], n).tolist(),
+                               rng.choice(["a", "b,c", 'd"', ""], n).tolist())]
+    ds = Dataset.from_rows(rows, {"count": "numeric", "rate": "numeric",
+                                  "who": "metadata"})
+    ds.to_csv(tmp_path / "ds.csv")
+    assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_oracle(ds)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ds=datasets())
 def test_csv_round_trip_exact(tmp_path_factory, ds):

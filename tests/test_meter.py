@@ -676,6 +676,30 @@ class TestFinalizeOracle:
         assert _rows(mixed, splt_n=6) == [row for pair in zip(
             _rows(a, splt_n=6), _rows(b, splt_n=6)) for row in pair]
 
+    def test_records_of_two_caches_finalize_in_the_order_given(self):
+        # an uneven interleave of two caches' records, neither cache's in
+        # export order: each row is the one its record gives alone
+        caps = [synth_capture(np.random.default_rng(seed), n_flows=12)
+                for seed in (3, 4)]
+        a, b = (meter_stream(pkts, MeterConfig(splt_n=5)) for pkts in caps)
+        alone = {id(r): row for recs in (a, b)
+                 for r, row in zip(recs, _rows(recs, splt_n=7))}
+        mixed = a + b
+        mixed = [mixed[i] for i in np.random.default_rng(0).permutation(
+            len(mixed))]
+        assert len(a) > 1 and len(b) > 1 and mixed[:len(a)] != a
+        assert _rows(iter(mixed), splt_n=7) == [alone[id(r)] for r in mixed]
+
+    def test_one_table_gives_its_take_arrays_as_they_are(self, monkeypatch):
+        records = meter_stream(synth_capture(np.random.default_rng(6),
+                                             n_flows=10), MeterConfig())
+        taken, take = [], meter.FlowTable.take
+        monkeypatch.setattr(meter.FlowTable, "take",
+                            lambda *a: taken.append(take(*a)) or taken[-1])
+        stats = meter._flow_stats(records[::-1], 20)
+        assert len(taken) == 1
+        assert all(got is want for got, want in zip(stats, taken[0]))
+
     def test_no_records_give_an_empty_table(self):
         ds = records_to_rows([], MeterConfig(splt_n=3))
         assert len(ds) == 0 and list(ds) == []
