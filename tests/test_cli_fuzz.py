@@ -57,9 +57,10 @@ OTHER_TYPES = [None, True, 0, -1, 1.5, "x", [], {}, [[1]], {"a": 1}]
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """The directory of a tiny pipeline run, its config and every file that
-    run read or wrote, by name, with its bytes. The config holds every key
-    and names its paths relative to the directory."""
+    """The directory of a tiny pipeline run, its config, its run directory
+    and every file that run read or wrote, by name, with its bytes. The
+    config holds every key and names its paths relative to the
+    directory."""
     tmp = tmp_path_factory.mktemp("fuzz")
     write_capture(tmp / "traffic.pcap", synth_capture(
         np.random.default_rng(3), n_flows=40, max_pkts=8))
@@ -73,10 +74,10 @@ def pipeline(tmp_path_factory):
         assert cli.run(["pipeline", "--config", str(config)]) == 0
         run_dir = tmp / cli.run_dir_for(*cli.load_config(config, []))
     files = {p.name: (p, p.read_bytes()) for p in run_dir.iterdir()}
-    for path in (tmp / "traffic.pcap", config):
-        files["capture" if path.suffix == ".pcap" else path.name] = (
-            path, path.read_bytes())
-    return tmp, config, files
+    files["capture"] = (tmp / "traffic.pcap",
+                        (tmp / "traffic.pcap").read_bytes())
+    files["config.json"] = (config, config.read_bytes())
+    return tmp, config, run_dir, files
 
 
 def _json_paths(doc, path=()):
@@ -128,20 +129,18 @@ def _damage(raw: bytes, name: str, mutation: str, at: int, flip: int,
     return ("".join(comments) + out.getvalue()).encode()
 
 
-def _inputs_moved_for(config: Path, tmp: Path, files: dict) -> None:
-    """Copy every file of the pipeline's run directory to the run directory
-    config names, if it loads. An example whose run directory lies outside
-    tmp is rejected: the stage would write there."""
+def _inputs_moved_for(config: Path, tmp: Path, run_dir: Path) -> None:
+    """Copy the pipeline's run directory to the one config names, if it
+    loads. An example whose run directory lies outside tmp is rejected: the
+    stage would write there."""
     try:
         cfg, config_hash = cli.load_config(config, [])
     except cli.ConfigError:
         return
-    run_dir = tmp / cfg["out_dir"] / config_hash[:12]
-    assume(tmp.resolve() in run_dir.resolve().parents)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for name, (path, _) in files.items():
-        if path.parent != tmp and path.parent.resolve() != run_dir.resolve():
-            shutil.copyfile(path, run_dir / name)
+    moved = tmp / cfg["out_dir"] / config_hash[:12]
+    assume(tmp.resolve() in moved.resolve().parents)
+    if moved.resolve() != run_dir.resolve():
+        shutil.copytree(run_dir, moved, dirs_exist_ok=True)
 
 
 CONFIG_PATHS = list(_json_paths(cli.DEFAULT_CONFIG))
@@ -177,7 +176,7 @@ CONFIG_PATHS = list(_json_paths(cli.DEFAULT_CONFIG))
          at=CONFIG_PATHS.index(("labeling", "rule_file")), flip=1, value=True)
 def test_damaged_input_exits_0_1_or_2(pipeline, capsys, monkeypatch, case,
                                       at, flip, value):
-    tmp, config, files = pipeline
+    tmp, config, run_dir, files = pipeline
     monkeypatch.chdir(tmp)
     for path, raw in files.values():
         path.write_bytes(raw)
@@ -188,7 +187,7 @@ def test_damaged_input_exits_0_1_or_2(pipeline, capsys, monkeypatch, case,
     else:
         path.write_bytes(_damage(raw, name, mutation, at, flip, value))
     if name == "config.json":
-        _inputs_moved_for(config, tmp, files)
+        _inputs_moved_for(config, tmp, run_dir)
     # the autouse fixture empties the memos once per test, not per example
     dataset._last_read, models._last_model = (None, None), (None, None)
     capsys.readouterr()
