@@ -115,14 +115,16 @@ def correlation_groups(X: np.ndarray, threshold: float = 0.9) -> list[tuple]:
     # one row (where NaN != NaN makes a column look live) has no r, and
     # np.corrcoef warns of zero degrees of freedom
     if len(live) > 1 and len(X) > 1:
+        # a live column of subnormal cells has a variance that underflows
+        # to 0: np.corrcoef divides by it and clips the r it gets to +-1
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.abs(np.corrcoef(X[:, live], rowvar=False))
-        near = np.abs(r - threshold) < 1e-12
-        for a, b in zip(*np.nonzero(np.triu((r >= threshold) | near, 1))):
-            i, j = int(live[a]), int(live[b])
-            if (not near[a, b]
-                    or abs(np.corrcoef(X[:, i], X[:, j])[0, 1]) >= threshold):
-                parent[find(i)] = find(j)
+            near = np.abs(r - threshold) < 1e-12
+            for a, b in zip(*np.nonzero(np.triu((r >= threshold) | near, 1))):
+                i, j = int(live[a]), int(live[b])
+                if (not near[a, b] or abs(np.corrcoef(X[:, i], X[:, j])[0, 1])
+                        >= threshold):
+                    parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -629,8 +629,12 @@ def correlation_groups_oracle(X, threshold: float) -> list[tuple]:
     links = {j: [] for j in range(d)}
     for i in range(d):
         for j in range(i + 1, d):
-            if (varies[i] and varies[j]
-                    and abs(np.corrcoef(X[:, i], X[:, j])[0, 1]) >= threshold):
+            if not (varies[i] and varies[j]):
+                continue
+            # subnormal cells: the variance underflows to 0 and r is clipped
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.corrcoef(X[:, i], X[:, j])[0, 1]
+            if abs(r) >= threshold:
                 links[i].append(j)
                 links[j].append(i)
     seen, groups = set(), []

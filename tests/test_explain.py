@@ -149,6 +149,10 @@ class TestCorrelationGroups:
            st.sampled_from([0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
     # one row: NaN != NaN made its columns live, and np.corrcoef warned
     @example(np.array([[0.0, np.nan, np.nan]]), 0.5)
+    # a subnormal column: its variance underflows to 0, np.corrcoef warned
+    # of division by zero, and at 1.0 the two-column recheck warned too
+    @example(np.array([[0.0, 0.0], [1.0, 2.22507386e-311]]), 0.5)
+    @example(np.array([[0.0, 0.0], [1.0, 2.22507386e-311]]), 1.0)
     def test_matches_pairwise_oracle(self, X, threshold):
         assert correlation_groups(X, threshold) == \
             correlation_groups_oracle(X, threshold)
