@@ -16,6 +16,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -153,6 +154,27 @@ def _check_types(value, default, where: str = "config") -> None:
                                   f"{item.__name__}s, got {v!r}")
 
 
+def _check_ranges(cfg: dict) -> None:
+    """Values of the right type that no stage could read as meant: a
+    negative seed (numpy's generators take none), a negative PCA size or
+    stateful window (null and 0 switch either off), a non-finite window
+    and a tree depth below 1 (null leaves it unbounded)."""
+    window = cfg["stateful"]["window"]
+    pca = cfg["transform"]["pca_components"]
+    depth = cfg["model"]["params"]["max_depth"]
+    for where, value, ok, want in (
+            ("seed", cfg["seed"], cfg["seed"] >= 0, ">= 0"),
+            ("transform.pca_components", pca, pca is None or pca >= 0,
+             ">= 0 or null"),
+            ("model.params.max_depth", depth, depth is None or depth >= 1,
+             ">= 1 or null"),
+            ("stateful.window", window,
+             window is None or 0 <= window < math.inf,
+             "finite and >= 0, or null")):
+        if not ok:
+            raise ConfigError(f"config.{where} must be {want}, got {value!r}")
+
+
 def load_config(path, overrides) -> tuple[dict, str]:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path:
@@ -165,8 +187,7 @@ def load_config(path, overrides) -> tuple[dict, str]:
     for dotted, raw in overrides:
         _set_dotted(cfg, dotted, raw)
     _check_types(cfg, DEFAULT_CONFIG)
-    if cfg["seed"] < 0:     # numpy's generators take no negative seed
-        raise ConfigError(f"config.seed must be >= 0, got {cfg['seed']}")
+    _check_ranges(cfg)
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return cfg, hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -40,7 +40,7 @@ def _quoted(cell: str) -> str:
 
 def _column_cells(values, kind: str) -> tuple:
     """CSV cells of one column: one cell per row and None, or its distinct
-    cells and the index of each row's cell among them, int32 where it fits.
+    cells and the index of each row's cell among them, as _narrow gives it.
 
     A numeric column formats each distinct value once: integral values
     below 1e15 in magnitude as integers (so -0.0 is "0"), every other value
@@ -81,8 +81,11 @@ def _column_cells(values, kind: str) -> tuple:
 
 
 def _narrow(index: np.ndarray, size: int) -> np.ndarray:
-    """index into size cells, as int32 where size allows: half the
-    memory of the int64 index, or of a per-row list of the cells."""
+    """index into size cells, as uint16 or int32 where size allows: a
+    quarter or half the memory of the int64 index, or of a per-row list
+    of the cells."""
+    if size <= 1 << 16:
+        return index.astype(np.uint16)
     return index.astype(np.int32) if size < 1 << 31 else index
 
 
@@ -137,6 +140,8 @@ def _parse_cells(vals: list[str], parse, dtype, where: str,
 
 @dataclass
 class Dataset:
+    """Columns of one table by name and kind, with a stable id per row."""
+
     names: list[str]
     kinds: dict[str, str]
     data: dict[str, np.ndarray]

@@ -21,6 +21,8 @@ ZERO_DIV_NOTE = "0/0 metric values reported as 0 by convention"
 
 @dataclass
 class ConfusionMatrix:
+    """Counts of each (actual, predicted) class pair."""
+
     classes: list[str]
     counts: np.ndarray        # counts[actual][predicted]
 
@@ -165,6 +167,8 @@ def roc_auc(scores, actual, positive=1) -> tuple[list[tuple], float]:
 
 @dataclass
 class MetricReport:
+    """Accuracy and per-class, macro, weighted and micro scores."""
+
     beta: float
     accuracy: float
     per_class: dict[str, dict]

@@ -42,6 +42,8 @@ _MOVE_BLOCK = 1 << 16     # batch rows x pairs; a block holds >= 1 group
 
 @dataclass
 class ImportanceRow:
+    """Permutation importance of one feature or correlated group."""
+
     feature: str              # single feature or "a+b" group
     members: tuple
     importance: float
@@ -51,6 +53,8 @@ class ImportanceRow:
 
 @dataclass
 class ImportanceTable:
+    """The importance rows of one method and repeat count."""
+
     method: str
     repeats: int
     rows: list[ImportanceRow] = field(default_factory=list)

@@ -21,6 +21,8 @@ CONFIDENCES = ("low", "high")
 
 @dataclass(frozen=True)
 class LabelOutcome:
+    """A flow's label, its source and how far to trust it."""
+
     label: str = UNKNOWN
     source: str = "none"        # port | map | none
     confidence: str = "low"
@@ -32,6 +34,8 @@ class LabelOutcome:
 
 @dataclass(frozen=True)
 class PortRule:
+    """A label for traffic to one (destination port, protocol)."""
+
     dst_port: int
     proto: int
     label: str
@@ -76,6 +80,8 @@ def label_by_port(dst_port: int, proto: int,
 
 @dataclass
 class EndpointMap:
+    """Labels by exact address, else by the longest matching prefix."""
+
     exact: dict[str, tuple[str, str]] = field(default_factory=dict)
     prefixes: list = field(default_factory=list)  # (network, label, confidence)
 

@@ -111,6 +111,8 @@ def dual_hash(key: FlowKey) -> tuple[int, int]:
 
 @dataclass
 class MeterConfig:
+    """How flows are keyed, expired, anonymized and cut."""
+
     idle_timeout: float = 30.0
     active_timeout: float = 300.0
     max_flows: int = 1 << 20
@@ -154,9 +156,11 @@ class FlowTable:
     ``ints[flow, direction]`` (0 is forward): packets, bytes, payload bytes,
     packets per TCP flag bit, lowest and highest timestamp; ``moments[flow,
     direction, family]``: size (0) and inter-arrival (1) m1..m4, min, max;
-    ``splt[flow, i]``: timestamp, direction (+1/-1) and IP length of packet
-    i. The log: flow, direction, ts, IP length, payload length and TCP flags
-    of each applied packet.
+    ``splt_ts[flow, i]``: timestamp of packet i, and ``splt_dir_len[flow,
+    i]``: its direction (+1/-1) and IP length, int32 (an IPv6 length
+    reaches 65,575), so a row of every array takes 368 + 16 * splt_n
+    bytes. The log: flow, direction, ts, IP length, payload length and TCP
+    flags of each applied packet.
     """
 
     def __init__(self, splt_n: int):
@@ -165,7 +169,12 @@ class FlowTable:
         self.flows = 0                  # flow numbers handed out
         self.ints = np.zeros((0, 2, 11), dtype=np.int64)
         self.moments = np.zeros((0, 2, 2, 6))
-        self.splt = np.zeros((0, splt_n, 3), dtype=np.int64)
+        self.splt_ts = np.zeros((0, splt_n), dtype=np.int64)
+        self.splt_dir_len = np.zeros((0, splt_n, 2), dtype=np.int32)
+
+    def arrays(self) -> tuple:
+        """The per-flow arrays, one row per flow of capacity."""
+        return self.ints, self.moments, self.splt_ts, self.splt_dir_len
 
     def fold(self) -> None:
         """Fold the logged packets, in the order they were applied, into
@@ -173,9 +182,9 @@ class FlowTable:
         if self.flows > len(self.ints):     # room for every flow, doubling
             old = len(self.ints)
             more = max(self.flows, 2 * old, 64) - old
-            self.ints, self.moments, self.splt = (np.concatenate(
-                (a, np.zeros((more,) + a.shape[1:], a.dtype)))
-                for a in (self.ints, self.moments, self.splt))
+            self.ints, self.moments, self.splt_ts, self.splt_dir_len = (
+                np.concatenate((a, np.zeros((more,) + a.shape[1:], a.dtype)))
+                for a in self.arrays())
             self.ints[old:, :, 9:] = np.iinfo(np.int64).max, \
                 np.iinfo(np.int64).min
             self.moments[old:, :, :, 4:] = np.inf, -np.inf
@@ -190,8 +199,10 @@ class FlowTable:
             done = self.ints[flow[order[starts]], :, 0].sum(axis=1)
             pos = np.arange(len(flow)) - np.repeat(starts - done, lens)
             keep = order[pos < self.splt_n]
-            self.splt[flow[keep], pos[pos < self.splt_n]] = np.column_stack(
-                (ts[keep], 1 - 2 * back[keep], size[keep]))
+            at = flow[keep], pos[pos < self.splt_n]
+            self.splt_ts[at] = ts[keep]
+            self.splt_dir_len[at] = np.column_stack(
+                (1 - 2 * back[keep], size[keep]))
         g = 2 * flow + back                     # (flow, direction) group
         order = np.argsort(g, kind="stable")
         starts, lens = _runs(g[order])
@@ -252,18 +263,24 @@ class FlowTable:
         """(ints, moments, SPLT length, SPLT grid) of the given flows, after
         a fold. The SPLT length counts up to the table's own splt_n; the
         grid holds direction, size and gap of the first splt_n packets,
-        zero-padded, each gap to the flow's running maximum timestamp."""
+        zero-padded, each gap to the flow's running maximum timestamp.
+
+        Each SPLT array is gathered once, and the gaps are computed in
+        place in the gathered timestamps, one position at a time."""
         self.fold()
         ints = self.ints[flows]
         splt_len = np.minimum(ints[:, 0, 0] + ints[:, 1, 0], self.splt_n)
         width = min(splt_n, self.splt_n)
-        splt = self.splt[flows, :width]
-        ts = splt[:, :, 0]
         grid = np.zeros((len(flows), splt_n, 3))
-        grid[:, :width, :2] = splt[:, :, 1:]
-        grid[:, 1:width, 2] = np.maximum(
-            ts[:, 1:] - np.maximum.accumulate(ts, axis=1)[:, :-1], 0) / 1e9
-        grid[:, :width, 2][np.arange(width) >= splt_len[:, None]] = 0.0
+        grid[:, :width, :2] = self.splt_dir_len[flows, :width]
+        ts = self.splt_ts[flows, :width]
+        top = ts[:, 0].copy() if width else None    # running maximum
+        for i in range(1, width):
+            t = ts[:, i].copy()
+            np.maximum(np.subtract(t, top, out=ts[:, i]), 0, out=ts[:, i])
+            np.maximum(top, t, out=top)
+        ts[np.arange(width) >= splt_len[:, None]] = 0
+        np.divide(ts[:, 1:], 1e9, out=grid[:, 1:width, 2])
         return ints, self.moments[flows], splt_len, grid
 
 
@@ -532,6 +549,16 @@ def _ip_column(ips: list, mode: str) -> np.ndarray:
     return text
 
 
+def _int_text(values: np.ndarray) -> np.ndarray:
+    """str of each int, the shared _OCTETS str for one in 0..255 rather
+    than a new str a row."""
+    small = (values >= 0) & (values < 256)
+    text = np.empty(len(values), dtype=object)
+    text[small] = _OCTETS[values[small]]
+    text[~small] = list(map(str, values[~small].tolist()))
+    return text
+
+
 def _seconds_column(ns: np.ndarray) -> list[str]:
     """Exact decimal seconds with 9 fractional digits from int64 ns."""
     sec, frac = np.divmod(np.abs(ns), 1_000_000_000)
@@ -613,8 +640,8 @@ def records_to_rows(records: Iterable[FlowRecord],
         "flow_start": _seconds_column(start),
         "flow_end": _seconds_column(end),
         "export_reason": reasons,
-        "segment_index": list(map(str, segment)),
-        "proto": list(map(str, proto.tolist())),
+        "segment_index": _int_text(np.array(segment, dtype=np.int64)),
+        "proto": _int_text(proto),
         "dst_port": dport,
         "fwd_packet_count": fpk, "bwd_packet_count": bpk,
         "fwd_byte_count": fby, "bwd_byte_count": bby,

@@ -173,6 +173,8 @@ class NodeView(NamedTuple):
 
 @dataclass
 class TreeParams:
+    """How far a CART tree may grow."""
+
     max_depth: Optional[int] = None
     min_samples_split: int = 2
     min_impurity_decrease: float = 0.0
@@ -180,6 +182,8 @@ class TreeParams:
 
 @dataclass
 class TreeModel(_Classifier):
+    """A fitted CART tree over flat node arrays."""
+
     nodes: Nodes
     classes: list[str]
     n_features: int
@@ -469,6 +473,8 @@ def tree_fit(X: np.ndarray, y, params: Optional[TreeParams] = None
 
 @dataclass
 class ForestModel(_Classifier):
+    """A fitted random forest, its trees' nodes in one array set."""
+
     nodes: Nodes             # every tree's nodes, in tree order
     roots: np.ndarray        # index of each tree's root in nodes
     classes: list[str]
@@ -490,6 +496,8 @@ class ForestModel(_Classifier):
 
 @dataclass
 class ForestParams:
+    """Tree count, features per split and tree limits."""
+
     n_trees: int = 50
     m: Optional[int] = None          # features per split; default ceil(sqrt)
     tree: TreeParams = field(default_factory=TreeParams)
@@ -521,6 +529,8 @@ def forest_fit(X: np.ndarray, y, params: Optional[ForestParams] = None,
 
 @dataclass
 class KnnModel(_Classifier):
+    """The training rows a k-nearest-neighbour classifier votes with."""
+
     X: np.ndarray
     y: np.ndarray           # encoded
     classes: list[str]
@@ -711,6 +721,8 @@ def _parse_model(text: str):
 
 @dataclass
 class HyperGrid:
+    """Candidate values per parameter, scored by cross-validation."""
+
     values: dict[str, list]            # param name -> candidate values
     metric: str = "accuracy"
     cv_folds: int = 3

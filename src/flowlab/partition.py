@@ -24,6 +24,8 @@ TAGS = ("train", "val", "test")
 
 @dataclass
 class SplitSpec:
+    """How rows are split into train, validation and test."""
+
     strategy: str
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     seed: int = 0
@@ -49,6 +51,8 @@ class SplitSpec:
 
 @dataclass
 class SplitAssignment:
+    """Each row id's partition, with the split's manifest."""
+
     tags: dict[int, str]                    # row id -> train/val/test
     manifest: dict = field(default_factory=dict)
 

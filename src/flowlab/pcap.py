@@ -118,6 +118,8 @@ class FilterSpec:
 
 @dataclass
 class IngestConfig:
+    """Sampling, filter and MTU applied while reading a capture."""
+
     sample_n: int = 1
     filter: Optional[FilterSpec] = None
     mtu: int = 1500
@@ -131,6 +133,8 @@ class IngestConfig:
 
 @dataclass
 class IngestSummary:
+    """Frame counts of one capture read, by outcome."""
+
     total_frames: int = 0
     decoded: int = 0
     skipped: int = 0      # non-IP, fragments, undecodable

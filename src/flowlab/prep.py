@@ -22,6 +22,8 @@ MISSING_TOKENS = {"", "nan", "NaN", "None"}
 
 @dataclass
 class QualityReport:
+    """Missing, distinct and variance per column; duplicates, violations."""
+
     rows: int
     columns: int
     missing_fraction: dict[str, float]
@@ -36,6 +38,8 @@ class QualityReport:
 
 @dataclass
 class CleaningConfig:
+    """Which columns and rows the cleaning stage drops."""
+
     drop_columns: tuple = ()
     missing_drop_threshold: float = 0.95
     variance_epsilon: float = 1e-12

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 @dataclass
 class Moments:
+    """One-pass count, central moment sums, minimum, maximum."""
+
     n: int = 0
     m1: float = 0.0
     m2: float = 0.0

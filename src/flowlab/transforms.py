@@ -28,6 +28,8 @@ from .errors import (ConfigError, DataError, InvalidArgumentError,
 
 @dataclass
 class FittedTransform:
+    """A transform's parameters, fitted on one partition."""
+
     kind: str
     params: dict
     fit_partition_fingerprint: str

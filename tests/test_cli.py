@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import hashlib
+import importlib
 import io
 import ipaddress
 import json
 import os
+import pkgutil
 import re
 import struct
 import subprocess
@@ -190,6 +193,18 @@ class TestStages:
                 f"assert flowlab.cli.run(['meter', '--config', {str(config)!r}])"
                 " == 0\nassert gc.get_freeze_count() == frozen\n")
         _run_fresh(code)
+
+    def test_every_dataclass_has_a_docstring(self):
+        # @dataclass builds a missing docstring from inspect.signature when
+        # the module is imported, in every flowlab process
+        classes = [c for m in pkgutil.iter_modules(flowlab.__path__)
+                   for c in vars(importlib.import_module(
+                       f"flowlab.{m.name}")).values()
+                   if dataclasses.is_dataclass(c) and isinstance(c, type)
+                   and c.__module__ == f"flowlab.{m.name}"]
+        assert len(classes) >= 26
+        assert [c.__name__ for c in classes
+                if c.__doc__.startswith(f"{c.__name__}(")] == []
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir()
                         or len(os.sched_getaffinity(0)) < 2,
@@ -488,6 +503,35 @@ for key, raw in {cases!r}:
     def test_negative_seed_is_1(self, config, capsys):
         assert run(["split", "--config", str(config), "--seed", "-1"]) == 1
         assert "config.seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["-1", "-2"])
+    def test_negative_pca_components_is_1(self, config, capsys, raw):
+        # -1 kept all but the last principal component
+        assert run(["transform", "--config", str(config),
+                    "--transform.pca_components", raw]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: config.transform.pca_components")
+        assert load_config(config, [("transform.pca_components", "0")])
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_max_depth_below_one_is_1(self, config, capsys, raw):
+        # 0 and -1 fitted single-leaf trees
+        assert run(["train", "--config", str(config),
+                    "--model.params.max_depth", raw]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: config.model.params.max_depth")
+        assert load_config(config, [("model.params.max_depth", "null")])
+
+    @pytest.mark.parametrize("raw", ["-1", "-0.5", "NaN", "Infinity",
+                                     "-Infinity"])
+    def test_bad_stateful_window_is_1(self, config, capsys, raw):
+        # json.loads reads NaN and Infinity as floats: each of these ran on
+        assert run(["prepare", "--config", str(config),
+                    "--stateful.window", raw]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: config.stateful.window")
+        for off in ("0", "0.0", "null"):
+            assert load_config(config, [("stateful.window", off)])
 
     @pytest.mark.parametrize("key", ["labeling.rule_file",
                                      "labeling.map_file"])

@@ -462,6 +462,22 @@ def test_csv_longer_than_a_block_matches_per_cell_oracle(tmp_path):
     assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_oracle(ds)
 
 
+@pytest.mark.parametrize("distinct, width", [(1 << 16, np.uint16),
+                                              ((1 << 16) + 1, np.int32)])
+@pytest.mark.parametrize("offset", [True, False], ids=["offset", "unique"])
+def test_csv_index_width(tmp_path, distinct, width, offset):
+    # integers take the offset table, halves np.unique; a row of its own
+    # for every distinct cell, shuffled, and one cell repeated
+    values = np.arange(distinct) - 300.0 + (0.0 if offset else 0.5)
+    values = np.random.default_rng(9).permutation(np.r_[values, values[:1]])
+    cells, index = dataset._column_cells(values, "numeric")
+    assert len(cells) == distinct and index.dtype == width
+    ds = Dataset(names=["v"], kinds={"v": "numeric"}, data={"v": values},
+                 row_ids=np.arange(len(values), dtype=np.int64))
+    ds.to_csv(tmp_path / "ds.csv")
+    assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_oracle(ds)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ds=datasets())
 def test_csv_round_trip_exact(tmp_path_factory, ds):

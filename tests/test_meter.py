@@ -707,6 +707,79 @@ class TestFinalizeOracle:
         assert all(len(ds.data[n]) == 0 for n in ds.names)
 
 
+def _splt_capture(seed: int) -> list:
+    """synth_capture's flows plus one IPv6 flow of 65,575-byte packets
+    (the largest IP length, past uint16) with a packet reordered within
+    the default 1 s slack, so one SPLT gap is clamped at 0."""
+    packets = synth_capture(np.random.default_rng(seed), n_flows=40,
+                            with_fin=True)
+    src, sport, dst, dport = _FINAL_PAIRS[2]
+    arrivals = [(p.ts, p) for p in packets]
+    for ms, forward, size in ((0, True, 65575), (500, False, 65575),
+                              (300, True, 48), (900, True, 65575)):
+        s, sp, d, dp = (src, sport, dst, dport) if forward \
+            else (dst, dport, src, sport)
+        pkt = Packet(ts=packets[0].ts + ms * 1_000_000, src_ip=s, dst_ip=d,
+                     src_port=sp, dst_port=dp, proto=17, ip_len=size,
+                     payload_len=size - 48, tcp_flags=0)
+        # the 300 ms packet arrives after the 500 ms one
+        arrivals.append((pkt.ts + (400_000_000 if ms == 300 else 0), pkt))
+    return [p for _, p in sorted(arrivals, key=lambda a: a[0])]
+
+
+class TestSpltGrid:
+    """FlowTable.take's SPLT length and grid, and the rows built from them,
+    against finalize_oracle, for each way the config's splt_n can relate
+    to the metering one."""
+
+    CASES = [(6, 3), (6, 6), (6, 9), (0, 0), (6, 0), (0, 4), (20, 20)]
+
+    @pytest.mark.parametrize("meter_splt, splt_n", CASES)
+    def test_take_matches_oracle(self, meter_splt, splt_n):
+        packets = _splt_capture(3)
+        cfg = MeterConfig(splt_n=meter_splt)
+        records = meter_stream(packets, cfg)
+        assert records[0].table.splt_dir_len.max(initial=0) \
+            == (65575 if meter_splt else 0)
+        flows = np.array([r.flow for r in records])
+        ints, moments, splt_len, grid = records[0].table.take(flows, splt_n)
+        assert grid.shape == (len(records), splt_n, 3)
+        assert grid.dtype == np.float64
+        for i, row in enumerate(_oracle_rows(records, packets, cfg, splt_n)):
+            assert splt_len[i] == row["splt_len"]
+            want = [[row[f"splt_{c}_{k}"] for c in ("dir", "size", "piat")]
+                    for k in range(splt_n)]
+            assert [[float(v).hex() for v in w] for w in want] \
+                == [[v.hex() for v in g] for g in grid[i].tolist()]
+
+    @pytest.mark.parametrize("meter_splt, splt_n", CASES)
+    def test_rows_match_oracle(self, meter_splt, splt_n):
+        packets = _splt_capture(4)
+        cfg = MeterConfig(splt_n=meter_splt)
+        records = meter_stream(packets, cfg)
+        _assert_columns_match(records_to_rows(records, MeterConfig(
+            splt_n=splt_n)), _oracle_rows(records, packets, cfg, splt_n))
+
+    @pytest.mark.parametrize("meter_splt, splt_n", CASES)
+    def test_rows_of_two_tables_match_oracle(self, meter_splt, splt_n):
+        # the concatenate path of _flow_stats: the records of two caches
+        cfg = MeterConfig(splt_n=meter_splt)
+        captures = [_splt_capture(seed) for seed in (5, 6)]
+        parts = [meter_stream(packets, cfg) for packets in captures]
+        want = [row for packets, records in zip(captures, parts)
+                for row in _oracle_rows(records, packets, cfg, splt_n)]
+        assert parts[0][0].table is not parts[1][0].table
+        _assert_columns_match(records_to_rows(
+            parts[0] + parts[1], MeterConfig(splt_n=splt_n)), want)
+
+    def test_table_holds_at_most_688_bytes_a_flow(self):
+        records = meter_stream(_splt_capture(7), MeterConfig())
+        table = records[0].table
+        assert len(table.ints) >= table.flows > 0
+        assert sum(a.nbytes for a in table.arrays()) \
+            <= 688 * len(table.ints)
+
+
 def _elephant_capture() -> list:
     """One bidirectional 20,000-packet TCP flow among 500 short ones (1 to
     6 packets), every packet up to half a second after its slot, so the
