@@ -525,7 +525,8 @@ for key, raw in {cases!r}:
     @pytest.mark.parametrize("raw", ["-1", "-0.5", "NaN", "Infinity",
                                      "-Infinity"])
     def test_bad_stateful_window_is_1(self, config, capsys, raw):
-        # json.loads reads NaN and Infinity as floats: each of these ran on
+        # json.loads reads NaN and Infinity as floats, so the type check
+        # passes them
         assert run(["prepare", "--config", str(config),
                     "--stateful.window", raw]) == 1
         err = capsys.readouterr().err
