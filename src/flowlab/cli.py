@@ -16,7 +16,6 @@ import csv
 import gc
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -37,7 +36,8 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
 
 from . import evaluation, explain, labeling, models, prep, transforms
 from .dataset import Dataset, UNKNOWN_LABEL
-from .errors import ConfigError, DataError, FlowlabError, LeakageError
+from .errors import (ConfigError, DataError, FlowlabError, LeakageError,
+                     check)
 from .meter import (FlowCache, MeterConfig, feature_column_names,
                     records_to_rows)
 from .partition import SplitAssignment, SplitSpec, split
@@ -75,26 +75,35 @@ DEFAULT_CONFIG = {
 }
 
 
-# what DEFAULT_CONFIG's values cannot tell: the type of each key whose
-# default is null, and as (list or dict, item type) the type of each list
-# item or dict value; float takes an int too
-VALUE_TYPES = {
-    "capture": str, "ingest.filter": dict, "labeling.rule_file": str,
-    "labeling.map_file": str, "stateful.window": float,
-    "split.group_key": str, "split.time_key": str,
-    "transform.pca_components": int, "transform.smote_k": int,
-    "transform.undersample_ratio": float, "transform.outlier_method": str,
-    "model.params.max_depth": int, "model.grid": (dict, list),
-    "explain.group_threshold": float,
-    "cleaning.drop_columns": (list, str), "split.fractions": (list, float),
-    "split.held_out_classes": (list, str), "transform.onehot": (list, str),
-    "explain.pdp_features": (list, str),
+# per key path, what DEFAULT_CONFIG's value cannot tell: the JSON type of a
+# null default (which takes null too), the type of each list item or dict
+# value, and the least value. A value with a least value must also fit a
+# float: json.loads gives NaN, Infinity and ints of any size. Numpy's
+# generators take no negative seed, 0 or null switches PCA or the stateful
+# window off, and null leaves a tree's depth unbounded. A model.grid value
+# takes the rule of the model.params key it names.
+CONFIG_RULES = {
+    "seed": (int, None, 0), "capture": (str, None, None),
+    "ingest.filter": (dict, None, None), "stateful.window": (float, None, 0),
+    "labeling.rule_file": (str, None, None),
+    "labeling.map_file": (str, None, None),
+    "cleaning.drop_columns": (list, str, None),
+    "split.fractions": (list, float, None),
+    "split.group_key": (str, None, None), "split.time_key": (str, None, None),
+    "split.held_out_classes": (list, str, None),
+    "transform.onehot": (list, str, None),
+    "transform.pca_components": (int, None, 0),
+    "transform.smote_k": (int, None, None),
+    "transform.undersample_ratio": (float, None, None),
+    "transform.outlier_method": (str, None, None),
+    "model.params.max_depth": (int, None, 1), "model.grid": (dict, list, None),
+    "explain.group_threshold": (float, None, None),
+    "explain.pdp_features": (list, str, None),
 }
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    if not isinstance(override, dict):
-        raise ConfigError(f"config {path or 'file'} must be a JSON object")
+    check(override, dict, "config file", ConfigError)
     out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -107,72 +116,22 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _set_dotted(cfg: dict, dotted: str, raw: str) -> None:
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    parts = dotted.split(".")
-    node = cfg
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            raise ConfigError(f"unknown config path {dotted!r}")
-        node = node[p]
-    key = parts[-1]
-    if key not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    # an object given for a section sets its keys, as in the config file
-    node[key] = (_merge(node[key], value, dotted)
-                 if isinstance(node[key], dict) and isinstance(value, dict)
-                 else value)
-
-
-def _is(value, kind: type) -> bool:
-    """value is a JSON value of kind: an int is a float too, and a bool
-    neither an int nor a float."""
-    return type(value) is kind or kind is float and type(value) is int
-
-
-def _check_types(value, default, where: str = "config") -> None:
-    """value has the type of default, or the one VALUE_TYPES gives for
-    where, a dict key by key; a None default also takes None."""
+def _check_config(value, default, path: str = "", where: str = "") -> None:
+    """value has the type of default, or the rule CONFIG_RULES gives path,
+    a section key by key; a null default also takes null. A ConfigError
+    names where, config.<path> unless given."""
     if isinstance(default, dict) and isinstance(value, dict):
         for key, v in value.items():
-            _check_types(v, default.get(key), f"{where}.{key}")
+            _check_config(v, default[key], f"{path}.{key}".lstrip("."))
         return
+    where = where or f"config.{path}"
     if value is None and default is None:
         return
-    kind = VALUE_TYPES.get(where.partition(".")[2], type(default))
-    kind, item = kind if isinstance(kind, tuple) else (kind, None)
-    if not _is(value, kind):
-        raise ConfigError(f"{where} must be a {kind.__name__}, "
+    kind, item, least = CONFIG_RULES.get(path, (type(default), None, None))
+    check(value, (kind, item) if item else kind, where, ConfigError)
+    if least is not None and not least <= value <= sys.float_info.max:
+        raise ConfigError(f"{where} must be >= {least} and finite, "
                           f"got {value!r}")
-    if item is not None:
-        for v in (value.values() if kind is dict else value):
-            if not _is(v, item):
-                raise ConfigError(f"{where} must hold only "
-                                  f"{item.__name__}s, got {v!r}")
-
-
-def _check_ranges(cfg: dict) -> None:
-    """Values of the right type that no stage could read as meant: a
-    negative seed (numpy's generators take none), a negative PCA size or
-    stateful window (null and 0 switch either off), a non-finite window
-    and a tree depth below 1 (null leaves it unbounded)."""
-    window = cfg["stateful"]["window"]
-    pca = cfg["transform"]["pca_components"]
-    depth = cfg["model"]["params"]["max_depth"]
-    for where, value, ok, want in (
-            ("seed", cfg["seed"], cfg["seed"] >= 0, ">= 0"),
-            ("transform.pca_components", pca, pca is None or pca >= 0,
-             ">= 0 or null"),
-            ("model.params.max_depth", depth, depth is None or depth >= 1,
-             ">= 1 or null"),
-            ("stateful.window", window,
-             window is None or 0 <= window < math.inf,
-             "finite and >= 0, or null")):
-        if not ok:
-            raise ConfigError(f"config.{where} must be {want}, got {value!r}")
 
 
 def load_config(path, overrides) -> tuple[dict, str]:
@@ -185,9 +144,20 @@ def load_config(path, overrides) -> tuple[dict, str]:
             raise ConfigError(f"config file {path}: {e}") from None
         cfg = _merge(cfg, user)
     for dotted, raw in overrides:
-        _set_dotted(cfg, dotted, raw)
-    _check_types(cfg, DEFAULT_CONFIG)
-    _check_ranges(cfg)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        cfg = _merge(cfg, value)
+    _check_config(cfg, DEFAULT_CONFIG)
+    params, grid = DEFAULT_CONFIG["model"]["params"], cfg["model"]["grid"]
+    _merge(params, grid or {}, "model.grid")    # names model.params keys
+    for name, values in (grid or {}).items():
+        for v in values:
+            _check_config(v, params[name], f"model.params.{name}",
+                          f"config.model.grid.{name}")
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return cfg, hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -397,43 +367,27 @@ def stage_transform(cfg, config_hash, run_dir: Path, dataset_path,
     return out
 
 
-def _load_transforms(path: Path) -> list:
-    """The fitted transforms stage_transform wrote; DataError naming the
-    file on malformed input."""
-    try:
-        with open(path) as f:
-            docs = json.load(f)
-        if not isinstance(docs, list):
-            raise DataError("expected a list of transforms")
-        return [transforms.FittedTransform.from_json(json.dumps(d))
-                for d in docs]
-    except (OSError, ValueError, DataError) as e:
-        raise DataError(f"{path.name}: {e}") from None
-
-
-def _load_manifest(path: Path, *keys: str) -> dict:
-    """A stage manifest holding keys; DataError naming the file when it is
-    unreadable, not a JSON object or lacks one of them."""
+def _read_json(path: Path, shape):
+    """The JSON document at path, of shape (errors.check); a DataError
+    naming the file when it is unreadable or of another shape."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, ValueError) as e:
         raise DataError(f"{path.name}: {e}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path.name}: expected a JSON object")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise DataError(f"{path.name}: missing {', '.join(missing)}")
+    check(doc, shape, path.name, DataError)
     return doc
 
 
 def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
                 assignment_path) -> Path:
     ds, assignment = _load_partitioned(dataset_path, assignment_path)
-    fitted = _load_transforms(run_dir / "transforms.json")
-    tmanifest = _load_manifest(run_dir / "transform_manifest.json",
-                               "assignment_train_fingerprint",
-                               "fit_fingerprint")
+    path = run_dir / "transforms.json"
+    fitted = [transforms.FittedTransform.from_json(d, f"{path.name}[{i}]")
+              for i, d in enumerate(_read_json(path, (list, dict)))]
+    tmanifest = _read_json(run_dir / "transform_manifest.json",
+                           {"assignment_train_fingerprint": str,
+                            "fit_fingerprint": str})
     train_fp = assignment.fingerprint("train")
     if tmanifest["assignment_train_fingerprint"] != train_fp:
         raise LeakageError(
@@ -489,7 +443,7 @@ def _load_partitioned(dataset_path, assignment_path):
     return ds, assignment
 
 
-def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
+def _load_model_chain(run_dir: Path, dataset_path, assignment_path):
     ds, assignment = _load_partitioned(dataset_path, assignment_path)
     try:
         with open(run_dir / "model.json") as f:
@@ -497,8 +451,8 @@ def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"model.json: {e}") from None
     model = models.model_from_json(text)
-    train_manifest = _load_manifest(run_dir / "train_manifest.json",
-                                    "transform_fingerprint")
+    train_manifest = _read_json(run_dir / "train_manifest.json",
+                                {"transform_fingerprint": str})
     train_fp = assignment.fingerprint("train")
     if train_manifest["transform_fingerprint"] != train_fp:
         raise LeakageError(
@@ -509,7 +463,7 @@ def _load_model_chain(cfg, run_dir: Path, dataset_path, assignment_path):
 
 def stage_evaluate(cfg, config_hash, run_dir: Path, dataset_path,
                    assignment_path) -> Path:
-    ds, assignment, model = _load_model_chain(cfg, run_dir, dataset_path,
+    ds, assignment, model = _load_model_chain(run_dir, dataset_path,
                                               assignment_path)
     part = cfg["evaluate"]["partition"]
     eval_ds = ds.partition_subset(part)
@@ -539,7 +493,7 @@ def stage_evaluate(cfg, config_hash, run_dir: Path, dataset_path,
 
 def stage_explain(cfg, config_hash, run_dir: Path, dataset_path,
                   assignment_path) -> Path:
-    ds, assignment, model = _load_model_chain(cfg, run_dir, dataset_path,
+    ds, assignment, model = _load_model_chain(run_dir, dataset_path,
                                               assignment_path)
     val_ds = ds.partition_subset("val")
     X, names = val_ds.feature_matrix()

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, check
 
 KINDS = ("numeric", "categorical", "metadata", "label")
 UNKNOWN_LABEL = "UNKNOWN"
@@ -333,13 +333,15 @@ class Dataset:
         global _last_read
         _last_read = (None, None)
         path = Path(path)
+        data = {n: self.data[n] if self.kinds[n] == "numeric"
+                else _str_column(self.data[n]) for n in self.names}
         schema_text = json.dumps({
             "columns": [{"name": n, "kind": self.kinds[n]} for n in self.names],
             "validity_links": self.validity_links,
             "provenance": self.provenance,
+            # the rows _csv_lines writes: the parse takes no file cut short
+            "rows": min(map(len, (self.row_ids, *data.values()))),
         }, indent=2, sort_keys=True) + "\n"
-        data = {n: self.data[n] if self.kinds[n] == "numeric"
-                else _str_column(self.data[n]) for n in self.names}
         header = io.StringIO()
         if config_hash:
             header.write(f"# config_hash: {config_hash}\n")
@@ -412,7 +414,7 @@ def _read_back(names: list, data: dict, row_ids: np.ndarray,
     columns data in names order, with row_ids and the schema document
     schema_text; None where that parse would fail."""
     try:
-        kinds, links, provenance = _schema_fields(json.loads(schema_text))
+        kinds, links, provenance, _ = _schema_fields(schema_text)
     except TypeError:
         return None
     data = {n: _read_back_column(data[n], kinds[n]) for n in names}
@@ -423,17 +425,16 @@ def _read_back(names: list, data: dict, row_ids: np.ndarray,
                    provenance=provenance)
 
 
-def _schema_fields(schema) -> tuple[dict, dict, dict]:
-    """The kind of each column, validity_links and provenance of a schema
-    document; KeyError or TypeError where it is malformed."""
+def _schema_fields(text) -> tuple[dict, dict, dict, int]:
+    """The kind of each column, validity_links, provenance and data-row
+    count of the schema in text; ValueError, KeyError or TypeError where
+    it is malformed."""
+    schema = json.loads(text)
+    check(schema, {"columns": (list, dict), "validity_links": (dict, str),
+                   "provenance": dict, "rows": int}, "schema", TypeError)
     kinds = {c["name"]: c["kind"] for c in schema["columns"]}
-    links = schema.get("validity_links", {})
-    provenance = schema.get("provenance", {})
-    if not (isinstance(links, dict) and isinstance(provenance, dict)
-            and set(map(type, links.values())) <= {str}):
-        raise TypeError("validity_links must map str to str, and "
-                        "provenance be an object")
-    return kinds, links, provenance
+    return kinds, schema["validity_links"], schema["provenance"], \
+        schema["rows"]
 
 
 def _str_column(col: np.ndarray) -> np.ndarray:
@@ -498,8 +499,7 @@ def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:
     reads quoted commas and line breaks exactly as the writer wrote them.
     """
     try:
-        schema = json.loads(schema_raw)
-        kinds, links, provenance = _schema_fields(schema)
+        kinds, links, provenance, n_rows = _schema_fields(schema_raw)
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{name}.schema.json: malformed schema: "
                         f"{type(e).__name__}: {e}") from None
@@ -531,6 +531,8 @@ def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:
         if len(r) != len(header):
             raise DataError(f"{name}: data row {i} has {len(r)} "
                             f"cells, the header {len(header)}")
+    if len(rows) != n_rows:
+        raise DataError(f"{name}: {len(rows)} data rows, the schema {n_rows}")
     raw_ids = [r[0] for r in rows]
     row_ids = _parse_cells(raw_ids, int, np.int64,
                            f"{name} column 'row_id'", raw_ids)

@@ -61,3 +61,27 @@ class TruncatedCaptureError(DataError):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
+
+# what json.loads may give for a type besides the type itself: an int is a
+# float too. check compares type(), so a bool is neither an int nor a float.
+_TAKES = {float: {float, int}}
+
+
+def check(value, shape, where: str, error: type) -> None:
+    """Raise error naming where unless value, as json.loads gives it, has
+    shape: a JSON type; a (list or dict, type) pair, which types each item
+    or dict value too; or a dict of required keys mapped to shapes."""
+    if type(shape) is dict:
+        check(value, dict, where, error)
+        for key, inner in shape.items():
+            if key not in value:
+                raise error(f"{where} has no {key!r}")
+            check(value[key], inner, f"{where}.{key}", error)
+        return
+    kind, item = shape if type(shape) is tuple else (shape, None)
+    if type(value) not in _TAKES.get(kind, {kind}):
+        raise error(f"{where} must be of type {kind.__name__}, "
+                    f"got {value!r:.80}")
+    items = value.values() if kind is dict else value
+    if item and not set(map(type, items)) <= _TAKES.get(item, {item}):
+        raise error(f"{where} must hold only {item.__name__} items")

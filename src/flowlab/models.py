@@ -48,7 +48,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dataset import class_codes
-from .errors import ConfigError, DataError, FitError, LeakageError, ShapeError
+from .errors import (ConfigError, DataError, FitError, LeakageError,
+                     ShapeError, check)
 from . import evaluation
 from .partition import kfold
 
@@ -177,7 +178,6 @@ class TreeParams:
 
     max_depth: Optional[int] = None
     min_samples_split: int = 2
-    min_impurity_decrease: float = 0.0
 
 
 @dataclass
@@ -390,8 +390,7 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, n_classes: int,
             np.asarray([counts[i] for i in batch]),
             np.asarray([impurity[i] for i in batch]))
         split = [(i, *hit) for i, hit in zip(batch, found)
-                 if hit is not None and not (
-                     hit[0] <= 0.0 or hit[0] < params.min_impurity_decrease)]
+                 if hit is not None and not hit[0] <= 0.0]
         if not split:
             continue
         parents, decs, fs, thrs, lcs = zip(*split)
@@ -563,6 +562,16 @@ def knn_fit(X: np.ndarray, y, k: int) -> KnnModel:
 # -- serialization ----------------------------------------------------------------
 
 _INT_FIELDS = ("feature", "left", "right", "n_samples")
+# each kind's model.json document, as errors.check reads a shape
+_TREE_SHAPE = {"classes": (list, str), "n_features": int,
+               "roots": (list, int), "nodes": {
+                   f.name: (list, int if f.name in _INT_FIELDS
+                            else list if f.name == "probs" else float)
+                   for f in fields(Nodes)}}
+_MODEL_SHAPES = {"tree": _TREE_SHAPE,
+                 "forest": {**_TREE_SHAPE, "m": int, "seed": int},
+                 "knn": {"classes": (list, str), "k": int, "X": (list, list),
+                         "y": (list, int)}}
 
 
 def model_to_json(model) -> str:
@@ -590,26 +599,21 @@ def _parse_nodes(d: dict, n_features: int, n_classes: int
     make every step of `walk` go to a higher node of the same tree: a leaf
     points to itself, a split's left child is the next node, and its right
     child lies past that, before the next tree's root."""
-    cols, roots = d["nodes"], d["roots"]
+    cols = d["nodes"]
     names = [f.name for f in fields(Nodes)]
-    if not isinstance(cols, dict) or set(cols) != set(names):
+    if set(cols) != set(names):
         raise DataError(f"nodes must hold exactly the fields {names}")
     n = len(cols["feature"])
     arrays = {}
     for name in names:
-        col = cols[name]
-        if not isinstance(col, list) or len(col) != n:
+        if len(cols[name]) != n:
             raise DataError(f"nodes field {name!r} is not {n} entries")
-        if name in _INT_FIELDS and not set(map(type, col)) <= {int}:
-            raise DataError(f"nodes field {name!r} holds a non-integer")
         arrays[name] = np.asarray(
-            col, dtype=np.int64 if name in _INT_FIELDS else np.float64)
+            cols[name], dtype=np.int64 if name in _INT_FIELDS else np.float64)
     nodes = Nodes(**arrays)
     if nodes.probs.shape != (n, n_classes):
         raise DataError(f"probs must be {n} nodes x {n_classes} classes")
-    if not isinstance(roots, list) or not set(map(type, roots)) <= {int}:
-        raise DataError("roots must be a list of integers")
-    roots = np.asarray(roots, dtype=np.int64)
+    roots = np.asarray(d["roots"], dtype=np.int64)
     if (not len(roots) or roots[0] != 0 or (np.diff(roots) <= 0).any()
             or roots[-1] >= n):
         raise DataError(f"roots must rise strictly from 0 to below {n}")
@@ -679,38 +683,34 @@ _last_model: tuple = (None, None)
 def _parse_model(text: str):
     try:
         d = json.loads(text)
-        kind, classes = d["kind"], d["classes"]
-        if (not isinstance(classes, list) or not classes
-                or not all(isinstance(c, str) for c in classes)):
+        kind = d["kind"]
+        if kind not in _MODEL_SHAPES:
+            raise DataError(f"unknown model kind {kind!r}")
+        check(d, _MODEL_SHAPES[kind], "model.json", DataError)
+        classes = d["classes"]
+        if not classes:
             raise DataError("classes must be a nonempty list of strings")
         if kind == "knn":
             X = np.asarray(d["X"], dtype=np.float64)
-            y = np.asarray(d["y"])
+            y = np.asarray(d["y"], dtype=np.int64)
             k = d["k"]
             if (X.ndim != 2 or not len(X) or y.shape != (len(X),)
-                    or y.dtype.kind != "i"
                     or not ((0 <= y) & (y < len(classes))).all()
-                    or type(k) is not int or not 1 <= k <= len(X)):
+                    or not 1 <= k <= len(X)):
                 raise DataError("knn model needs rows X, class indices y "
                                 "and k in [1, rows]")
-            return KnnModel(X=X, y=y.astype(np.int64), classes=classes, k=k)
-        if kind not in ("tree", "forest"):
-            raise DataError(f"unknown model kind {kind!r}")
+            return KnnModel(X=X, y=y, classes=classes, k=k)
         n_features = d["n_features"]
-        if type(n_features) is not int or n_features < 1:
-            raise DataError(f"n_features {n_features!r} is not a positive "
-                            "integer")
+        if n_features < 1:
+            raise DataError(f"n_features {n_features} is not positive")
         nodes, roots = _parse_nodes(d, n_features, len(classes))
         if kind == "tree":
             if len(roots) != 1:
                 raise DataError(f"a tree has one root, not {len(roots)}")
             return TreeModel(nodes=nodes, classes=classes,
                              n_features=n_features)
-        m, seed = d["m"], d["seed"]
-        if type(m) is not int or type(seed) is not int:
-            raise DataError("forest m and seed must be integers")
         return ForestModel(nodes=nodes, roots=roots, classes=classes,
-                           n_features=n_features, m=m, seed=seed)
+                           n_features=n_features, m=d["m"], seed=d["seed"])
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as e:
         raise DataError(f"malformed model JSON: {type(e).__name__}: {e}"
@@ -740,16 +740,13 @@ def fit(kind: str, X, y, params: dict, seed: int):
     each kind reads only its own keys, and a missing key is its default."""
     if kind == "knn":
         return knn_fit(X, y, params.get("k", 5))
-    tree = TreeParams(
-        max_depth=params.get("max_depth"),
-        min_samples_split=params.get("min_samples_split", 2),
-        min_impurity_decrease=params.get("min_impurity_decrease", 0.0))
+    tree = TreeParams(max_depth=params.get("max_depth"),
+                      min_samples_split=params.get("min_samples_split", 2))
     if kind == "tree":
         return tree_fit(X, y, tree)
     if kind == "forest":
         return forest_fit(X, y, ForestParams(
-            n_trees=params.get("n_trees", 50), m=params.get("m"), tree=tree),
-            seed=seed)
+            n_trees=params.get("n_trees", 50), tree=tree), seed=seed)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 

@@ -70,7 +70,7 @@ class SplitAssignment:
                 w.writerow([rid, self.tags[rid]])
 
     @classmethod
-    def from_csv(cls, path, manifest: Optional[dict] = None) -> "SplitAssignment":
+    def from_csv(cls, path) -> "SplitAssignment":
         """The assignment `to_csv` wrote; DataError naming the file and
         line on malformed input."""
         name = Path(path).name
@@ -89,7 +89,7 @@ class SplitAssignment:
             except ValueError:
                 raise DataError(f"{name}, line {line}: expected "
                                 f"row_id,partition, got {row!r}") from None
-        return cls(tags=tags, manifest=manifest or {})
+        return cls(tags=tags)
 
     def write_manifest(self, path) -> None:
         with open(path, "w") as f:

@@ -30,6 +30,7 @@ from .errors import (
     TruncatedCaptureError,
     UnsupportedFormatError,
     UnsupportedLinkTypeError,
+    check,
 )
 
 MAGIC_MICRO = 0xA1B2C3D4
@@ -79,12 +80,12 @@ class FilterSpec:
         """From {"protocols": [int], "ports": [int], "prefixes": [str]},
         each key optional; InvalidArgumentError on any other shape."""
         types = {"protocols": int, "ports": int, "prefixes": str}
-        if not (isinstance(d, dict) and set(d) <= set(types) and all(
-                isinstance(v, list) and all(type(x) is types[k] for x in v)
-                for k, v in d.items())):
-            raise InvalidArgumentError(
-                f"bad filter {d!r}: protocols and ports take lists of "
-                "ints, prefixes a list of strings")
+        check(d, dict, "filter", InvalidArgumentError)
+        if not set(d) <= set(types):
+            raise InvalidArgumentError(f"filter keys must be among "
+                                       f"{list(types)}, got {list(d)}")
+        check(d, {k: (list, types[k]) for k in d}, "filter",
+              InvalidArgumentError)
         protos = set(d.get("protocols", [])) or None
         ports = set(d.get("ports", [])) or None
         prefixes = None

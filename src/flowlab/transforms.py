@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, class_codes
 from .errors import (ConfigError, DataError, InvalidArgumentError,
-                     LeakageError, TransformMismatchError)
+                     LeakageError, TransformMismatchError, check)
 
 
 @dataclass
@@ -47,25 +47,16 @@ class FittedTransform:
         }, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "FittedTransform":
-        """The transform `to_json` wrote; DataError on malformed input."""
-        try:
-            d = json.loads(text)
-            t = cls(kind=d["kind"], params=d["params"],
-                    fit_partition_fingerprint=d["fit_partition_fingerprint"],
-                    columns=d["columns"], warnings=d.get("warnings", []))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"malformed transform JSON: {type(e).__name__}: "
-                            f"{e}") from None
-        if not (isinstance(t.kind, str) and isinstance(t.params, dict)
-                and isinstance(t.fit_partition_fingerprint, str)
-                and isinstance(t.columns, list)
-                and all(isinstance(c, str) for c in t.columns)
-                and isinstance(t.warnings, list)):
-            raise DataError("malformed transform JSON: kind, params, "
-                            "fit_partition_fingerprint, columns or warnings "
-                            "has the wrong type")
-        return t
+    def from_json(cls, d, where: str = "transform") -> "FittedTransform":
+        """The transform whose `to_json` document json.loads gave as d; a
+        DataError naming where on malformed input."""
+        check(d, {"kind": str, "params": dict,
+                  "fit_partition_fingerprint": str, "columns": (list, str),
+                  "warnings": (list, str)},
+              f"malformed transform JSON: {where}", DataError)
+        return cls(kind=d["kind"], params=d["params"],
+                   fit_partition_fingerprint=d["fit_partition_fingerprint"],
+                   columns=d["columns"], warnings=d["warnings"])
 
 
 def _guard_fit(ds: Dataset) -> None:

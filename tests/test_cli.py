@@ -19,8 +19,8 @@ import pytest
 
 import flowlab
 from flowlab import cli, dataset, meter, models
-from flowlab.cli import (DEFAULT_CONFIG, STAGE_INPUTS, load_config, run,
-                         run_dir_for, run_stage)
+from flowlab.cli import (CONFIG_RULES, DEFAULT_CONFIG, STAGE_INPUTS,
+                         load_config, run, run_dir_for, run_stage)
 from flowlab.errors import ConfigError
 from flowlab.meter import feature_column_names
 from flowlab.pcap import make_packet, write_capture
@@ -81,6 +81,26 @@ class TestConfig:
     def test_dotted_override_unknown_path(self):
         with pytest.raises(ConfigError):
             load_config(None, [("meter.bogus", "1")])
+
+    def test_window_past_float_range_rejected(self):
+        # json.loads gives ints of any size: a 400-digit window passed the
+        # finite check and escaped from prepare as an OverflowError
+        with pytest.raises(ConfigError, match="stateful.window"):
+            load_config(None, [("stateful.window", "1" + "0" * 400)])
+
+    def test_rules_name_the_leaves_that_need_one(self):
+        # a rule left behind by a renamed key would check nothing, and a
+        # null or list default without one would take any value
+        def leaves(section, path=""):
+            for key, value in section.items():
+                where = f"{path}.{key}".lstrip(".")
+                yield from (leaves(value, where) if isinstance(value, dict)
+                            else [(where, value)])
+        defaults = dict(leaves(DEFAULT_CONFIG))
+        assert set(CONFIG_RULES) <= set(defaults)
+        assert {path for path, value in defaults.items()
+                if value is None or isinstance(value, list)} \
+            <= set(CONFIG_RULES)
 
     def test_env_var_config(self, config, monkeypatch, capsys):
         monkeypatch.setenv("FLOWLAB_CONFIG", str(config))
@@ -479,7 +499,9 @@ class TestExitCodes:
             ("transform.outlier_method", ("[1]", '{"a":1}')),
             ("model.params.max_depth", ('"x"', '{"a":1}')),
             ("model.grid", ("true", "1", '"x"', "[1]", '{"a":1}', "1.5",
-                            "-1")),
+                            "-1", '{"max_depth": ["a"]}',
+                            '{"max_depth": [0, -1]}', '{"max_depth": [2.5]}',
+                            '{"n_trees": [true]}', '{"bogus": [1]}')),
             ("explain.group_threshold", ('"x"', '{"a":1}')))
             for raw in values]
         code = f"""
@@ -499,6 +521,8 @@ for key, raw in {cases!r}:
     assert key.rsplit(".", 1)[-1] in lines[0], (key, raw, lines)
 """
         _run_fresh(code)
+        assert load_config(config, [("model.grid",
+                                     '{"max_depth": [null, 3]}')])
 
     def test_negative_seed_is_1(self, config, capsys):
         assert run(["split", "--config", str(config), "--seed", "-1"]) == 1

@@ -168,6 +168,10 @@ CONFIG_PATHS = list(_json_paths(cli.DEFAULT_CONFIG))
          value=None)
 @example(case=("prepare", "flows.csv", "drop_column"), at=10, flip=1,
          value=None)
+# a dataset.csv cut on a line break parsed as a shorter table, and split
+# exited 1 on a class it left too small to stratify
+@example(case=("split", "dataset.csv", "truncate"), at=5621, flip=1,
+         value=None)
 # an int or a bool given as a path was opened as a file descriptor: flowlab
 # closed its own stdout
 @example(case=("meter", "config.json", "swap_type"),

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -94,7 +95,7 @@ class TestScalers:
 
     def test_json_round_trip(self):
         f = fit_robust(_num_ds([1, 2, 3, 4, 100]))
-        back = FittedTransform.from_json(f.to_json())
+        back = FittedTransform.from_json(json.loads(f.to_json()))
         assert back.kind == "robust"
         assert back.params == f.params
         assert back.fit_partition_fingerprint == f.fit_partition_fingerprint
