@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation/configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import hashlib
 import json
@@ -35,7 +34,8 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import evaluation, explain, labeling, models, prep, transforms
-from .dataset import Dataset, UNKNOWN_LABEL
+from .dataset import (Dataset, UNKNOWN_LABEL, read_text, write_csv,
+                      write_json, write_text)
 from .errors import (ConfigError, DataError, FlowlabError, LeakageError,
                      check)
 from .meter import (FlowCache, MeterConfig, feature_column_names,
@@ -85,6 +85,8 @@ DEFAULT_CONFIG = {
 CONFIG_RULES = {
     "seed": (int, None, 0), "capture": (str, None, None),
     "ingest.filter": (dict, None, None), "stateful.window": (float, None, 0),
+    "meter.idle_timeout": (float, None, 0),
+    "meter.active_timeout": (float, None, 0),
     "labeling.rule_file": (str, None, None),
     "labeling.map_file": (str, None, None),
     "cleaning.drop_columns": (list, str, None),
@@ -96,6 +98,7 @@ CONFIG_RULES = {
     "transform.smote_k": (int, None, None),
     "transform.undersample_ratio": (float, None, None),
     "transform.outlier_method": (str, None, None),
+    "model.params.n_trees": (int, None, 1),
     "model.params.max_depth": (int, None, 1), "model.grid": (dict, list, None),
     "explain.group_threshold": (float, None, None),
     "explain.pdp_features": (list, str, None),
@@ -176,9 +179,7 @@ def _write_manifest(run_dir: Path, stage: str, config_hash: str,
                 "inputs": {k: _file_hash(v) if Path(v).exists() else None
                            for k, v in inputs.items()},
                 **extra}
-    with open(run_dir / f"{stage}_manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(run_dir / f"{stage}_manifest.json", manifest)
 
 
 def run_dir_for(cfg: dict, config_hash: str) -> Path:
@@ -226,9 +227,7 @@ def stage_diagnose(cfg, config_hash, run_dir: Path, dataset_path) -> Path:
     ds = Dataset.from_csv(dataset_path)
     report = prep.diagnose(ds)
     out = run_dir / "quality_report.json"
-    with open(out, "w") as f:
-        json.dump(report.as_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out, report.as_dict())
     _write_manifest(run_dir, "diagnose", config_hash,
                     {"dataset": dataset_path}, {})
     return out
@@ -271,9 +270,8 @@ def stage_split(cfg, config_hash, run_dir: Path, dataset_path) -> Path:
     assignment = split(ds, spec)
     out = run_dir / "assignment.csv"
     assignment.to_csv(out)
-    assignment.manifest["config_hash"] = config_hash
-    assignment.manifest["dataset_hash"] = _file_hash(dataset_path)
-    assignment.write_manifest(run_dir / "split_manifest.json")
+    _write_manifest(run_dir, "split", config_hash, {"dataset": dataset_path},
+                    assignment.manifest)
     return out
 
 
@@ -353,10 +351,7 @@ def stage_transform(cfg, config_hash, run_dir: Path, dataset_path,
     out_ds = Dataset.concat(train_t, non_train)
     out = run_dir / "transformed.csv"
     out_ds.to_csv(out, config_hash=config_hash)
-    with open(run_dir / "transforms.json", "w") as f:
-        json.dump([json.loads(t.to_json()) for t in fitted], f, indent=2,
-                  sort_keys=True)
-        f.write("\n")
+    write_json(run_dir / "transforms.json", [t.as_dict() for t in fitted])
     _write_manifest(run_dir, "transform", config_hash,
                     {"dataset": dataset_path, "assignment": assignment_path},
                     {"fit_fingerprint": fitted[0].fit_partition_fingerprint
@@ -371,9 +366,8 @@ def _read_json(path: Path, shape):
     """The JSON document at path, of shape (errors.check); a DataError
     naming the file when it is unreadable or of another shape."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
+        doc = json.loads(read_text(path))
+    except ValueError as e:
         raise DataError(f"{path.name}: {e}") from None
     check(doc, shape, path.name, DataError)
     return doc
@@ -406,12 +400,10 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
         grid = models.HyperGrid(values=mcfg["grid"], metric=mcfg["metric"],
                                 cv_folds=mcfg["cv_folds"])
         best, table = models.grid_search(design, grid, mcfg["kind"],
-                                         seed=cfg["seed"])
+                                         cfg["seed"], mcfg["params"])
         model = best["model"]
-        with open(run_dir / "cv_table.json", "w") as f:
-            json.dump(table, f, indent=2, sort_keys=True)
-            f.write("\n")
-        chosen = best["params"]
+        write_json(run_dir / "cv_table.json", table)
+        chosen = {**mcfg["params"], **best["params"]}
     else:
         X, _ = train_ds.feature_matrix()
         model = models.fit(mcfg["kind"], X, train_ds.labels(),
@@ -419,8 +411,7 @@ def stage_train(cfg, config_hash, run_dir: Path, dataset_path,
         chosen = mcfg["params"]
     out = run_dir / "model.json"
     text = models.model_to_json(model) + "\n"
-    with open(out, "w") as f:
-        f.write(text)
+    write_text(out, [text])
     models.remember_model(text, model)
     _write_manifest(run_dir, "train", config_hash,
                     {"dataset": dataset_path, "assignment": assignment_path,
@@ -445,12 +436,7 @@ def _load_partitioned(dataset_path, assignment_path):
 
 def _load_model_chain(run_dir: Path, dataset_path, assignment_path):
     ds, assignment = _load_partitioned(dataset_path, assignment_path)
-    try:
-        with open(run_dir / "model.json") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"model.json: {e}") from None
-    model = models.model_from_json(text)
+    model = models.model_from_json(read_text(run_dir / "model.json"))
     train_manifest = _read_json(run_dir / "train_manifest.json",
                                 {"transform_fingerprint": str})
     train_fp = assignment.fingerprint("train")
@@ -473,16 +459,14 @@ def stage_evaluate(cfg, config_hash, run_dir: Path, dataset_path,
     rep = evaluation.report(cm, beta=cfg["evaluate"]["beta"],
                             top_n=cfg["evaluate"]["top_n"])
     out = run_dir / "report.txt"
-    with open(out, "w") as f:
-        f.write(f"partition: {part}\n")
-        f.write(f"macro-F1: {rep.macro['fbeta']:.6f}\n\n")
-        f.write(evaluation.render_text(rep, cm))
+    write_text(out, [f"partition: {part}\n",
+                     f"macro-F1: {rep.macro['fbeta']:.6f}\n\n",
+                     evaluation.render_text(rep, cm)])
     evaluation.write_report_csv(rep, cm, run_dir / "report.csv")
-    with open(run_dir / "confusion.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["actual\\predicted", *cm.classes])
-        w.writerows([c, *row] for c, row in zip(cm.classes,
-                                                cm.counts.tolist()))
+    write_csv(run_dir / "confusion.csv", [
+        ["actual\\predicted", *cm.classes],
+        *([c, *row] for c, row in zip(cm.classes, cm.counts.tolist()))],
+        lineterminator="\n")
     _write_manifest(run_dir, "evaluate", config_hash,
                     {"dataset": dataset_path, "assignment": assignment_path,
                      "model": run_dir / "model.json"},

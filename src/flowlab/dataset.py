@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import operator
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -348,10 +349,10 @@ class Dataset:
         csv.writer(header).writerow(["row_id"] + self.names)
         columns = [(list(map(str, self.row_ids.tolist())), None)]
         columns += [_column_cells(data[n], self.kinds[n]) for n in self.names]
-        digest = _write_text(path, itertools.chain(
+        digest = write_text(path, itertools.chain(
             [header.getvalue()], _csv_lines(columns)), newline="")
         schema_path = path.with_suffix(path.suffix + ".schema.json")
-        schema_digest = _write_text(schema_path, [schema_text])
+        schema_digest = write_text(schema_path, [schema_text])
         rows = (len(self.row_ids),)
         # the parse gives back no ids of another dtype, no name but a str,
         # no column the writer's zip cut short, no line-breaking hash
@@ -469,13 +470,53 @@ def _fits_csv_field(cells) -> bool:
     return max(map(len, cells), default=0) <= csv.field_size_limit()
 
 
-def _write_text(path: Path, lines: Iterable[str], newline=None) -> bytes:
-    """Write lines to path as open(path, "w", newline=newline) writes
-    them, hashing the bytes as they go to the file; their SHA-256."""
-    with _HashedFile(path) as raw, io.TextIOWrapper(
-            io.BufferedWriter(raw), newline=newline) as f:
-        f.writelines(lines)
+def write_text(path, lines: Iterable[str], newline=None) -> bytes:
+    """Write lines to path as open(path, "w", newline=newline) writes them,
+    whole or not at all: to ".<name>.part" beside path, renamed over path
+    once complete, removed if the write raises. Every artifact is written
+    here. The SHA-256 of the bytes, hashed as they go to the file."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.part")
+    try:
+        with _HashedFile(part) as raw, io.TextIOWrapper(
+                io.BufferedWriter(raw), newline=newline) as f:
+            f.writelines(lines)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return raw.sha256.digest()
+
+
+def write_json(path, doc) -> None:
+    """Write doc as JSON: sorted keys, two-space indent, closing newline."""
+    write_text(path, [json.dumps(doc, indent=2, sort_keys=True), "\n"])
+
+
+def write_csv(path, rows: Iterable[Sequence], lineterminator="\r\n") -> None:
+    """Write rows to path as csv.writer writes them."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator=lineterminator).writerows(rows)
+    write_text(path, [text.getvalue()], newline="")
+
+
+def read_text(path) -> str:
+    """The text of the file at path, read as open(path, newline="") reads
+    it; a DataError naming the file if it cannot be read or decoded."""
+    try:
+        with open(path, newline="") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"{Path(path).name}: {e}") from None
+
+
+def read_csv(path) -> list[list[str]]:
+    """The rows of the CSV file at path, as csv.reader reads them; a
+    DataError naming the file if it cannot be read or parsed."""
+    try:
+        return list(csv.reader(io.StringIO(read_text(path), newline="")))
+    except csv.Error as e:
+        raise DataError(f"{Path(path).name}: {e}") from None
 
 
 class _HashedFile(io.FileIO):

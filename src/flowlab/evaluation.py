@@ -6,14 +6,13 @@ macro/weighted/micro aggregation, ROC curves and trapezoidal AUC.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import class_codes
+from .dataset import class_codes, write_csv
 from .errors import ShapeError, UndefinedMetricError
 
 ZERO_DIV_NOTE = "0/0 metric values reported as 0 by convention"
@@ -221,27 +220,21 @@ def render_text(rep: MetricReport, cm: ConfusionMatrix) -> str:
 
 
 def write_report_csv(rep: MetricReport, cm: ConfusionMatrix, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scope", "class", "precision", "recall", "fbeta",
-                    "support"])
-        for c in cm.classes:
-            m = rep.per_class[c]
-            w.writerow(["class", c, repr(m["precision"]), repr(m["recall"]),
-                        repr(m["fbeta"]), m["support"]])
-        for mode in ("macro", "weighted", "micro"):
-            m = getattr(rep, mode)
-            w.writerow([mode, "", repr(m["precision"]), repr(m["recall"]),
-                        repr(m["fbeta"]), cm.total])
-        w.writerow(["accuracy", "", repr(rep.accuracy), "", "", cm.total])
+    scores = [("class", c, rep.per_class[c], rep.per_class[c]["support"])
+              for c in cm.classes]
+    scores += [(mode, "", getattr(rep, mode), cm.total)
+               for mode in ("macro", "weighted", "micro")]
+    write_csv(path, [
+        ("scope", "class", "precision", "recall", "fbeta", "support"),
+        *((scope, c, repr(m["precision"]), repr(m["recall"]),
+           repr(m["fbeta"]), n) for scope, c, m, n in scores),
+        ("accuracy", "", repr(rep.accuracy), "", "", cm.total)])
 
 
 def write_roc_csv(points, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["threshold", "fpr", "tpr"])
-        for thr, fpr, tpr in points:
-            w.writerow([repr(thr), repr(fpr), repr(tpr)])
+    write_csv(path, [("threshold", "fpr", "tpr"),
+                     *((repr(thr), repr(fpr), repr(tpr))
+                       for thr, fpr, tpr in points)])
 
 
 # metric registries: name -> fn(confusion matrix) -> float, and

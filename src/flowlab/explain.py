@@ -26,13 +26,13 @@ once, with the same confusion counts as labels give.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .dataset import write_csv
 from .errors import ConfigError
 from .evaluation import METRICS, code_scorer
 from .models import ForestModel, TreeModel, mean_leaf_probs, walk
@@ -66,13 +66,10 @@ class ImportanceTable:
         return ordered
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["rank", "feature", "importance", "std", "method",
-                        "repeats"])
-            for r in self.ranked():
-                w.writerow([r.rank, r.feature, repr(r.importance),
-                            repr(r.std), self.method, self.repeats])
+        write_csv(path, [
+            ("rank", "feature", "importance", "std", "method", "repeats"),
+            *((r.rank, r.feature, repr(r.importance), repr(r.std),
+               self.method, self.repeats) for r in self.ranked())])
 
 
 def gini_importance(model, feature_names: Sequence[str]) -> ImportanceTable:
@@ -291,8 +288,6 @@ def partial_dependence(model, X: np.ndarray, feature: int,
 
 def write_pdp_csv(grid: np.ndarray, curves: np.ndarray,
                   classes: Sequence[str], feature_name: str, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([feature_name] + [f"p({c})" for c in classes])
-        for v, row in zip(grid, curves):
-            w.writerow([repr(float(v))] + [repr(float(p)) for p in row])
+    write_csv(path, [[feature_name, *(f"p({c})" for c in classes)],
+                     *([repr(float(v)), *(repr(float(p)) for p in row)]
+                       for v, row in zip(grid, curves))])

@@ -8,12 +8,11 @@ precedence, never by voting.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .dataset import UNKNOWN_LABEL as UNKNOWN
+from .dataset import UNKNOWN_LABEL as UNKNOWN, read_csv
 from .errors import ConfigError, DataError
 
 CONFIDENCES = ("low", "high")
@@ -154,12 +153,8 @@ def resolve(outcomes: Sequence[LabelOutcome],
 def _file_rows(path) -> list[tuple[int, list[str]]]:
     """The numbered rows of a CSV file but blank and "#" comment rows; a
     file that cannot be read is a DataError naming it."""
-    try:
-        with open(path, newline="") as f:
-            rows = list(enumerate(csv.reader(f), start=1))
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"{path}: {e}") from None
-    return [(i, row) for i, row in rows if row and not row[0].startswith("#")]
+    return [(i, row) for i, row in enumerate(read_csv(path), start=1)
+            if row and not row[0].startswith("#")]
 
 
 def load_rule_file(path) -> list[PortRule]:

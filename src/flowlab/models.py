@@ -736,17 +736,20 @@ class HyperGrid:
 
 
 def fit(kind: str, X, y, params: dict, seed: int):
-    """A "tree", "forest" or "knn" model fitted with the config's params;
-    each kind reads only its own keys, and a missing key is its default."""
+    """A "tree", "forest" or "knn" model fitted with params, keyed as the
+    config's model.params; each kind reads only its own keys. knn needs k;
+    a key a tree or forest lacks keeps its TreeParams or ForestParams
+    default. The CLI gives every key."""
     if kind == "knn":
-        return knn_fit(X, y, params.get("k", 5))
-    tree = TreeParams(max_depth=params.get("max_depth"),
-                      min_samples_split=params.get("min_samples_split", 2))
+        return knn_fit(X, y, params["k"])
+    own = lambda cls: {f.name: params[f.name] for f in fields(cls)
+                       if f.name in params}
+    tree = TreeParams(**own(TreeParams))
     if kind == "tree":
         return tree_fit(X, y, tree)
     if kind == "forest":
-        return forest_fit(X, y, ForestParams(
-            n_trees=params.get("n_trees", 50), tree=tree), seed=seed)
+        return forest_fit(X, y, ForestParams(**{**own(ForestParams),
+                                                "tree": tree}), seed=seed)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -757,13 +760,14 @@ def _simplicity(kind: str, params: dict) -> tuple:
             tuple(sorted(params.items(), key=lambda kv: kv[0])).__repr__())
 
 
-def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0
-                ) -> tuple[dict, list[dict]]:
+def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0,
+                params: Optional[dict] = None) -> tuple[dict, list[dict]]:
     """Exhaustive k-fold CV over the grid on the design (train+val) set.
 
-    `design` is a Dataset that must carry no test-tagged rows. Returns
-    (best entry, full cv table); the best entry carries the model refit on
-    the whole design set.
+    `design` is a Dataset that must carry no test-tagged rows. Each
+    combination of grid values is fitted over params, as `fit` takes them.
+    Returns (best entry, full cv table), each entry's params its combination;
+    the best entry carries the model refit on the whole design set.
     """
     if design.partitions is not None and (design.partitions == "test").any():
         raise LeakageError("grid search design set contains test rows")
@@ -773,23 +777,25 @@ def grid_search(design, grid: HyperGrid, model_kind: str, seed: int = 0
     table = []
     names = sorted(grid.values)
     for combo in itertools.product(*(grid.values[n] for n in names)):
-        params = dict(zip(names, combo))
+        combo = dict(zip(names, combo))
         scores = []
         for train_idx, val_idx in folds:
             tr = design.subset(train_idx)
             va = design.subset(val_idx)
             Xtr, _ = tr.feature_matrix()
             Xva, _ = va.feature_matrix()
-            model = fit(model_kind, Xtr, tr.labels(), params, seed)
+            model = fit(model_kind, Xtr, tr.labels(),
+                        {**(params or {}), **combo}, seed)
             pred = model.predict(Xva)
             scores.append(score_fn(va.labels(), pred))
         mean = float(np.mean(scores))
         std = float(np.std(scores))
-        table.append({"params": params, "mean_score": mean,
+        table.append({"params": combo, "mean_score": mean,
                       "std_score": std, "fold_scores": scores})
     best = min(table, key=lambda e: (-e["mean_score"],
                                      _simplicity(model_kind, e["params"])))
     Xd, _ = design.feature_matrix()
     best = dict(best)
-    best["model"] = fit(model_kind, Xd, design.labels(), best["params"], seed)
+    best["model"] = fit(model_kind, Xd, design.labels(),
+                        {**(params or {}), **best["params"]}, seed)
     return best, table

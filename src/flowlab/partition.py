@@ -8,15 +8,14 @@ assignment file and never re-split.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, UNKNOWN_LABEL, class_codes, rows_fingerprint
+from .dataset import (Dataset, UNKNOWN_LABEL, class_codes, read_csv,
+                      rows_fingerprint, write_csv)
 from .errors import ConfigError, DataError, LeakageError, StratificationError
 
 TAGS = ("train", "val", "test")
@@ -63,22 +62,14 @@ class SplitAssignment:
         return rows_fingerprint(self.ids(tag))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["row_id", "partition"])
-            for rid in sorted(self.tags):
-                w.writerow([rid, self.tags[rid]])
+        write_csv(path, [("row_id", "partition"), *sorted(self.tags.items())])
 
     @classmethod
     def from_csv(cls, path) -> "SplitAssignment":
         """The assignment `to_csv` wrote; DataError naming the file and
         line on malformed input."""
         name = Path(path).name
-        try:
-            with open(path, newline="") as f:
-                rows = list(csv.reader(f))
-        except (OSError, UnicodeDecodeError, csv.Error) as e:
-            raise DataError(f"{name}: {e}") from None
+        rows = read_csv(path)
         if not rows:
             raise DataError(f"{name}: empty file, no header")
         tags = {}
@@ -90,11 +81,6 @@ class SplitAssignment:
                 raise DataError(f"{name}, line {line}: expected "
                                 f"row_id,partition, got {row!r}") from None
         return cls(tags=tags)
-
-    def write_manifest(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def _largest_remainder(n: int, fractions: Sequence[float]) -> list[int]:

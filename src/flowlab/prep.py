@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, write_text
 from .errors import ConfigError, DataError
 
 MISSING_TOKENS = {"", "nan", "NaN", "None"}
@@ -211,9 +211,8 @@ def _clean_pass(ds: Dataset, rules: CleaningConfig
 
 
 def write_audit_log(audit: list[dict], path) -> None:
-    with open(path, "w") as f:
-        for event in audit:
-            f.write(json.dumps(event, sort_keys=True) + "\n")
+    write_text(path, [json.dumps(event, sort_keys=True) + "\n"
+                      for event in audit])
 
 
 STATELESS_SOURCES = ("fwd_packet_count", "bwd_packet_count",

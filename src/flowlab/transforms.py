@@ -14,7 +14,6 @@ bit-comparable across runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,19 +35,16 @@ class FittedTransform:
     columns: list[str]
     warnings: list[str] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "columns": self.columns,
-            "params": self.params,
-            "fit_partition_fingerprint": self.fit_partition_fingerprint,
-            "warnings": self.warnings,
-            "tool": "flowlab-0.1.0",
-        }, indent=2, sort_keys=True)
+    def as_dict(self) -> dict:
+        """The transform's JSON document, as transforms.json holds it."""
+        return {"kind": self.kind, "columns": self.columns,
+                "params": self.params,
+                "fit_partition_fingerprint": self.fit_partition_fingerprint,
+                "warnings": self.warnings, "tool": "flowlab-0.1.0"}
 
     @classmethod
     def from_json(cls, d, where: str = "transform") -> "FittedTransform":
-        """The transform whose `to_json` document json.loads gave as d; a
+        """The transform whose `as_dict` document json.loads gave as d; a
         DataError naming where on malformed input."""
         check(d, {"kind": str, "params": dict,
                   "fit_partition_fingerprint": str, "columns": (list, str),

@@ -198,12 +198,39 @@ class TestStages:
         for stage, names in STAGE_INPUTS.items():
             manifest = json.loads(
                 (run_dir / f"{stage}_manifest.json").read_text())
-            chained = {*manifest.get("inputs", {}).values(),
-                       manifest.get("dataset_hash")}
+            chained = set(manifest["inputs"].values())
             for name in names:
                 digest = hashlib.sha256(
                     (run_dir / name).read_bytes()).hexdigest()
                 assert digest in chained, (stage, name)
+
+    def test_every_run_directory_file_is_written_whole(self, config,
+                                                        monkeypatch):
+        # dataset.write_text writes each file under a part name and renames
+        # it over the final one: every file of the run directory comes from
+        # such a rename, and no part file is left
+        replaced, replace = set(), os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            replaced.add(Path(dst)), replace(src, dst)))
+        assert run(["pipeline", "--config", str(config)]) == 0
+        files = set(run_dir_for(*load_config(config, [])).iterdir())
+        assert replaced == files
+        assert not [p for p in files if p.name.endswith(".part")]
+
+    def test_grid_search_fits_over_the_config_params(self, config):
+        pairs = [("model.params.n_trees", "2"),
+                 ("model.grid", '{"max_depth": [3]}')]
+        assert run(["pipeline", "--config", str(config),
+                    *(a for k, v in pairs for a in (f"--{k}", v))]) == 0
+        cfg, h = load_config(config, pairs)
+        run_dir = run_dir_for(cfg, h)
+        model = json.loads((run_dir / "model.json").read_text())
+        assert len(model["roots"]) == 2
+        manifest = json.loads((run_dir / "train_manifest.json").read_text())
+        assert manifest["params"] == {**cfg["model"]["params"],
+                                      "max_depth": 3}
+        table = json.loads((run_dir / "cv_table.json").read_text())
+        assert [e["params"] for e in table] == [{"max_depth": 3}]
 
     def test_import_freezes_once_and_run_freezes_nothing(self, config):
         # in a fresh interpreter: pytest's own import of flowlab.cli froze
@@ -477,7 +504,10 @@ class TestExitCodes:
         ("meter.idle_timeout", '"x"'), ("ingest.sample_n", '"a"'),
         ("split.fractions", "5"), ("meter", "3"),
         ("ingest.filter", '{"prefixes": 5}'),
-        ("transform.onehot", '"proto"'), ("model.params", '{"zz": 1}')])
+        ("transform.onehot", '"proto"'), ("model.params", '{"zz": 1}'),
+        *(pytest.param(key, "9" * 400, id=f"{key}-400_digits")
+          for key in ("meter.idle_timeout", "meter.active_timeout",
+                      "model.params.n_trees"))])
     def test_mistyped_config_value_is_1(self, config, capsys, key, raw):
         assert run(["meter", "--config", str(config), f"--{key}", raw]) == 1
         assert key.rsplit(".", 1)[-1] in capsys.readouterr().err

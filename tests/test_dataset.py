@@ -462,6 +462,39 @@ def test_csv_longer_than_a_block_matches_per_cell_oracle(tmp_path):
     assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_oracle(ds)
 
 
+def test_csv_write_that_fails_leaves_the_earlier_table(tmp_path,
+                                                      monkeypatch):
+    # the rewrite raises after its first block of rows, as a full disk
+    # would: the table and schema of the earlier write stay whole
+    path = tmp_path / "ds.csv"
+    n = 3 * dataset._BLOCK_ROWS
+    Dataset.from_rows([{"x": float(i)} for i in range(n)],
+                      {"x": "numeric"}).to_csv(path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    csv_lines = dataset._csv_lines
+
+    def first_block_then_fail(columns):
+        lines = csv_lines(columns)
+        yield next(lines)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(dataset, "_csv_lines", first_block_then_fail)
+    with pytest.raises(OSError, match="no space"):
+        Dataset.from_rows([{"x": -float(i)} for i in range(n)],
+                          {"x": "numeric"}).to_csv(path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert len(Dataset.from_csv(path)) == n
+
+
+def test_write_text_replaces_whole_and_leaves_no_part_file(tmp_path):
+    path = tmp_path / "a.txt"
+    assert dataset.write_text(path, ["x\n", "y\n"]) == \
+        hashlib.sha256(b"x\ny\n").digest()
+    dataset.write_text(path, ["z\n"])
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+    assert path.read_bytes() == b"z\n"
+
+
 @pytest.mark.parametrize("distinct, width", [(1 << 16, np.uint16),
                                               ((1 << 16) + 1, np.int32)])
 @pytest.mark.parametrize("offset", [True, False], ids=["offset", "unique"])

@@ -95,7 +95,7 @@ class TestScalers:
 
     def test_json_round_trip(self):
         f = fit_robust(_num_ds([1, 2, 3, 4, 100]))
-        back = FittedTransform.from_json(json.loads(f.to_json()))
+        back = FittedTransform.from_json(json.loads(json.dumps(f.as_dict())))
         assert back.kind == "robust"
         assert back.params == f.params
         assert back.fit_partition_fingerprint == f.fit_partition_fingerprint
@@ -278,6 +278,7 @@ class TestPca:
         # on OpenBLAS's thread count; each child fits and applies a PCA
         code = """if True:
             import hashlib
+            import json
             import numpy as np
             from flowlab.dataset import Dataset
             from flowlab.transforms import pca_fit, pca_transform
@@ -289,7 +290,7 @@ class TestPca:
                          row_ids=np.arange(1000))
             fit = pca_fit(ds, 6)
             out = pca_transform(ds, fit)
-            h = hashlib.sha256(fit.to_json().encode())
+            h = hashlib.sha256(json.dumps(fit.as_dict()).encode())
             for name in out.numeric_feature_names():
                 h.update(out.data[name].tobytes())
             print(h.hexdigest())
