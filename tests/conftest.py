@@ -74,8 +74,9 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Every test starts with empty table and model memos: each to_csv and
-    model.json write fills them, so otherwise the order of the tests could
-    decide whether a file is parsed."""
+    """Every test starts with empty table, cell and model memos: each to_csv
+    and model.json write fills them, so otherwise the order of the tests
+    could decide whether a file is parsed or a cell formatted."""
     dataset._last_read = (None, None)
+    dataset._last_cells = (np.empty(0), np.empty(0, dtype=object))
     models._last_model = (None, None)

@@ -182,10 +182,11 @@ def test_csv_signaling_nan_written_as_nan(tmp_path):
 
 @pytest.mark.parametrize("past, sorts", [(0, 0), (1, 1)])
 def test_csv_integer_column_choice_follows_its_span(tmp_path, past, sorts):
-    # three rows of integers: a span at the bound takes the offset table,
-    # one past it sorts; the cells are the same either way
+    # three rows of integers on the per-column path: a span at the bound
+    # takes the offset table, one past it sorts; the cells are the same
     span = dataset._SPAN_PER_ROW * 3 + past
-    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+            mock.patch.object(dataset, "_BLOCK_CELLS", 0):
         _, path = _one_column([-0.0, float(span), 0.0], tmp_path)
     assert unique.call_count == sorts
     assert path.read_text().splitlines() == [
@@ -370,6 +371,78 @@ def test_csv_written_malformed_schema_is_data_error(tmp_path, parses, key,
     assert parses == ["ds.csv"]
 
 
+# to_csv sorts a table of at most _BLOCK_CELLS numeric cells at once, any
+# other table column by column: at 0 every drawn table takes the second path
+BOTH_PATHS = [dataset._BLOCK_CELLS, 0]
+
+
+def _numeric_table(cols, rows):
+    """cols numeric columns of rows rows: small-span integers (an offset
+    table on the per-column path), halves and wide integers in turn."""
+    rng = np.random.default_rng(0)
+    values = [rng.integers(0, 4, rows), rng.integers(0, 50, rows) + 0.5,
+              rng.integers(-10 ** 12, 10 ** 12, rows)]
+    data = {f"c{j}": np.asarray(values[j % 3], dtype=np.float64)
+            for j in range(cols)}
+    return Dataset(names=list(data), kinds=dict.fromkeys(data, "numeric"),
+                   data=data, row_ids=np.arange(rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("cols, rows", [(1, 1 << 16), (5, 7)])
+def test_csv_path_follows_the_numeric_cell_count(tmp_path, cols, rows):
+    # a table of _BLOCK_CELLS numeric cells takes one sort, whatever its
+    # column count; one cell more sorts each column but the small-span
+    # integer ones
+    ds = _numeric_table(cols, rows)
+    path = tmp_path / "ds.csv"
+    for extra, sorts in [(0, 1), (1, sum(j % 3 != 0 for j in range(cols)))]:
+        limit = cols * rows - extra
+        with mock.patch.object(dataset, "_BLOCK_CELLS", limit), \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            ds.to_csv(path)
+        assert unique.call_count == sorts
+        assert path.read_bytes() == dataset_csv_oracle(ds)
+    # a column cut short on the one-sort path: every column is cut with it
+    ds.data["c0"] = ds.data["c0"][:rows - 2]
+    ds.to_csv(path)
+    cut = Dataset(names=ds.names, kinds=ds.kinds,
+                  data={n: c[:rows - 2] for n, c in ds.data.items()},
+                  row_ids=ds.row_ids[:rows - 2])
+    assert path.read_bytes() == dataset_csv_oracle(cut)
+
+
+def test_csv_cells_of_the_last_small_table_are_reused(tmp_path):
+    # the second small table formats only the values the first lacked, and
+    # its NaN, which equals nothing; a large table written between them
+    # neither reads nor replaces the cells held
+    nan_a, nan_b = (np.uint64(b).view(np.float64).item()
+                    for b in (0x7FF8000000000123, 0xFFF8000000000000))
+    first = [-0.0, nan_a, math.inf, 1e15 - 0.5, 5e-324, 0.25, 3.0]
+    second = [5e-324, 0.0, 3.0, nan_b, -math.inf, 1e15 - 0.5, 2.5e-310,
+              math.inf]
+
+    def write(columns):
+        ds = Dataset(names=["a", "b"], kinds=dict.fromkeys("ab", "numeric"),
+                     data=dict(zip("ab", map(np.asarray, columns))),
+                     row_ids=np.arange(len(columns[0]), dtype=np.int64))
+        with mock.patch.object(dataset, "repr", create=True,
+                               wraps=repr) as fmt:
+            ds.to_csv(tmp_path / "ds.csv")
+        assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_oracle(ds)
+        return sorted(map(repr, (c.args[0] for c in fmt.call_args_list)))
+
+    firsts = write([first, first[::-1]])
+    assert firsts == sorted(["nan", "inf", "999999999999999.5", "5e-324",
+                             "0.25"])
+    held = dataset._last_cells
+    # one cell past _BLOCK_CELLS: each column formats its own values
+    ints = np.arange(dataset._BLOCK_CELLS // 2 + 1 - len(first), dtype=float)
+    large = np.r_[first, ints]
+    assert write([large, large[::-1]]) == sorted(firsts * 2)
+    assert dataset._last_cells is held
+    assert write([second, second[::-1]]) == ["-inf", "2.5e-310", "nan"]
+
+
 # float64 cells the writer must format like the per-cell oracle: non-finite
 # values, signed zero, the 1e15 integer cut-off, huge and subnormal values
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e15 - 1, 1e15,
@@ -430,8 +503,10 @@ def datasets(draw):
 @given(ds=datasets())
 def test_csv_matches_per_cell_oracle(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    ds.to_csv(path)
-    assert path.read_bytes() == dataset_csv_oracle(ds)
+    for cells in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+            ds.to_csv(path)
+        assert path.read_bytes() == dataset_csv_oracle(ds)
 
 
 # the writer gathers and joins _BLOCK_ROWS rows at a time: blocks of 1 and
@@ -442,9 +517,11 @@ def test_csv_matches_per_cell_oracle(tmp_path_factory, ds):
 def test_csv_in_small_blocks_matches_per_cell_oracle(tmp_path_factory,
                                                      block, ds):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    with mock.patch.object(dataset, "_BLOCK_ROWS", block):
-        ds.to_csv(path)
-    assert path.read_bytes() == dataset_csv_oracle(ds)
+    for cells in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_ROWS", block), \
+                mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+            ds.to_csv(path)
+        assert path.read_bytes() == dataset_csv_oracle(ds)
 
 
 def test_csv_longer_than_a_block_matches_per_cell_oracle(tmp_path):
@@ -515,13 +592,15 @@ def test_csv_index_width(tmp_path, distinct, width, offset):
 @given(ds=datasets())
 def test_csv_round_trip_exact(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    ds.to_csv(path, config_hash="h")
-    back = Dataset.from_csv(path)
-    assert back.names == ds.names
-    np.testing.assert_array_equal(back.row_ids, ds.row_ids)
-    for n in ds.names:
-        # NaN equals NaN here; -0.0 comes back as 0.0, equal under ==
-        np.testing.assert_array_equal(back.data[n], ds.data[n])
+    for cells in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+            ds.to_csv(path, config_hash="h")
+        back = Dataset.from_csv(path)
+        assert back.names == ds.names
+        np.testing.assert_array_equal(back.row_ids, ds.row_ids)
+        for n in ds.names:
+            # NaN equals NaN here; -0.0 comes back as 0.0, equal under ==
+            np.testing.assert_array_equal(back.data[n], ds.data[n])
 
 
 # NaNs whose sign or payload bits differ from np.nan's, and values near the
@@ -599,28 +678,32 @@ def test_csv_table_remembered_at_write_is_the_parse(tmp_path_factory,
                                                     drawn):
     ds, config_hash = drawn
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    ds.to_csv(path, config_hash=config_hash)
-    raw = path.read_bytes()
-    schema_raw = path.with_suffix(".csv.schema.json").read_bytes()
-    parsed = dataset._parse_csv(path.name, raw, schema_raw)
-    # the first from_csv reads the table back from what to_csv held
-    with mock.patch.object(dataset, "_parse_csv", side_effect=AssertionError):
-        Dataset.from_csv(path)
-    key, held = dataset._last_read
-    assert key == (path.resolve(), hashlib.sha256(raw).digest(),
-                   hashlib.sha256(schema_raw).digest())
-    assert held.names == parsed.names
-    assert list(held.kinds.items()) == list(parsed.kinds.items())
-    assert held.validity_links == parsed.validity_links
-    assert held.provenance == parsed.provenance
-    assert held.partitions is None and parsed.partitions is None
-    assert held.row_ids.dtype == parsed.row_ids.dtype == np.int64
-    assert held.row_ids.tobytes() == parsed.row_ids.tobytes()
-    for name in ds.names:
-        a, b = held.data[name], parsed.data[name]
-        assert a.dtype == b.dtype and a.shape == b.shape
-        if ds.kinds[name] == "numeric":
-            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
-        else:
-            assert [type(v) for v in a] == [type(v) for v in b]
-            assert a.tolist() == b.tolist()
+    for cells in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+            ds.to_csv(path, config_hash=config_hash)
+        raw = path.read_bytes()
+        schema_raw = path.with_suffix(".csv.schema.json").read_bytes()
+        parsed = dataset._parse_csv(path.name, raw, schema_raw)
+        # the first from_csv reads the table back from what to_csv held
+        with mock.patch.object(dataset, "_parse_csv",
+                               side_effect=AssertionError):
+            Dataset.from_csv(path)
+        key, held = dataset._last_read
+        assert key == (path.resolve(), hashlib.sha256(raw).digest(),
+                       hashlib.sha256(schema_raw).digest())
+        assert held.names == parsed.names
+        assert list(held.kinds.items()) == list(parsed.kinds.items())
+        assert held.validity_links == parsed.validity_links
+        assert held.provenance == parsed.provenance
+        assert held.partitions is None and parsed.partitions is None
+        assert held.row_ids.dtype == parsed.row_ids.dtype == np.int64
+        assert held.row_ids.tobytes() == parsed.row_ids.tobytes()
+        for name in ds.names:
+            a, b = held.data[name], parsed.data[name]
+            assert a.dtype == b.dtype and a.shape == b.shape
+            if ds.kinds[name] == "numeric":
+                assert (a.view(np.uint64).tolist()
+                        == b.view(np.uint64).tolist())
+            else:
+                assert [type(v) for v in a] == [type(v) for v in b]
+                assert a.tolist() == b.tolist()
