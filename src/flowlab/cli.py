@@ -33,7 +33,8 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import evaluation, explain, labeling, models, prep, transforms
+from . import (evaluation, explain, labeling, models, prep, read_digests,
+               transforms, written_digests)
 from .dataset import (Dataset, UNKNOWN_LABEL, read_text, write_csv,
                       write_json, write_text)
 from .errors import (ConfigError, DataError, FlowlabError, LeakageError,
@@ -165,19 +166,13 @@ def load_config(path, overrides) -> tuple[dict, str]:
     return cfg, hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _file_hash(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_manifest(run_dir: Path, stage: str, config_hash: str,
-                    inputs: dict, extra: dict) -> None:
+                    paths: dict, extra: dict) -> None:
+    """The stage's manifest: the SHA-256 of the bytes it parsed of each
+    input path and of each file it wrote, as recorded since run_stage began."""
     manifest = {"stage": stage, "config_hash": config_hash,
-                "inputs": {k: _file_hash(v) if Path(v).exists() else None
-                           for k, v in inputs.items()},
+                "inputs": {k: read_digests[Path(v)] for k, v in paths.items()},
+                "outputs": {p.name: d for p, d in written_digests.items()},
                 **extra}
     write_json(run_dir / f"{stage}_manifest.json", manifest)
 
@@ -518,6 +513,8 @@ def run_stage(cmd, cfg, config_hash, run_dir: Path, *given) -> Path:
     """Run one stage (looked up by name when called) on its inputs."""
     inputs = [g or run_dir / name for g, name in
               zip((*given, None, None), STAGE_INPUTS[cmd])]
+    read_digests.clear()
+    written_digests.clear()
     return globals()[f"stage_{cmd}"](cfg, config_hash, run_dir, *inputs)
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import read_digests, written_digests
 from .errors import ConfigError, DataError, ShapeError, check
 
 KINDS = ("numeric", "categorical", "metadata", "label")
@@ -228,15 +229,18 @@ class Dataset:
     # -- views -------------------------------------------------------------
 
     def copy(self) -> "Dataset":
-        return self.subset(np.arange(len(self)))
+        return self.subset(None)
 
     def subset(self, mask_or_indices) -> "Dataset":
-        idx = np.asarray(mask_or_indices)
+        """The rows mask_or_indices selects, every row if it is None; each
+        column is a copy."""
+        take = (np.ndarray.copy if mask_or_indices is None
+                else operator.itemgetter(np.asarray(mask_or_indices)))
         return Dataset(names=list(self.names), kinds=dict(self.kinds),
-                       data={n: self.data[n][idx] for n in self.names},
-                       row_ids=self.row_ids[idx],
+                       data={n: take(self.data[n]) for n in self.names},
+                       row_ids=take(self.row_ids),
                        partitions=None if self.partitions is None
-                       else self.partitions[idx],
+                       else take(self.partitions),
                        validity_links=dict(self.validity_links),
                        provenance=dict(self.provenance))
 
@@ -424,12 +428,9 @@ class Dataset:
         if not schema_path.exists():
             raise DataError(f"{path.name}: missing sidecar schema "
                             f"{schema_path.name}")
-        try:
-            raw, schema_raw = path.read_bytes(), schema_path.read_bytes()
-        except OSError as e:
-            raise DataError(f"{path.name}: {e}") from None
-        key = (path.resolve(), hashlib.sha256(raw).digest(),
-               hashlib.sha256(schema_raw).digest())
+        (raw, digest), (schema_raw, schema_digest) = map(
+            _read_bytes, (path, schema_path))
+        key = (path.resolve(), digest, schema_digest)
         held = _last_read[1] if _last_read[0] == key else None
         if isinstance(held, tuple):       # written here, not yet read
             held = _read_back(*held)
@@ -461,9 +462,23 @@ def _read_back(names: list, data: dict, row_ids: np.ndarray,
         kinds, links, provenance, _ = _schema_fields(schema_text)
     except TypeError:
         return None
-    data = {n: _read_back_column(data[n], kinds[n]) for n in names}
-    if not _fits_csv_field(names) or any(c is None for c in data.values()):
+    # csv.reader rejects a field longer than csv.field_size_limit()
+    text = itertools.chain(names, *(data[n] for n in names
+                                    if kinds[n] != "numeric"))
+    if max(map(len, text), default=0) > csv.field_size_limit():
         return None
+    # every numeric column at once, as the parse reads its cells back: -0.0
+    # as 0.0, each NaN as np.nan. A float64 column holding neither is kept.
+    numeric = [n for n in names if kinds[n] == "numeric"]
+    block = np.array([data[n] for n in numeric], dtype=np.float64).reshape(
+        len(numeric), len(row_ids))
+    bits = block.view(np.uint64)
+    odd = (bits == _NEG_ZERO) | (block != block) & (bits != _NAN_BITS)
+    block[odd] = np.where(np.isnan(block[odd]), np.nan, 0.0)
+    data = dict(data)
+    for n, col, changed in zip(numeric, block, odd.any(axis=1)):
+        if changed or data[n].dtype != np.float64:
+            data[n] = col
     return Dataset(names=list(names), kinds=kinds, data=data,
                    row_ids=row_ids, validity_links=links,
                    provenance=provenance)
@@ -489,35 +504,12 @@ def _str_column(col: np.ndarray) -> np.ndarray:
     return np.asarray(list(map(str, col)), dtype=object)
 
 
-def _read_back_column(col: np.ndarray, kind: str) -> Optional[np.ndarray]:
-    """Column col as `_parse_csv` reads back the cells `_column_cells`
-    writes for it: col itself where the parse gives it bit for bit, else
-    a copy holding what the parse gives; None where the parse fails."""
-    if kind != "numeric":
-        return col if _fits_csv_field(col) else None
-    if col.dtype == np.float64:
-        bits = col.view(np.uint64)
-        if not ((bits == _NEG_ZERO).any()
-                or (bits[col != col] != _NAN_BITS).any()):
-            return col
-    # the cells of -0.0 and of every NaN read back as 0.0 and np.nan
-    out = np.array(col, dtype=np.float64)
-    out[out == 0] = 0.0
-    out[np.isnan(out)] = np.nan
-    return out
-
-
-def _fits_csv_field(cells) -> bool:
-    """Whether csv.reader takes every str in cells: it rejects a field
-    longer than csv.field_size_limit()."""
-    return max(map(len, cells), default=0) <= csv.field_size_limit()
-
-
 def write_text(path, lines: Iterable[str], newline=None) -> bytes:
     """Write lines to path as open(path, "w", newline=newline) writes them,
     whole or not at all: to ".<name>.part" beside path, renamed over path
     once complete, removed if the write raises. Every artifact is written
-    here. The SHA-256 of the bytes, hashed as they go to the file."""
+    here. The SHA-256 of the bytes, hashed as they go to the file; its hex
+    goes to written_digests."""
     path = Path(path)
     part = path.with_name(f".{path.name}.part")
     try:
@@ -528,6 +520,7 @@ def write_text(path, lines: Iterable[str], newline=None) -> bytes:
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+    written_digests[path] = raw.sha256.hexdigest()
     return raw.sha256.digest()
 
 
@@ -543,14 +536,32 @@ def write_csv(path, rows: Iterable[Sequence], lineterminator="\r\n") -> None:
     write_text(path, [text.getvalue()], newline="")
 
 
+def _read_bytes(path) -> tuple[bytes, bytes]:
+    """The bytes of the file at path and their SHA-256, whose hex goes to
+    read_digests; a DataError naming the file if it cannot be read."""
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise DataError(f"{path.name}: {e}") from None
+    sha256 = hashlib.sha256(raw)
+    read_digests[path] = sha256.hexdigest()
+    return raw, sha256.digest()
+
+
+def _decoded(name: str, raw: bytes) -> str:
+    """raw decoded as open(path, newline="") decodes a file's bytes; a
+    DataError naming the file called name if they do not decode."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw), newline="").read()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{name}: {e}") from None
+
+
 def read_text(path) -> str:
     """The text of the file at path, read as open(path, newline="") reads
     it; a DataError naming the file if it cannot be read or decoded."""
-    try:
-        with open(path, newline="") as f:
-            return f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(f"{Path(path).name}: {e}") from None
+    return _decoded(Path(path).name, _read_bytes(path)[0])
 
 
 def read_csv(path) -> list[list[str]]:
@@ -587,11 +598,7 @@ def _parse_csv(name: str, raw: bytes, schema_raw: bytes) -> Dataset:
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"{name}.schema.json: malformed schema: "
                         f"{type(e).__name__}: {e}") from None
-    try:
-        # decoded as open() decodes the text the writer wrote
-        text = io.TextIOWrapper(io.BytesIO(raw), newline="").read()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{name}: {e}") from None
+    text = _decoded(name, raw)
     # never str.splitlines: it also breaks lines on characters such as
     # "\x85" and "\u2028", which the writer leaves unquoted in text cells
     buf = io.StringIO(text, newline="")

@@ -16,14 +16,17 @@ Timestamps are normalized to integer nanoseconds since the epoch.
 
 from __future__ import annotations
 
+import hashlib
 import ipaddress
 import itertools
 import struct
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import read_digests
 from .errors import (
     DataError,
     InvalidArgumentError,
@@ -159,13 +162,6 @@ _PAD = bytes(96)
 _TRUNCATED, _SKIPPED = 1, 2
 
 
-def _open(path):
-    try:
-        return open(path, "rb")
-    except OSError as e:
-        raise DataError(f"cannot read capture: {e}") from None
-
-
 def parse_capture(path, cfg: Optional[IngestConfig] = None):
     """Open a classic PCAP file and return (packet iterator, summary).
 
@@ -174,39 +170,42 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
     cfg.filter first, then 1-in-N sampling on the filtered stream.
     """
     cfg = cfg or IngestConfig()
-    with _open(path) as f:
-        header = f.read(24)
-    if len(header) < 24:
-        raise UnsupportedFormatError("file too short for PCAP global header")
-    magic_be = struct.unpack(">I", header[:4])[0]
-    magic_le = struct.unpack("<I", header[:4])[0]
-    if magic_le in (MAGIC_MICRO, MAGIC_NANO):
-        endian, magic = "<", magic_le
-    elif magic_be in (MAGIC_MICRO, MAGIC_NANO):
-        endian, magic = ">", magic_be
-    else:
-        raise UnsupportedFormatError(f"bad PCAP magic 0x{magic_be:08x}")
-    subsec_scale = 1 if magic == MAGIC_NANO else 1000
-    linktype = struct.unpack(endian + "I", header[20:24])[0]
-    if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-        raise UnsupportedLinkTypeError(f"unsupported link type {linktype}")
-
     summary = IngestSummary()
 
     def frames() -> Iterator[Packet]:
-        incl_len = struct.Struct(endian + "I").unpack_from
-        buf = bytearray()       # one buffer, reused for every chunk
-        offset, kept = 24, 0    # file offset of buf[0]; bytes carried over
-        # a handle of its own, opened on the first next(): a stream that is
-        # never consumed holds no open file
-        with _open(path) as f:
-            f.seek(offset)
+        # one handle, read once: the header, then chunk by chunk, each hashed
+        # as it is read. Closing the stream, or dropping it, closes the file.
+        try:
+            f = open(path, "rb")
+        except OSError as e:
+            raise DataError(f"cannot read capture: {e}") from None
+        with f:
+            header = f.read(24)
+            sha256 = hashlib.sha256(header)
+            if len(header) < 24:
+                raise UnsupportedFormatError(
+                    "file too short for PCAP global header")
+            for endian in "<>":     # the magic, then the link type
+                magic, linktype = struct.unpack(endian + "I16xI", header)
+                if magic in (MAGIC_MICRO, MAGIC_NANO):
+                    break
+            else:
+                raise UnsupportedFormatError(f"bad PCAP magic 0x{magic:08x}")
+            subsec_scale = 1 if magic == MAGIC_NANO else 1000
+            if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
+                raise UnsupportedLinkTypeError(
+                    f"unsupported link type {linktype}")
+            yield None      # the header is checked: parse_capture returns
+            incl_len = struct.Struct(endian + "I").unpack_from
+            buf = bytearray()       # one buffer, reused for every chunk
+            offset, kept = 24, 0    # file offset of buf[0]; bytes carried over
             while True:
                 stop = kept + CHUNK_BYTES
                 if len(buf) < stop + len(_PAD):     # a record past a chunk
                     buf.extend(bytes(stop + len(_PAD) - len(buf)))
                 with memoryview(buf) as view:
                     stop = kept + f.readinto(view[kept:stop])
+                    sha256.update(view[kept:stop])
                 if stop == kept:
                     break
                 buf[stop:stop + len(_PAD)] = _PAD
@@ -233,8 +232,10 @@ def parse_capture(path, cfg: Optional[IngestConfig] = None):
             raise TruncatedCaptureError("truncated record body", offset + 16)
         if kept:
             raise TruncatedCaptureError("truncated record header", offset)
+        read_digests[Path(path)] = sha256.hexdigest()
 
     stream: Iterable[Packet] = frames()
+    next(stream)
     if cfg.filter is not None:
         stream = filter_stream(stream, cfg.filter)
     if cfg.sample_n > 1:

@@ -136,18 +136,21 @@ def clean(ds: Dataset, rules: Optional[CleaningConfig] = None
     """
     rules = rules or CleaningConfig()
     audit: list[dict] = []
-    out = ds.copy()
+    out, distinct = ds.copy(), False
     while True:
-        out, events = _clean_pass(out, rules)
+        out, events = _clean_pass(out, rules, distinct)
         audit.extend(events)
         if not events:
             return out, audit
+        distinct = True
 
 
-def _clean_pass(ds: Dataset, rules: CleaningConfig
+def _clean_pass(ds: Dataset, rules: CleaningConfig, distinct: bool
                 ) -> tuple[Dataset, list[dict]]:
+    """One pass of the rules over ds; distinct if its rows are (a previous
+    pass left them so)."""
     audit: list[dict] = []
-    out = ds
+    out, columns = ds, dict(ds.data)
 
     label = out.label_column
     explicit = [c for c in rules.drop_columns if c in out.names]
@@ -174,14 +177,16 @@ def _clean_pass(ds: Dataset, rules: CleaningConfig
         audit.append({"rule": "near_zero_variance", "columns": const_drop,
                       "count": len(const_drop)})
 
-    tuples = _non_metadata_row_tuples(out)
-    seen: set = set()
+    # rows stay distinct if every column dropped held one equal value in
+    # each of them; a NaN equals nothing, so dropping it can make two equal
     keep = np.ones(len(out), dtype=bool)
-    for i, t in enumerate(tuples):
-        if t in seen:
-            keep[i] = False
-        else:
-            seen.add(t)
+    if not (distinct and all((c == c[:1]).all() for n, c in columns.items()
+                             if n not in out.data)):
+        tuples = _non_metadata_row_tuples(out)
+        # each tuple's first row: zipped in reverse, it is written last
+        first = dict(zip(reversed(tuples), range(len(tuples) - 1, -1, -1)))
+        keep[:] = False
+        keep[list(first.values())] = True
     if not keep.all():
         audit.append({"rule": "duplicate_rows", "count": int((~keep).sum())})
         out = out.subset(keep)

@@ -204,6 +204,78 @@ class TestStages:
                     (run_dir / name).read_bytes()).hexdigest()
                 assert digest in chained, (stage, name)
 
+    def test_manifests_record_every_file_their_stage_wrote(self, config):
+        assert run(["pipeline", "--config", str(config)]) == 0
+        cfg, h = load_config(config, [])
+        run_dir = run_dir_for(cfg, h)
+        written = []
+        for stage in STAGE_INPUTS:
+            manifest = json.loads(
+                (run_dir / f"{stage}_manifest.json").read_text())
+            assert manifest["outputs"], stage
+            for name, digest in manifest["outputs"].items():
+                assert digest == hashlib.sha256(
+                    (run_dir / name).read_bytes()).hexdigest(), (stage, name)
+            written += manifest["outputs"]
+        # each file of the run directory but the manifests, by one stage
+        assert sorted(written) == sorted(
+            {p.name for p in run_dir.iterdir()}
+            - {f"{stage}_manifest.json" for stage in STAGE_INPUTS})
+        meter_inputs = json.loads(
+            (run_dir / "meter_manifest.json").read_text())["inputs"]
+        assert meter_inputs == {"capture": hashlib.sha256(
+            Path(cfg["capture"]).read_bytes()).hexdigest()}
+
+    def test_manifest_records_the_bytes_its_stage_parsed(self, config,
+                                                         monkeypatch):
+        # flows.csv changes after prepare has read it, before its manifest
+        # is written: the manifest names what prepare consumed
+        assert run(["meter", "--config", str(config)]) == 0
+        run_dir = run_dir_for(*load_config(config, []))
+        flows = run_dir / "flows.csv"
+        parsed = hashlib.sha256(flows.read_bytes()).hexdigest()
+        write_audit_log = cli.prep.write_audit_log
+
+        def rewriting(audit, path):
+            flows.write_bytes(flows.read_bytes() + b"\r\n")
+            write_audit_log(audit, path)
+
+        monkeypatch.setattr(cli.prep, "write_audit_log", rewriting)
+        assert run(["prepare", "--config", str(config)]) == 0
+        manifest = json.loads(
+            (run_dir / "prepare_manifest.json").read_text())
+        assert manifest["inputs"]["flows"] == parsed
+        assert hashlib.sha256(flows.read_bytes()).hexdigest() != parsed
+
+    def test_no_stage_reads_an_input_twice(self, config, monkeypatch):
+        # every open() for reading of the capture or of a run-directory
+        # file, by the stage running it; pathlib opens through io.open
+        cfg, h = load_config(config, [])
+        capture = Path(cfg["capture"]).resolve()
+        run_dir = run_dir_for(cfg, h).resolve()
+        opened, stage = [], [None]
+        real_open, real_run_stage = open, cli.run_stage
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            path = Path(file).resolve() if isinstance(file, (str, Path)) \
+                else None
+            if not set(mode) & set("wax+") and path is not None and (
+                    path == capture or path.parent == run_dir):
+                opened.append((stage[0], path.name))
+            return real_open(file, mode, *args, **kwargs)
+
+        def staged(cmd, *args):
+            stage[0] = cmd
+            return real_run_stage(cmd, *args)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(cli, "run_stage", staged)
+        assert run(["pipeline", "--config", str(config)]) == 0
+        reads = {(s, p): opened.count((s, p)) for s, p in opened}
+        assert len({s for s, _ in reads}) == len(STAGE_INPUTS)
+        assert {k: n for k, n in reads.items() if n > 1} == {}
+
     def test_every_run_directory_file_is_written_whole(self, config,
                                                         monkeypatch):
         # dataset.write_text writes each file under a part name and renames

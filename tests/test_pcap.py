@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import ipaddress
 import struct
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flowlab
 from flowlab import pcap
 from flowlab.errors import (InvalidArgumentError, TruncatedCaptureError,
                             UnsupportedFormatError, UnsupportedLinkTypeError)
@@ -298,6 +300,24 @@ def test_every_cut_point(tmp_path_factory, capture, chunk):
             _same_as_oracle(path, data[:cut])
             if cut == 24 or cut in ends:    # a record boundary ends cleanly
                 assert _drain(path)[2] is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(capture=_capture(max_frames=6), chunk=st.integers(1, 64))
+def test_decode_records_the_digest_of_what_it_read(tmp_path_factory, capture,
+                                                   chunk):
+    # the header and every chunk are hashed as they are read; a parse cut
+    # short by a truncated record records nothing
+    data = capture[0]
+    path = tmp_path_factory.mktemp("digest") / "capture.pcap"
+    for size in (len(data), len(data) - 1):
+        path.write_bytes(data[:size])
+        flowlab.read_digests.clear()
+        with mock.patch.object(pcap, "CHUNK_BYTES", chunk):
+            error = _drain(path)[2]
+        assert (error is None) == (size == len(data))
+        assert flowlab.read_digests == ({} if error else {
+            path: hashlib.sha256(data).hexdigest()})
 
 
 class TestSampleStream:

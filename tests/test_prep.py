@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from flowlab import prep
 from flowlab.dataset import Dataset
 from flowlab.errors import ConfigError
 from flowlab.prep import (CleaningConfig, clean, diagnose,
@@ -144,6 +146,37 @@ class TestClean:
         out, audit = clean(ds)
         assert "mostly_nan" not in out.names
         assert any(e["rule"] == "missing_columns" for e in audit)
+
+    @pytest.mark.parametrize("z, dur4, dropped, builds", [
+        # a second pass drops z: all NaN, or of near-zero variance without
+        # being constant, so rows 3 and 4 become equal; the scan stays
+        ([math.nan] * 3, 1.0, ("missing_columns", 1), 2),
+        ([1.0, 1.0 + 1e-9, 1.0], 1.0, ("near_zero_variance", 1), 2),
+        # it drops a constant column, or none: the rows the first pass left
+        # distinct stay so, and only the first pass builds the row key
+        ([3.0] * 3, 1.5, ("near_zero_variance", 0), 1),
+        ([1.0, 2.0, 3.0], 1.5, None, 1),
+    ])
+    def test_later_pass_scans_for_duplicates_only_when_it_must(
+            self, monkeypatch, z, dur4, dropped, builds):
+        rows = [{"flow_duration": d, "z": v, "label": "A"} for d, v in
+                zip([-1.0, -2.0, 1.0, dur4, 2.0], [5.0, 7.0, *z])]
+        ds = Dataset.from_rows(rows, {"flow_duration": "numeric",
+                                      "z": "numeric", "label": "label"})
+        calls = []
+        tuples = prep._non_metadata_row_tuples
+        monkeypatch.setattr(prep, "_non_metadata_row_tuples",
+                            lambda d: calls.append(1) or tuples(d))
+        out, audit = clean(ds)
+        # the audit log the scan in every pass gives
+        expected = [{"rule": "plausibility:negative_duration", "count": 2}]
+        if dropped:
+            rule, duplicates = dropped
+            expected.append({"rule": rule, "columns": ["z"], "count": 1})
+            expected += [{"rule": "duplicate_rows", "count": 1}] * duplicates
+        assert audit == expected
+        assert len(out) == 3 - (dropped or (0, 0))[1]
+        assert len(calls) == builds
 
     def test_audit_log_jsonl(self, tmp_path):
         rows = _base_rows()
