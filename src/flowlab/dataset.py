@@ -30,7 +30,9 @@ UNKNOWN_LABEL = "UNKNOWN"
 _QUOTE_CHARS = ',"\r\n'
 _NEEDS_QUOTES = re.compile(f"[{_QUOTE_CHARS}]")
 _SPAN_PER_ROW = 4       # widest integer column an offset table serves
-_BLOCK_ROWS = 1024      # CSV rows gathered into cells and joined at once
+# CSV rows gathered into cells and joined at once: a block of the 132-column
+# meter table holds ~2.4 MB of cells, lists and text (4.6 MB at 1,024 rows)
+_BLOCK_ROWS = 512
 # numeric cells up to which to_csv sorts all numeric columns at once: one
 # sort beat a sort per column up to 65,461 cells (3.9 vs 5.0 ms) and lost
 # from ~1,000 rows of 121 columns on (8.4 vs 7.9 ms at 121,000 cells); and
@@ -46,16 +48,18 @@ def _quoted(cell: str) -> str:
 
 
 def _column_cells(values, kind: str) -> tuple:
-    """CSV cells of one column: one cell per row and None, or its distinct
-    cells and the index of each row's cell among them, as _narrow gives it.
+    """CSV cells of one column: one cell per row and None, its distinct
+    cells and the index of each row's cell among them, as _narrow gives it,
+    or None and its float64 values, which _csv_lines formats a block of rows
+    at a time.
 
-    A numeric column formats each distinct value once: integral values
-    below 1e15 in magnitude as integers (so -0.0 is "0"), every other value
-    by repr ("nan", "inf", "1e+300"); no such cell needs quoting. Integers
-    spanning at most _SPAN_PER_ROW per row are indexed by value - min in a
-    table of that span, any other column by np.unique's inverse. A text
-    column holds exact str cells, quoted as csv's QUOTE_MINIMAL quotes a
-    comma, a quote or a line break.
+    A numeric cell is an integral value below 1e15 in magnitude as an
+    integer (so -0.0 is "0"), any other value by repr ("nan", "inf",
+    "1e+300"); no such cell needs quoting. Integers spanning at most
+    _SPAN_PER_ROW per row are indexed by value - min in a table of that
+    span; any other numeric column is left to _csv_lines. A text column
+    holds exact str cells, quoted as csv's QUOTE_MINIMAL quotes a comma, a
+    quote or a line break.
     """
     if kind != "numeric":
         text = list(values)
@@ -78,8 +82,7 @@ def _column_cells(values, kind: str) -> tuple:
             table[present] = list(map(
                 str, (np.flatnonzero(present) + int(lo)).tolist()))
             return table, _narrow(offset, len(table))
-    uniq, inverse = np.unique(col, return_inverse=True)
-    return _number_text(uniq), _narrow(inverse, len(uniq))
+    return None, col
 
 
 def _number_text(uniq: np.ndarray) -> np.ndarray:
@@ -125,16 +128,25 @@ def _narrow(index: np.ndarray, size: int) -> np.ndarray:
 
 
 def _csv_lines(columns: list) -> Iterator[str]:
-    """The CSV lines of columns, (cells, index) pairs as _column_cells gives
-    them, _BLOCK_ROWS lines per str. A block's cells are gathered just
-    before it is joined, so no column's per-row cells exist all at once.
-    Rows stop at the shortest column, as zip stops."""
+    """The CSV lines of columns, pairs as _column_cells gives them,
+    _BLOCK_ROWS lines per str. A block's cells are gathered just before it
+    is joined, so no column's per-row cells exist all at once; the cells of
+    the columns given as values are made then, from one np.unique and one
+    _number_text of all their values in the block, so at most one block of
+    them exists at a time. Rows stop at the shortest column, as zip stops.
+    """
     rows = min(len(cells if index is None else index)
                for cells, index in columns)
+    floats = [index for cells, index in columns if cells is None]
     for start in range(0, rows, _BLOCK_ROWS):
-        at = slice(start, start + _BLOCK_ROWS)
-        block = [cells[at] if index is None else cells[index[at]].tolist()
-                 for cells, index in columns]
+        at = slice(start, min(start + _BLOCK_ROWS, rows))
+        if floats:
+            uniq, inverse = np.unique(np.concatenate([f[at] for f in floats]),
+                                      return_inverse=True)
+            made = iter(_number_text(uniq)[inverse].reshape(
+                len(floats), -1).tolist())
+        block = [cells[at] if index is None else next(made) if cells is None
+                 else cells[index[at]].tolist() for cells, index in columns]
         yield "\r\n".join([*map(",".join, zip(*block)), ""])
 
 

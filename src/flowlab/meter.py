@@ -156,11 +156,12 @@ class FlowTable:
     ``ints[flow, direction]`` (0 is forward): packets, bytes, payload bytes,
     packets per TCP flag bit, lowest and highest timestamp; ``moments[flow,
     direction, family]``: size (0) and inter-arrival (1) m1..m4, min, max;
-    ``splt_ts[flow, i]``: timestamp of packet i, and ``splt_dir_len[flow,
-    i]``: its direction (+1/-1) and IP length, int32 (an IPv6 length
-    reaches 65,575), so a row of every array takes 368 + 16 * splt_n
-    bytes. The log: flow, direction, ts, IP length, payload length and TCP
-    flags of each applied packet.
+    a row of both takes 368 bytes. ``splt``: one entry per packet among its
+    flow's first splt_n, a tuple of arrays per fold, ordered by position:
+    flow, position, timestamp, direction (+1/-1) and IP length (int32: an
+    IPv6 length reaches 65,575), 25 bytes an entry, so a flow holds SPLT
+    only for the packets it has. The log: flow, direction, ts, IP length,
+    payload length and TCP flags of each applied packet.
     """
 
     def __init__(self, splt_n: int):
@@ -169,12 +170,11 @@ class FlowTable:
         self.flows = 0                  # flow numbers handed out
         self.ints = np.zeros((0, 2, 11), dtype=np.int64)
         self.moments = np.zeros((0, 2, 2, 6))
-        self.splt_ts = np.zeros((0, splt_n), dtype=np.int64)
-        self.splt_dir_len = np.zeros((0, splt_n, 2), dtype=np.int32)
+        self.splt: list = []
 
     def arrays(self) -> tuple:
         """The per-flow arrays, one row per flow of capacity."""
-        return self.ints, self.moments, self.splt_ts, self.splt_dir_len
+        return self.ints, self.moments
 
     def fold(self) -> None:
         """Fold the logged packets, in the order they were applied, into
@@ -182,7 +182,7 @@ class FlowTable:
         if self.flows > len(self.ints):     # room for every flow, doubling
             old = len(self.ints)
             more = max(self.flows, 2 * old, 64) - old
-            self.ints, self.moments, self.splt_ts, self.splt_dir_len = (
+            self.ints, self.moments = (
                 np.concatenate((a, np.zeros((more,) + a.shape[1:], a.dtype)))
                 for a in self.arrays())
             self.ints[old:, :, 9:] = np.iinfo(np.int64).max, \
@@ -198,11 +198,13 @@ class FlowTable:
             starts, lens = _runs(flow[order])
             done = self.ints[flow[order[starts]], :, 0].sum(axis=1)
             pos = np.arange(len(flow)) - np.repeat(starts - done, lens)
-            keep = order[pos < self.splt_n]
-            at = flow[keep], pos[pos < self.splt_n]
-            self.splt_ts[at] = ts[keep]
-            self.splt_dir_len[at] = np.column_stack(
-                (1 - 2 * back[keep], size[keep]))
+            by_pos = np.argsort(pos, kind="stable")
+            by_pos = by_pos[pos[by_pos] < self.splt_n]
+            keep = order[by_pos]
+            if len(keep):
+                self.splt.append((flow[keep], pos[by_pos].astype(np.int32),
+                                  ts[keep], (1 - 2 * back[keep]).astype(
+                                      np.int8), size[keep].astype(np.int32)))
         g = 2 * flow + back                     # (flow, direction) group
         order = np.argsort(g, kind="stable")
         starts, lens = _runs(g[order])
@@ -265,22 +267,32 @@ class FlowTable:
         grid holds direction, size and gap of the first splt_n packets,
         zero-padded, each gap to the flow's running maximum timestamp.
 
-        Each SPLT array is gathered once, and the gaps are computed in
-        place in the gathered timestamps, one position at a time."""
+        The SPLT entries are scattered into the grid a fold at a time, and
+        the gaps taken position by position within each fold: a flow's
+        entries then come in packet order, so one running maximum per flow
+        serves, with no dense copy of the timestamps."""
         self.fold()
         ints = self.ints[flows]
         splt_len = np.minimum(ints[:, 0, 0] + ints[:, 1, 0], self.splt_n)
         width = min(splt_n, self.splt_n)
         grid = np.zeros((len(flows), splt_n, 3))
-        grid[:, :width, :2] = self.splt_dir_len[flows, :width]
-        ts = self.splt_ts[flows, :width]
-        top = ts[:, 0].copy() if width else None    # running maximum
-        for i in range(1, width):
-            t = ts[:, i].copy()
-            np.maximum(np.subtract(t, top, out=ts[:, i]), 0, out=ts[:, i])
-            np.maximum(top, t, out=top)
-        ts[np.arange(width) >= splt_len[:, None]] = 0
-        np.divide(ts[:, 1:], 1e9, out=grid[:, 1:width, 2])
+        rows = np.arange(len(flows))
+        row = np.full(len(self.ints), -1)
+        row[flows] = rows           # a flow asked twice: its last row
+        top = np.full(len(flows), np.iinfo(np.int64).min)
+        for flow, pos, ts, direction, size in self.splt:
+            r = row[flow]
+            at = np.flatnonzero((pos < width) & (r >= 0))
+            r, pos, ts = r[at], pos[at], ts[at]
+            grid[r, pos, 0], grid[r, pos, 1] = direction[at], size[at]
+            edges = np.searchsorted(pos, np.arange(width + 1)).tolist()
+            for p, start, end in zip(range(width), edges, edges[1:]):
+                i, t = r[start:end], ts[start:end]
+                if p:           # a flow's first packet has no gap
+                    grid[i, p, 2] = np.maximum(t - top[i], 0) / 1e9
+                top[i] = np.maximum(top[i], t)
+        again = np.flatnonzero(row[flows] != rows)
+        grid[again] = grid[row[flows[again]]]
         return ints, self.moments[flows], splt_len, grid
 
 
@@ -659,6 +671,7 @@ def records_to_rows(records: Iterable[FlowRecord],
         n = (fpk, bpk)[direction]
         data.update(_moment_columns(prefix, np.maximum(n - family, 0),
                                     moments[:, direction, family]))
+    del moments                 # gone before the columns are converted
     tcp = (fwd[3:9] + bwd[3:9]) * (proto == 6)  # flags count on TCP only
     for i, name in enumerate(TCP_FLAG_NAMES):
         data[f"flag_{name}_count"] = tcp[i]
@@ -667,10 +680,11 @@ def records_to_rows(records: Iterable[FlowRecord],
             data[f"splt_piat_{i}"] = grid[:, i].T
 
     kinds = column_kinds(splt_n)
+    for n, v in data.items():   # in place: each column's first form goes
+        data[n] = (np.asarray(v, dtype=np.float64) if kinds[n] == "numeric"
+                   else np.asarray(v, dtype=object))
     return Dataset(
-        names=feature_column_names(splt_n), kinds=kinds,
-        data={n: (np.asarray(v, dtype=np.float64) if kinds[n] == "numeric"
-                  else np.asarray(v, dtype=object)) for n, v in data.items()},
+        names=feature_column_names(splt_n), kinds=kinds, data=data,
         row_ids=np.arange(count, dtype=np.int64),
         validity_links=validity_links(splt_n))
 

@@ -391,11 +391,12 @@ def _numeric_table(cols, rows):
 @pytest.mark.parametrize("cols, rows", [(1, 1 << 16), (5, 7)])
 def test_csv_path_follows_the_numeric_cell_count(tmp_path, cols, rows):
     # a table of _BLOCK_CELLS numeric cells takes one sort, whatever its
-    # column count; one cell more sorts each column but the small-span
-    # integer ones
+    # column count; one cell more sorts, once per block of rows, all the
+    # columns but the small-span integer ones
     ds = _numeric_table(cols, rows)
     path = tmp_path / "ds.csv"
-    for extra, sorts in [(0, 1), (1, sum(j % 3 != 0 for j in range(cols)))]:
+    blocks = -(-rows // dataset._BLOCK_ROWS) if cols > 1 else 0
+    for extra, sorts in [(0, 1), (1, blocks)]:
         limit = cols * rows - extra
         with mock.patch.object(dataset, "_BLOCK_CELLS", limit), \
                 mock.patch.object(np, "unique", wraps=np.unique) as unique:
@@ -539,6 +540,59 @@ def test_csv_longer_than_a_block_matches_per_cell_oracle(tmp_path):
     assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_oracle(ds)
 
 
+# values a large table's float columns repeat from one block of rows to the
+# next, where each block formats its own cells
+REPEATED = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e15 - 1, 1e15,
+            1e15 + 1, -1e15 + 1, -1e15 - 1, 3.0, -2.0, 2.0 ** 53, 0.5]
+
+
+@st.composite
+def repeating_tables(draw):
+    n = draw(st.integers(1, 40))      # an empty table takes the small path
+    kinds, data = {}, {}
+    for j in range(draw(st.integers(1, 4))):
+        pool = draw(st.lists(st.sampled_from(REPEATED) | cell_values,
+                             min_size=1, max_size=4))
+        col = draw(integer_cells(n)
+                   | st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        kinds[f"c{j}"], data[f"c{j}"] = "numeric", np.asarray(col, float)
+    kinds["who"] = "metadata"
+    data["who"] = np.asarray(draw(st.lists(st.sampled_from(["a", "b,c", ""]),
+                                           min_size=n, max_size=n)), object)
+    return Dataset(names=list(data), kinds=kinds, data=data,
+                   row_ids=np.arange(n, dtype=np.int64))
+
+
+def _within(values, block):
+    """Whether every one of values is among block's, NaN among NaN."""
+    nan = np.isnan(values)
+    return bool(np.isin(values[~nan], block).all()
+                and (not nan.any() or np.isnan(block).any()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=repeating_tables())
+def test_csv_float_cells_made_per_block_match_per_cell_oracle(
+        tmp_path_factory, ds):
+    # the large-table path, in blocks of 7 rows: every call formats values
+    # of one block of rows, and the bytes are the per-cell oracle's
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    handed, number_text = [], dataset._number_text
+    with mock.patch.object(dataset, "_BLOCK_ROWS", 7), \
+            mock.patch.object(dataset, "_BLOCK_CELLS", 0), \
+            mock.patch.object(dataset, "_number_text",
+                              lambda v: handed.append(v) or number_text(v)):
+        ds.to_csv(path)
+    assert path.read_bytes() == dataset_csv_oracle(ds)
+    numeric = [c for n, c in ds.data.items() if ds.kinds[n] == "numeric"]
+    blocks = [np.concatenate([c[at:at + 7] for c in numeric])
+              for at in range(0, len(ds), 7)]
+    assert len(handed) <= len(blocks)
+    for values in handed:
+        assert len(values) <= 7 * len(numeric)
+        assert any(_within(values, block) for block in blocks)
+
+
 def test_csv_write_that_fails_leaves_the_earlier_table(tmp_path,
                                                       monkeypatch):
     # the rewrite raises after its first block of rows, as a full disk
@@ -576,12 +630,16 @@ def test_write_text_replaces_whole_and_leaves_no_part_file(tmp_path):
                                               ((1 << 16) + 1, np.int32)])
 @pytest.mark.parametrize("offset", [True, False], ids=["offset", "unique"])
 def test_csv_index_width(tmp_path, distinct, width, offset):
-    # integers take the offset table, halves np.unique; a row of its own
-    # for every distinct cell, shuffled, and one cell repeated
+    # integers take the offset table; halves are left as values, for the
+    # writer to format a block of rows at a time; a row of its own for
+    # every distinct cell, shuffled, and one cell repeated
     values = np.arange(distinct) - 300.0 + (0.0 if offset else 0.5)
     values = np.random.default_rng(9).permutation(np.r_[values, values[:1]])
     cells, index = dataset._column_cells(values, "numeric")
-    assert len(cells) == distinct and index.dtype == width
+    if offset:
+        assert len(cells) == distinct and index.dtype == width
+    else:
+        assert cells is None and index is values
     ds = Dataset(names=["v"], kinds={"v": "numeric"}, data={"v": values},
                  row_ids=np.arange(len(values), dtype=np.int64))
     ds.to_csv(tmp_path / "ds.csv")

@@ -1,5 +1,6 @@
 import ipaddress
 import math
+import tracemalloc
 from collections import OrderedDict
 from decimal import Decimal
 from unittest import mock
@@ -739,8 +740,8 @@ class TestSpltGrid:
         packets = _splt_capture(3)
         cfg = MeterConfig(splt_n=meter_splt)
         records = meter_stream(packets, cfg)
-        assert records[0].table.splt_dir_len.max(initial=0) \
-            == (65575 if meter_splt else 0)
+        assert max((size.max() for *_, size in records[0].table.splt),
+                   default=0) == (65575 if meter_splt else 0)
         flows = np.array([r.flow for r in records])
         ints, moments, splt_len, grid = records[0].table.take(flows, splt_n)
         assert grid.shape == (len(records), splt_n, 3)
@@ -772,12 +773,25 @@ class TestSpltGrid:
         _assert_columns_match(records_to_rows(
             parts[0] + parts[1], MeterConfig(splt_n=splt_n)), want)
 
-    def test_table_holds_at_most_688_bytes_a_flow(self):
-        records = meter_stream(_splt_capture(7), MeterConfig())
+    def test_take_of_a_flow_asked_twice_gives_it_twice(self):
+        records = meter_stream(_splt_capture(8), MeterConfig(splt_n=6))
+        table, flows = records[0].table, np.array([r.flow for r in records])
+        twice = np.r_[flows, flows[::-1]]
+        for once, both in zip(table.take(flows, 6), table.take(twice, 6)):
+            assert np.array_equal(np.r_[once, once[::-1]], both)
+        assert table.take(flows, 6)[3][:, 1:, 2].any()
+
+    @pytest.mark.parametrize("splt_n", [20, 3])
+    def test_table_holds_368_bytes_a_flow_and_25_a_splt_packet(self, splt_n):
+        records = meter_stream(_splt_capture(7), MeterConfig(splt_n=splt_n))
         table = records[0].table
         assert len(table.ints) >= table.flows > 0
+        packets = table.ints[:table.flows, :, 0].sum(axis=1)
+        entries = sum(len(flow) for flow, *_ in table.splt)
+        assert entries == np.minimum(packets, splt_n).sum() > table.flows
         assert sum(a.nbytes for a in table.arrays()) \
-            <= 688 * len(table.ints)
+            + sum(a.nbytes for entry in table.splt for a in entry) \
+            <= 368 * len(table.ints) + 25 * entries
 
 
 def _elephant_capture() -> list:
@@ -859,3 +873,22 @@ class TestScanWork:
         assert scans >= 90
         # each scan stops at the first entry of each walk
         assert cache._entries.visited + cache._born.visited <= 2 * scans
+
+
+def test_finalize_and_write_stay_within_their_memory_peak(tmp_path):
+    # a memory regression guard: the tracemalloc peak of records_to_rows
+    # plus to_csv on 6,848 short flows (16,528 packets) was 14,826,554
+    # bytes when set; 15% above it fails
+    cfg = MeterConfig()
+    records = FlowCache(cfg).meter(synth_capture(
+        np.random.default_rng(0), n_flows=3000, max_pkts=8))
+    assert len(records) == 6848
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        records_to_rows(iter(records), cfg).to_csv(tmp_path / "flows.csv")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * 14_826_554
