@@ -561,7 +561,8 @@ def run(argv) -> int:
                             args.dataset, args.assignment)
         print(out)
         return 0
-    except (ConfigError, LeakageError) as e:
+    except (ConfigError, LeakageError, OSError) as e:
+        # an OSError here is an output location that cannot be written
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except FlowlabError as e:       # DataError and the rest: bad input

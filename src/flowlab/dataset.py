@@ -33,11 +33,6 @@ _SPAN_PER_ROW = 4       # widest integer column an offset table serves
 # CSV rows gathered into cells and joined at once: a block of the 132-column
 # meter table holds ~2.4 MB of cells, lists and text (4.6 MB at 1,024 rows)
 _BLOCK_ROWS = 512
-# numeric cells up to which to_csv sorts all numeric columns at once: one
-# sort beat a sort per column up to 65,461 cells (3.9 vs 5.0 ms) and lost
-# from ~1,000 rows of 121 columns on (8.4 vs 7.9 ms at 121,000 cells); and
-# a table this small indexes its cells by uint16
-_BLOCK_CELLS = 1 << 16
 
 
 def _quoted(cell: str) -> str:
@@ -55,9 +50,10 @@ def _column_cells(values, kind: str) -> tuple:
 
     A numeric cell is an integral value below 1e15 in magnitude as an
     integer (so -0.0 is "0"), any other value by repr ("nan", "inf",
-    "1e+300"); no such cell needs quoting. Integers spanning at most
-    _SPAN_PER_ROW per row are indexed by value - min in a table of that
-    span; any other numeric column is left to _csv_lines. A text column
+    "1e+300"); no such cell needs quoting. A column of at most _BLOCK_ROWS
+    rows is left to _csv_lines as it is. In a longer one, integers spanning
+    at most _SPAN_PER_ROW per row are indexed by value - min in a table of
+    that span, and any other values are left to _csv_lines. A text column
     holds exact str cells, quoted as csv's QUOTE_MINIMAL quotes a comma, a
     quote or a line break.
     """
@@ -70,7 +66,9 @@ def _column_cells(values, kind: str) -> tuple:
             text = list(map(_quoted, text))
         return text, None
     col = np.asarray(values, dtype=np.float64)
-    lo, hi = (col.min(), col.max()) if len(col) else (np.nan, np.nan)
+    if len(col) <= _BLOCK_ROWS:
+        return None, col
+    lo, hi = col.min(), col.max()
     # a NaN anywhere makes lo and hi NaN, which fails every comparison
     if -1e15 < lo and hi < 1e15 and hi - lo <= _SPAN_PER_ROW * len(col):
         ints = col.astype(np.int64)
@@ -95,14 +93,10 @@ def _number_text(uniq: np.ndarray) -> np.ndarray:
     return text
 
 
-def _block_cells(columns: list) -> list:
-    """A (cells, index) pair, as _column_cells gives, for each numeric
-    column in columns, all of one length, from one sort of them all: every
-    column indexes one table of cells. Values the last such table held
-    take their cells from it."""
+def _remembered_text(uniq: np.ndarray) -> np.ndarray:
+    """_number_text of uniq, sorted distinct values, where values the last
+    call held take their cells from it."""
     global _last_cells
-    block = np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])
-    uniq, inverse = np.unique(block, return_inverse=True)
     seen, seen_text = _last_cells
     text = np.empty(len(uniq), dtype=object)
     miss = np.ones(len(uniq), dtype=bool)
@@ -114,8 +108,7 @@ def _block_cells(columns: list) -> list:
         text[~miss] = seen_text[at[~miss]]
     text[miss] = _number_text(uniq[miss])
     _last_cells = (uniq, text)
-    index = _narrow(inverse, len(text)).reshape(len(columns), -1)
-    return [(text, i) for i in index]
+    return text
 
 
 def _narrow(index: np.ndarray, size: int) -> np.ndarray:
@@ -133,18 +126,21 @@ def _csv_lines(columns: list) -> Iterator[str]:
     is joined, so no column's per-row cells exist all at once; the cells of
     the columns given as values are made then, from one np.unique and one
     _number_text of all their values in the block, so at most one block of
-    them exists at a time. Rows stop at the shortest column, as zip stops.
+    them exists at a time. A table of one block takes the cells of values
+    the last such table held from it. Rows stop at the shortest column, as
+    zip stops.
     """
     rows = min(len(cells if index is None else index)
                for cells, index in columns)
     floats = [index for cells, index in columns if cells is None]
+    one_block = rows <= _BLOCK_ROWS
     for start in range(0, rows, _BLOCK_ROWS):
         at = slice(start, min(start + _BLOCK_ROWS, rows))
         if floats:
             uniq, inverse = np.unique(np.concatenate([f[at] for f in floats]),
                                       return_inverse=True)
-            made = iter(_number_text(uniq)[inverse].reshape(
-                len(floats), -1).tolist())
+            text = (_remembered_text if one_block else _number_text)(uniq)
+            made = iter(text[inverse].reshape(len(floats), -1).tolist())
         block = [cells[at] if index is None else next(made) if cells is None
                  else cells[index[at]].tolist() for cells, index in columns]
         yield "\r\n".join([*map(",".join, zip(*block)), ""])
@@ -397,14 +393,8 @@ class Dataset:
         if config_hash:
             header.write(f"# config_hash: {config_hash}\n")
         csv.writer(header).writerow(["row_id"] + self.names)
-        numeric = [n for n in self.names if self.kinds[n] == "numeric"]
-        cells = {}
-        if numeric and len(numeric) * n_rows <= _BLOCK_CELLS:
-            cells = dict(zip(numeric, _block_cells(
-                [data[n][:n_rows] for n in numeric])))
         columns = [(list(map(str, self.row_ids.tolist())), None)]
-        columns += [cells[n] if n in cells else
-                    _column_cells(data[n], self.kinds[n]) for n in self.names]
+        columns += [_column_cells(data[n], self.kinds[n]) for n in self.names]
         digest = write_text(path, itertools.chain(
             [header.getvalue()], _csv_lines(columns)), newline="")
         schema_path = path.with_suffix(path.suffix + ".schema.json")
@@ -456,8 +446,8 @@ class Dataset:
 # the last table Dataset.from_csv parsed or read back, (key, Dataset), or
 # the last one Dataset.to_csv wrote, (key, _read_back's arguments)
 _last_read: tuple = (None, None)
-# the sorted distinct values of the last table _block_cells wrote, and
-# their cells
+# the sorted distinct values of the last table of one block of rows that
+# _csv_lines wrote (_remembered_text), and their cells
 _last_cells: tuple = (np.empty(0), np.empty(0, dtype=object))
 
 _LINE_BREAK = re.compile("[\r\n]")

@@ -504,6 +504,25 @@ class TestExitCodes:
                     "--meter.lookup", "cuckoo"]) == 1
         assert run(["meter", "--config", str(config), "--bogus.key", "1"]) == 1
 
+    def test_out_dir_that_is_a_file_is_1(self, tmp_path, config, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        assert run(["meter", "--config", str(config),
+                    "--out_dir", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("NotADirectoryError: ") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.part"))
+
+    def test_artifact_name_taken_by_a_directory_is_1(self, config, capsys):
+        cfg, h = load_config(config, [])
+        run_dir = run_dir_for(cfg, h)
+        (run_dir / "flows.csv").mkdir()
+        assert run(["meter", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IsADirectoryError: ") and err.count("\n") == 1
+        assert "flows.csv" in err
+        assert not list(run_dir.rglob("*.part"))
+
     def test_data_error_is_2(self, tmp_path, config):
         bad = tmp_path / "not_a.pcap"
         bad.write_bytes(b"\x00" * 64)

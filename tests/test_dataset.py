@@ -182,13 +182,14 @@ def test_csv_signaling_nan_written_as_nan(tmp_path):
 
 @pytest.mark.parametrize("past, sorts", [(0, 0), (1, 1)])
 def test_csv_integer_column_choice_follows_its_span(tmp_path, past, sorts):
-    # three rows of integers on the per-column path: a span at the bound
-    # takes the offset table, one past it sorts; the cells are the same
+    # three rows of integers in blocks of two: a span at the bound takes
+    # the offset table, one past it sorts once a block; the cells are the
+    # same
     span = dataset._SPAN_PER_ROW * 3 + past
     with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
-            mock.patch.object(dataset, "_BLOCK_CELLS", 0):
+            mock.patch.object(dataset, "_BLOCK_ROWS", 2):
         _, path = _one_column([-0.0, float(span), 0.0], tmp_path)
-    assert unique.call_count == sorts
+    assert unique.call_count == 2 * sorts
     assert path.read_text().splitlines() == [
         "row_id,v", "0,0", f"1,{span}", "2,0"]
 
@@ -371,14 +372,16 @@ def test_csv_written_malformed_schema_is_data_error(tmp_path, parses, key,
     assert parses == ["ds.csv"]
 
 
-# to_csv sorts a table of at most _BLOCK_CELLS numeric cells at once, any
-# other table column by column: at 0 every drawn table takes the second path
-BOTH_PATHS = [dataset._BLOCK_CELLS, 0]
+# to_csv formats a table of at most _BLOCK_ROWS rows as one block, with the
+# cells of the last such table at hand, and a longer one block by block: at
+# 1 every drawn table of two rows or more takes the second path
+BOTH_PATHS = [dataset._BLOCK_ROWS, 1]
 
 
 def _numeric_table(cols, rows):
     """cols numeric columns of rows rows: small-span integers (an offset
-    table on the per-column path), halves and wide integers in turn."""
+    table in a table of more than one block), halves and wide integers in
+    turn."""
     rng = np.random.default_rng(0)
     values = [rng.integers(0, 4, rows), rng.integers(0, 50, rows) + 0.5,
               rng.integers(-10 ** 12, 10 ** 12, rows)]
@@ -388,22 +391,29 @@ def _numeric_table(cols, rows):
                    data=data, row_ids=np.arange(rows, dtype=np.int64))
 
 
-@pytest.mark.parametrize("cols, rows", [(1, 1 << 16), (5, 7)])
-def test_csv_path_follows_the_numeric_cell_count(tmp_path, cols, rows):
-    # a table of _BLOCK_CELLS numeric cells takes one sort, whatever its
-    # column count; one cell more sorts, once per block of rows, all the
-    # columns but the small-span integer ones
-    ds = _numeric_table(cols, rows)
+@pytest.mark.parametrize("cols", [1, 5])
+def test_csv_path_follows_the_row_count(tmp_path, cols):
+    # a table of _BLOCK_ROWS rows takes one sort, whatever its column count;
+    # one row more sorts once per block of rows all the columns but the
+    # small-span integer ones, which take offset tables
     path = tmp_path / "ds.csv"
-    blocks = -(-rows // dataset._BLOCK_ROWS) if cols > 1 else 0
-    for extra, sorts in [(0, 1), (1, blocks)]:
-        limit = cols * rows - extra
-        with mock.patch.object(dataset, "_BLOCK_CELLS", limit), \
-                mock.patch.object(np, "unique", wraps=np.unique) as unique:
+    column_cells = dataset._column_cells
+    for rows, blocks in [(dataset._BLOCK_ROWS, 1),
+                         (dataset._BLOCK_ROWS + 1, 2)]:
+        ds, made = _numeric_table(cols, rows), []
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+                mock.patch.object(dataset, "_column_cells",
+                                  lambda *a: made.append(column_cells(*a))
+                                  or made[-1]):
             ds.to_csv(path)
-        assert unique.call_count == sorts
+        tables = [cells is not None for cells, _ in made]
+        assert tables == [blocks > 1 and j % 3 == 0 for j in range(cols)]
+        assert unique.call_count == (blocks if not all(tables) else 0)
         assert path.read_bytes() == dataset_csv_oracle(ds)
-    # a column cut short on the one-sort path: every column is cut with it
+    # a column cut short in a table of one block: every column is cut with
+    # it
+    rows = dataset._BLOCK_ROWS
+    ds = _numeric_table(cols, rows)
     ds.data["c0"] = ds.data["c0"][:rows - 2]
     ds.to_csv(path)
     cut = Dataset(names=ds.names, kinds=ds.kinds,
@@ -413,9 +423,9 @@ def test_csv_path_follows_the_numeric_cell_count(tmp_path, cols, rows):
 
 
 def test_csv_cells_of_the_last_small_table_are_reused(tmp_path):
-    # the second small table formats only the values the first lacked, and
-    # its NaN, which equals nothing; a large table written between them
-    # neither reads nor replaces the cells held
+    # the second table of one block formats only the values the first
+    # lacked, and its NaN, which equals nothing; a table of two blocks
+    # written between them neither reads nor replaces the cells held
     nan_a, nan_b = (np.uint64(b).view(np.float64).item()
                     for b in (0x7FF8000000000123, 0xFFF8000000000000))
     first = [-0.0, nan_a, math.inf, 1e15 - 0.5, 5e-324, 0.25, 3.0]
@@ -436,10 +446,11 @@ def test_csv_cells_of_the_last_small_table_are_reused(tmp_path):
     assert firsts == sorted(["nan", "inf", "999999999999999.5", "5e-324",
                              "0.25"])
     held = dataset._last_cells
-    # one cell past _BLOCK_CELLS: each column formats its own values
-    ints = np.arange(dataset._BLOCK_CELLS // 2 + 1 - len(first), dtype=float)
+    # one row past _BLOCK_ROWS: the first block formats all of first's
+    # values again
+    ints = np.arange(dataset._BLOCK_ROWS + 1 - len(first), dtype=float)
     large = np.r_[first, ints]
-    assert write([large, large[::-1]]) == sorted(firsts * 2)
+    assert write([large, large[::-1]]) == firsts
     assert dataset._last_cells is held
     assert write([second, second[::-1]]) == ["-inf", "2.5e-310", "nan"]
 
@@ -504,8 +515,8 @@ def datasets(draw):
 @given(ds=datasets())
 def test_csv_matches_per_cell_oracle(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    for cells in BOTH_PATHS:
-        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+    for block in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_ROWS", block):
             ds.to_csv(path)
         assert path.read_bytes() == dataset_csv_oracle(ds)
 
@@ -518,11 +529,9 @@ def test_csv_matches_per_cell_oracle(tmp_path_factory, ds):
 def test_csv_in_small_blocks_matches_per_cell_oracle(tmp_path_factory,
                                                      block, ds):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    for cells in BOTH_PATHS:
-        with mock.patch.object(dataset, "_BLOCK_ROWS", block), \
-                mock.patch.object(dataset, "_BLOCK_CELLS", cells):
-            ds.to_csv(path)
-        assert path.read_bytes() == dataset_csv_oracle(ds)
+    with mock.patch.object(dataset, "_BLOCK_ROWS", block):
+        ds.to_csv(path)
+    assert path.read_bytes() == dataset_csv_oracle(ds)
 
 
 def test_csv_longer_than_a_block_matches_per_cell_oracle(tmp_path):
@@ -540,15 +549,20 @@ def test_csv_longer_than_a_block_matches_per_cell_oracle(tmp_path):
     assert (tmp_path / "ds.csv").read_bytes() == dataset_csv_oracle(ds)
 
 
-# values a large table's float columns repeat from one block of rows to the
-# next, where each block formats its own cells
-REPEATED = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e15 - 1, 1e15,
-            1e15 + 1, -1e15 + 1, -1e15 - 1, 3.0, -2.0, 2.0 ** 53, 0.5]
+# values float columns repeat from one block of rows to the next, and from
+# one table to the next, where cells are made per block or kept from the
+# last table: NaNs of other payloads and signs, signed zeros and
+# infinities, and integers either side of 1e15
+REPEATED = [math.nan, *(np.uint64(b).view(np.float64).item()
+                        for b in (0x7FF8000000000123, 0xFFF8000000000000,
+                                  0x7FF0000000000001)),
+            math.inf, -math.inf, 0.0, -0.0, 1e15 - 1, 1e15, 1e15 + 1,
+            -1e15 + 1, -1e15 - 1, 3.0, -2.0, 2.0 ** 53, 0.5]
 
 
 @st.composite
 def repeating_tables(draw):
-    n = draw(st.integers(1, 40))      # an empty table takes the small path
+    n = draw(st.integers(0, 40))
     kinds, data = {}, {}
     for j in range(draw(st.integers(1, 4))):
         pool = draw(st.lists(st.sampled_from(REPEATED) | cell_values,
@@ -574,12 +588,11 @@ def _within(values, block):
 @given(ds=repeating_tables())
 def test_csv_float_cells_made_per_block_match_per_cell_oracle(
         tmp_path_factory, ds):
-    # the large-table path, in blocks of 7 rows: every call formats values
-    # of one block of rows, and the bytes are the per-cell oracle's
+    # in blocks of 7 rows, every call formats values of one block of rows,
+    # and the bytes are the per-cell oracle's
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
     handed, number_text = [], dataset._number_text
     with mock.patch.object(dataset, "_BLOCK_ROWS", 7), \
-            mock.patch.object(dataset, "_BLOCK_CELLS", 0), \
             mock.patch.object(dataset, "_number_text",
                               lambda v: handed.append(v) or number_text(v)):
         ds.to_csv(path)
@@ -591,6 +604,37 @@ def test_csv_float_cells_made_per_block_match_per_cell_oracle(
     for values in handed:
         assert len(values) <= 7 * len(numeric)
         assert any(_within(values, block) for block in blocks)
+
+
+@st.composite
+def table_runs(draw):
+    """Two to four tables of one to three numeric columns and up to nine
+    rows, their values drawn from one pool."""
+    pool = draw(st.lists(st.sampled_from(REPEATED) | cell_values, min_size=1,
+                         max_size=8))
+    tables = []
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(0, 9))
+        data = {f"c{j}": np.asarray(draw(st.lists(
+                    st.sampled_from(pool), min_size=n, max_size=n)), float)
+                for j in range(draw(st.integers(1, 3)))}
+        tables.append(Dataset(names=list(data),
+                              kinds=dict.fromkeys(data, "numeric"), data=data,
+                              row_ids=np.arange(n, dtype=np.int64)))
+    return tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=table_runs())
+def test_csv_tables_written_in_turn_match_per_cell_oracle(tmp_path_factory,
+                                                          tables):
+    # in blocks of 4 rows, tables of one block and of more, one after
+    # another: the cells one table keeps give the next its oracle's bytes
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    with mock.patch.object(dataset, "_BLOCK_ROWS", 4):
+        for ds in tables:
+            ds.to_csv(path)
+            assert path.read_bytes() == dataset_csv_oracle(ds)
 
 
 def test_csv_write_that_fails_leaves_the_earlier_table(tmp_path,
@@ -650,8 +694,8 @@ def test_csv_index_width(tmp_path, distinct, width, offset):
 @given(ds=datasets())
 def test_csv_round_trip_exact(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    for cells in BOTH_PATHS:
-        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+    for block in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_ROWS", block):
             ds.to_csv(path, config_hash="h")
         back = Dataset.from_csv(path)
         assert back.names == ds.names
@@ -736,8 +780,8 @@ def test_csv_table_remembered_at_write_is_the_parse(tmp_path_factory,
                                                     drawn):
     ds, config_hash = drawn
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    for cells in BOTH_PATHS:
-        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+    for block in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_ROWS", block):
             ds.to_csv(path, config_hash=config_hash)
         raw = path.read_bytes()
         schema_raw = path.with_suffix(".csv.schema.json").read_bytes()
@@ -791,8 +835,8 @@ def float_tables(draw):
 def test_numeric_columns_read_back_in_one_pass_as_parsed(tmp_path_factory,
                                                          ds):
     path = tmp_path_factory.mktemp("csv") / "ds.csv"
-    for cells in BOTH_PATHS:
-        with mock.patch.object(dataset, "_BLOCK_CELLS", cells):
+    for block in BOTH_PATHS:
+        with mock.patch.object(dataset, "_BLOCK_ROWS", block):
             ds.to_csv(path)
         parsed = dataset._parse_csv(
             path.name, path.read_bytes(),
